@@ -190,8 +190,12 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 clear_at(t)
                 clear_at(t + 1)
                 changed = True
+    # rediagonalizing can leave a negative entry behind; units fix the sign
+    for t in range(k):
+        if a[t][t] < 0:
+            negate_row(t)
 
-    D = IntMatrix.from_rows(a) if a else IntMatrix(0, c, ())
+    D =IntMatrix.from_rows(a) if a else IntMatrix(0, c, ())
     U = IntMatrix.from_rows(u) if u else IntMatrix(0, 0, ())
     V = IntMatrix.from_rows(v)
 

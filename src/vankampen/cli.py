@@ -16,7 +16,7 @@ from .abelian import abelian_invariants
 from .alexander import WeightedPresentation, alexander_polynomial
 from .coset import Overflow, enumerate_cosets
 from .cover import lift_monodromy
-from .errors import CoverError, ParseError
+from .errors import CoverError, InternalCheckError, ParseError
 from . import pipeline
 from .presentation import (
     canonicalize,
@@ -116,11 +116,8 @@ def _cmd_lift_monodromy(args) -> int:
 
 
 def _cmd_zvk(args) -> int:
-    assembled = pipeline._assembled("standard")
-    if args.raw:
-        print(format_presentation(assembled))
-    else:
-        print(format_presentation(tietze_simplify(assembled)))
+    replay = pipeline.Replay()
+    print(format_presentation(replay.assembled if args.raw else replay.simplified))
     return 0
 
 
@@ -134,8 +131,7 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_patch(args) -> int:
-    k_values = tuple(range(9)) if args.k is None else (args.k,)
-    print(format_presentation(pipeline._patched("standard", k_values)))
+    print(format_presentation(pipeline.Replay(k=args.k).patched))
     return 0
 
 
@@ -162,12 +158,11 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_verify_curves(args) -> int:
-    expected = pipeline.expected_stage_texts()["curve-checks"].split("\n")
-    try:
-        computed = pipeline._stage_curves("standard", (0,), 10_000).split("\n")
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    stage = pipeline.Replay().stage("curve-checks")
+    if stage.computed.startswith("error: "):
+        print(stage.computed, file=sys.stderr)
         return 1
+    expected, computed = stage.expected.split("\n"), stage.computed.split("\n")
     ok = True
     for i, want in enumerate(expected):
         got = computed[i] if i < len(computed) else "<missing>"
@@ -211,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, CoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -373,12 +373,6 @@ class MultiPoly:
         out = {e + (d - sum(e),): c for e, c in self.terms.items()}
         return MultiPoly(self.variables + (newvar,), out, self.field)
 
-    def to_eps_field(self) -> MultiPoly:
-        """The same polynomial with coefficients promoted into Q(eps)."""
-        if self.field == FIELD_QEPS:
-            return self
-        return MultiPoly(self.variables, dict(self.terms), FIELD_QEPS)
-
     # -- printing ----------------------------------------------------------
 
     def _sorted_terms(self) -> list[tuple[tuple[int, ...], Any]]:
@@ -544,7 +538,6 @@ def _uni_rem(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
         lead = f[-1] / g[-1]
         for i in range(dg + 1):
             f[len(f) - 1 - dg + i] -= lead * g[i]
-        f = _uni_trim(f[:-1] + [f[-1]])
         f = _uni_trim(f)
         if not f:
             break
@@ -778,7 +771,7 @@ def intersection_multiplicity_origin(
         # common points on the line must be confined to the origin
         other = h_line if f is g else g_line
         if other.is_zero:
-            if not _is_monomial_in(f_line, yvar):
+            if len(f_line.terms) != 1:
                 raise ValueError("degenerate direction: extra common points on zvar = 0")
         dy = f.degree(yvar)
         if dy > 0:
@@ -793,10 +786,6 @@ def intersection_multiplicity_origin(
     if r.is_zero:
         raise ValueError("common factor: resultant vanishes identically")
     return r.valuation(zvar)
-
-
-def _is_monomial_in(f: MultiPoly, var: str) -> bool:
-    return len(f.terms) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,3 +21,11 @@ class CoverError(ValueError):
     Raised when a lifted image has odd grade; this signals a wrong braid
     or rewriting convention rather than bad user input.
     """
+
+
+class InternalCheckError(RuntimeError):
+    """A computation broke one of its own invariants.
+
+    The input was fine; the result cannot be trusted.  The command line
+    reports it with exit code 1, not as bad input.
+    """

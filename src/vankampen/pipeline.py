@@ -1,12 +1,14 @@
 """End-to-end replay of the computation chain with stage-by-stage diffing.
 
-Each stage recomputes one block of results — braid actions, cover
-lifts, the assembled and simplified presentation, the patch sweep, the
-commutant certificate, abelian invariants, Alexander polynomials, and
-the curve checks — and compares the rendered text against the expected
-text stored in ``data/expected_stages.json``.  Stage failures are
-recorded in the report, never skipped; the report serializes
-deterministically so golden tests can pin it byte for byte.
+A ``Replay`` holds one run of the chain as cached properties, each
+computed once on first use: braid actions, cover lifts, the assembled
+and simplified presentation, the patch sweep, then the commutant
+certificate, abelian invariants, Alexander polynomials and the curve
+checks.  Each stage's text is a pure rendering of those properties and
+is compared against the expected text stored in
+``data/expected_stages.json``.  Stage failures are recorded in the
+report, never skipped; the report serializes deterministically so golden
+tests can pin it byte for byte.
 
 Two knobs exist purely as test hooks: ``braid_convention="flipped"``
 interprets every braid letter as its inverse (a plausible rival sign
@@ -19,15 +21,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from typing import Callable
 
-from .abelian import abelian_invariants
-from .alexander import WeightedPresentation, alexander_polynomial
+from .abelian import AbelianInvariants, abelian_invariants
+from .alexander import LaurentPoly, WeightedPresentation, alexander_polynomial
 from .cover import lift_monodromy
 from .coset import quotient_order
 from .curves import (
     EPS,
+    TorusStructureReport,
     chart_cubic_factors,
     cubic_pencil,
     intersection_multiplicity_origin,
@@ -38,18 +42,20 @@ from .curves import (
     verify_node,
     verify_torus_structure,
 )
+from .errors import InternalCheckError
 from .presentation import (
-    MetacyclicForm,
+    CommutantReport,
     Presentation,
     commutant_report,
     format_presentation,
+    metacyclic_instances,
     metacyclic_normal_form,
     parse_presentation,
     patch_fiber,
     tietze_simplify,
     zvk_assemble,
 )
-from .words import BraidWord, FreeEndo, Word, braid_action, parse_braid, parse_word
+from .words import FreeEndo, Word, braid_action, parse_braid, parse_word
 
 MONODROMY_BRAIDS = {
     "m1": "s2",
@@ -58,17 +64,6 @@ MONODROMY_BRAIDS = {
 }
 
 BRAID_QUOTIENT = "gens: s1, s2; rels: s1 s2 s1 s2^-1 s1^-1 s2^-1, s1 s2 s1 s2 s1 s2"
-
-STAGE_NAMES = (
-    "braid-actions",
-    "cover-lifts",
-    "zvk-presentation",
-    "patch-sweep",
-    "commutant",
-    "abelian-invariants",
-    "alexander-polynomials",
-    "curve-checks",
-)
 
 
 @dataclass(frozen=True)
@@ -132,125 +127,135 @@ def expected_stage_texts() -> dict[str, str]:
     return out
 
 
-def _braids(convention: str) -> dict[str, BraidWord]:
-    out = {}
-    for name, text in MONODROMY_BRAIDS.items():
-        braid = parse_braid(text, 3)
-        out[name] = braid.inverse() if convention == "flipped" else braid
-    return out
-
-
-def _actions(convention: str) -> dict[str, FreeEndo]:
-    return {name: braid_action(b) for name, b in _braids(convention).items()}
-
-
-def _lifts(convention: str) -> dict[str, FreeEndo]:
-    return {name: lift_monodromy(a) for name, a in _actions(convention).items()}
-
-
-def _assembled(convention: str) -> Presentation:
-    lifts = _lifts(convention)
-    return zvk_assemble(kept=[lifts["m1"]], removed=[("g+", lifts["m+"]), ("g-", lifts["m-"])])
-
-
-def _patched(convention: str, k_values: tuple[int, ...]) -> Presentation:
-    simplified = tietze_simplify(_assembled(convention))
-    results = {patch_fiber(simplified, "g+", "g-", k) for k in k_values}
-    if len(results) != 1:
-        raise ValueError(f"patch results disagree across k: {sorted(map(format_presentation, results))}")
-    return results.pop()
-
-
 def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _stage_braid_actions(convention: str, k_values, max_cosets) -> str:
-    actions = _actions(convention)
-    return "\n".join(f"{name}: {actions[name]}" for name in ("m1", "m+", "m-"))
+class Replay:
+    """One run of the chain, each intermediate computed on first use and then kept.
+
+    ``k=None`` sweeps the patch exponent over 0..8; a single value
+    restricts the sweep (the outcome must be identical either way).
+    """
+
+    def __init__(self, braid_convention: str = "standard", k: int | None = None, max_cosets: int = 10_000):
+        if braid_convention not in ("standard", "flipped"):
+            raise ValueError(f"unknown braid convention {braid_convention!r}")
+        if k is not None and not 0 <= k <= 8:
+            raise ValueError("k must lie in 0..8")
+        self.braid_convention = braid_convention
+        self.k_values = tuple(range(9)) if k is None else (k,)
+        self.max_cosets = max_cosets
+
+    @cached_property
+    def actions(self) -> dict[str, FreeEndo]:
+        flip = self.braid_convention == "flipped"
+        braids = {name: parse_braid(text, 3) for name, text in MONODROMY_BRAIDS.items()}
+        return {name: braid_action(b.inverse() if flip else b) for name, b in braids.items()}
+
+    @cached_property
+    def lifts(self) -> dict[str, FreeEndo]:
+        return {name: lift_monodromy(a) for name, a in self.actions.items()}
+
+    @cached_property
+    def assembled(self) -> Presentation:
+        lifts = self.lifts
+        return zvk_assemble(kept=[lifts["m1"]], removed=[("g+", lifts["m+"]), ("g-", lifts["m-"])])
+
+    @cached_property
+    def simplified(self) -> Presentation:
+        return tietze_simplify(self.assembled)
+
+    @cached_property
+    def patched(self) -> Presentation:
+        results = {patch_fiber(self.simplified, "g+", "g-", k) for k in self.k_values}
+        if len(results) != 1:
+            raise InternalCheckError(
+                f"patch results disagree across k: {sorted(map(format_presentation, results))}"
+            )
+        return results.pop()
+
+    @cached_property
+    def braid_quotient(self) -> Presentation:
+        return parse_presentation(BRAID_QUOTIENT)
+
+    @cached_property
+    def commutant(self) -> tuple[Word, CommutantReport, int]:
+        """(normal form of [p^-1, g+^-1], commutant report, order of the quotient by g+^3)."""
+        instances = metacyclic_instances(self.patched)
+        form = next((f for _, _, f, x, y in instances if (x, y) == ("p", "g+")), None)
+        if form is None:
+            raise InternalCheckError("patched group has no metacyclic form over p, g+")
+        a, b = metacyclic_normal_form(form, parse_word("p^-1 g+^-1 p g+"))
+        commutator = Word(((("p", a),) if a else ()) + ((("g+", b),) if b else ()))
+        order = quotient_order(self.patched, extra_relators=(parse_word("g+^3"),), max_cosets=self.max_cosets)
+        return commutator, commutant_report(form), order
+
+    @cached_property
+    def abelian(self) -> tuple[AbelianInvariants, AbelianInvariants]:
+        """Abelian invariants of the patched group and of the braid quotient."""
+        return abelian_invariants(self.patched), abelian_invariants(self.braid_quotient)
+
+    @cached_property
+    def alexander(self) -> tuple[LaurentPoly, LaurentPoly]:
+        """Alexander polynomials of the braid quotient (s1 = s2 = t) and of <a | a^6>."""
+        braids = WeightedPresentation(self.braid_quotient, {"s1": 1, "s2": 1})
+        cyclic = WeightedPresentation(parse_presentation("gens: a; rels: a^6"), {"a": 1})
+        return alexander_polynomial(braids), alexander_polynomial(cyclic)
+
+    @cached_property
+    def curves(self) -> tuple[bool, bool, bool, bool, bool, bool, TorusStructureReport, int]:
+        """The curve-checks claims, in the order that stage prints them."""
+        third = Fraction(1, 3)
+        node_q = verify_node(cubic_pencil(third), (Fraction(2, 5), Fraction(1, 5))).is_node
+        node_eps = verify_node(
+            cubic_pencil(EPS * third), (Fraction(2, 5) * EPS, Fraction(1, 5) * EPS ** -1)
+        ).is_node
+        swapped = {"x": Fraction(2, 5) * EPS ** -1, "y": Fraction(1, 5) * EPS}
+        on_conjugate = not cubic_pencil(EPS ** -1 * third).evaluate(swapped)
+        on_direct = not cubic_pencil(EPS * third).evaluate(swapped)
+        node_origin = verify_node(nodal_cubic(), (0, 0)).is_node
+        elimination = singular_parameters()
+        divisible = divides(parse_polynomial("27*b^3 - 1", elimination.variables), elimination)
+        torus = verify_torus_structure()
+        multiplicity = intersection_multiplicity_origin(*chart_cubic_factors())
+        return node_q, node_eps, on_conjugate, on_direct, node_origin, divisible, torus, multiplicity
+
+    @cached_property
+    def expected(self) -> dict[str, str]:
+        return expected_stage_texts()
+
+    def stage(self, name: str) -> StageResult:
+        """Stage ``name`` against its expected text; an exception is recorded as ``error: <msg>``."""
+        try:
+            computed = _RENDER[name](self)
+        except Exception as exc:
+            computed = f"error: {exc}"
+        return StageResult(name, self.expected[name], computed)
 
 
-def _stage_cover_lifts(convention: str, k_values, max_cosets) -> str:
-    lifts = _lifts(convention)
-    return "\n".join(f"{name}~: {lifts[name]}" for name in ("m1", "m+", "m-"))
-
-
-def _stage_zvk(convention: str, k_values, max_cosets) -> str:
-    raw = _assembled(convention)
-    simplified = tietze_simplify(raw)
-    return f"raw: {format_presentation(raw)}\nsimplified: {format_presentation(simplified)}"
-
-
-def _stage_patch(convention: str, k_values, max_cosets) -> str:
-    return f"patched: {format_presentation(_patched(convention, k_values))}"
-
-
-def _stage_commutant(convention: str, k_values, max_cosets) -> str:
-    lemma = _patched(convention, k_values)
-    form = MetacyclicForm(9, 4)
-    a, b = metacyclic_normal_form(form, parse_word("p^-1 g+^-1 p g+"))
-    commutator = Word(((("p", a),) if a else ()) + ((("g+", b),) if b else ()))
-    report = commutant_report(form)
-    order27 = quotient_order(lemma, extra_relators=(parse_word("g+^3"),), max_cosets=max_cosets)
+def _render_commutant(r: Replay) -> str:
+    commutator, report, order = r.commutant
     return "\n".join(
         [
             f"commutator [p^-1, g+^-1]: {commutator}",
             f"generator: {report.generator}",
             f"order: {report.order}",
             f"central: {_yes(report.central)}",
-            f"quotient with g+^3 = 1: order {order27}",
+            f"quotient with g+^3 = 1: order {order}",
         ]
     )
 
 
-def _stage_abelian(convention: str, k_values, max_cosets) -> str:
-    lemma = _patched(convention, k_values)
-    braid_quotient = parse_presentation(BRAID_QUOTIENT)
+def _render_curves(r: Replay) -> str:
+    node_q, node_eps, on_conjugate, on_direct, node_origin, divisible, torus, multiplicity = r.curves
     return "\n".join(
         [
-            f"patched group: {abelian_invariants(lemma)}",
-            f"braid quotient: {abelian_invariants(braid_quotient)}",
-        ]
-    )
-
-
-def _stage_alexander(convention: str, k_values, max_cosets) -> str:
-    braid_quotient = parse_presentation(BRAID_QUOTIENT)
-    delta = alexander_polynomial(WeightedPresentation(braid_quotient, {"s1": 1, "s2": 1}))
-    cyclic = parse_presentation("gens: a; rels: a^6")
-    delta_cyclic = alexander_polynomial(WeightedPresentation(cyclic, {"a": 1}))
-    return "\n".join(
-        [
-            f"braid quotient, s1 = s2 = t: {delta}",
-            f"cyclic group <a | a^6>: {delta_cyclic}",
-        ]
-    )
-
-
-def _stage_curves(convention: str, k_values, max_cosets) -> str:
-    third = Fraction(1, 3)
-    node_q = verify_node(cubic_pencil(third), (Fraction(2, 5), Fraction(1, 5)))
-    node_eps = verify_node(
-        cubic_pencil(EPS * third), (Fraction(2, 5) * EPS, Fraction(1, 5) * EPS ** -1)
-    )
-    swapped = (Fraction(2, 5) * EPS ** -1, Fraction(1, 5) * EPS)
-    on_conjugate = not cubic_pencil(EPS ** -1 * third).evaluate(
-        {"x": swapped[0], "y": swapped[1]}
-    )
-    on_direct = not cubic_pencil(EPS * third).evaluate({"x": swapped[0], "y": swapped[1]})
-    node_origin = verify_node(nodal_cubic(), (0, 0))
-    elimination = singular_parameters()
-    divisible = divides(parse_polynomial("27*b^3 - 1", elimination.variables), elimination)
-    torus = verify_torus_structure()
-    g, h = chart_cubic_factors()
-    multiplicity = intersection_multiplicity_origin(g, h)
-    return "\n".join(
-        [
-            f"node of f_b, b = 1/3, at (2/5, 1/5): {_yes(node_q.is_node)}",
-            f"node of f_b, b = eps/3, at ((2/5) eps, (1/5) eps^-1): {_yes(node_eps.is_node)}",
+            f"node of f_b, b = 1/3, at (2/5, 1/5): {_yes(node_q)}",
+            f"node of f_b, b = eps/3, at ((2/5) eps, (1/5) eps^-1): {_yes(node_eps)}",
             "point ((2/5) eps^-1, (1/5) eps): "
             f"on f at b = eps^-1/3 {_yes(on_conjugate)}, on f at b = eps/3 {_yes(on_direct)}",
-            f"node of f_0 at (0, 0): {_yes(node_origin.is_node)}",
+            f"node of f_0 at (0, 0): {_yes(node_origin)}",
             f"singular parameters divisible by 27 b^3 - 1: {_yes(divisible)}",
             f"torus identity constant: {torus.constant if torus.holds else 'none'}",
             f"chart intersection multiplicity at origin: {multiplicity}",
@@ -258,16 +263,22 @@ def _stage_curves(convention: str, k_values, max_cosets) -> str:
     )
 
 
-_STAGE_RUNNERS: tuple[tuple[str, Callable[..., str]], ...] = (
-    ("braid-actions", _stage_braid_actions),
-    ("cover-lifts", _stage_cover_lifts),
-    ("zvk-presentation", _stage_zvk),
-    ("patch-sweep", _stage_patch),
-    ("commutant", _stage_commutant),
-    ("abelian-invariants", _stage_abelian),
-    ("alexander-polynomials", _stage_alexander),
-    ("curve-checks", _stage_curves),
-)
+# stage name -> rendering of the replay's properties, in report order
+_RENDER: dict[str, Callable[[Replay], str]] = {
+    "braid-actions": lambda r: "\n".join(f"{name}: {a}" for name, a in r.actions.items()),
+    "cover-lifts": lambda r: "\n".join(f"{name}~: {f}" for name, f in r.lifts.items()),
+    "zvk-presentation": lambda r: (
+        f"raw: {format_presentation(r.assembled)}\nsimplified: {format_presentation(r.simplified)}"
+    ),
+    "patch-sweep": lambda r: f"patched: {format_presentation(r.patched)}",
+    "commutant": _render_commutant,
+    "abelian-invariants": lambda r: f"patched group: {r.abelian[0]}\nbraid quotient: {r.abelian[1]}",
+    "alexander-polynomials": lambda r: (
+        f"braid quotient, s1 = s2 = t: {r.alexander[0]}\ncyclic group <a | a^6>: {r.alexander[1]}"
+    ),
+    "curve-checks": _render_curves,
+}
+STAGE_NAMES = tuple(_RENDER)
 
 
 def reproduce_paper(
@@ -275,22 +286,6 @@ def reproduce_paper(
     max_cosets: int = 10_000,
     braid_convention: str = "standard",
 ) -> PipelineReport:
-    """Run all stages in order and diff each against its expected text.
-
-    ``k=None`` sweeps the patch exponent over 0..8; a single value
-    restricts the sweep (the outcome must be identical either way).
-    """
-    if braid_convention not in ("standard", "flipped"):
-        raise ValueError(f"unknown braid convention {braid_convention!r}")
-    if k is not None and not 0 <= k <= 8:
-        raise ValueError("k must lie in 0..8")
-    k_values = tuple(range(9)) if k is None else (k,)
-    expected = expected_stage_texts()
-    results = []
-    for name, runner in _STAGE_RUNNERS:
-        try:
-            computed = runner(braid_convention, k_values, max_cosets)
-        except Exception as exc:  # recorded, never skipped
-            computed = f"error: {exc}"
-        results.append(StageResult(name, expected[name], computed))
-    return PipelineReport(tuple(results))
+    """Run every stage of one fresh ``Replay`` (same arguments) and diff it against its expected text."""
+    replay = Replay(braid_convention, k, max_cosets)
+    return PipelineReport(tuple(replay.stage(name) for name in STAGE_NAMES))

@@ -235,7 +235,7 @@ def metacyclic_normal_form(
     return (a, b)
 
 
-def _metacyclic_instances(P: Presentation) -> list[tuple[int, int, MetacyclicForm, str, str]]:
+def metacyclic_instances(P: Presentation) -> list[tuple[int, int, MetacyclicForm, str, str]]:
     """Recognized (power-relator-idx, conj-relator-idx, form, p_gen, c_gen)."""
     out: list[tuple[int, int, MetacyclicForm, str, str]] = []
     for i, rp in enumerate(P.relators):
@@ -271,7 +271,7 @@ def _metacyclic_instances(P: Presentation) -> list[tuple[int, int, MetacyclicFor
 
 def _drop_metacyclic_consequences(P: Presentation) -> Presentation | None:
     """Drop relators that follow from a recognized metacyclic pair, if any."""
-    for i, j, form, x, y in _metacyclic_instances(P):
+    for i, j, form, x, y in metacyclic_instances(P):
         pair = {i, j}
         allowed = {x, y}
         drops = [

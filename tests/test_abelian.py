@@ -86,10 +86,17 @@ def test_relator_matrix_no_relators():
 
 
 def test_smith_normal_form_known_matrix():
-    m = IntMatrix.from_rows([[2, 4], [6, 8]])
-    d, u, v = smith_normal_form(m)
-    assert d.rows() == [[2, 0], [0, 4]]
-    assert (u * m * v).rows() == d.rows()
+    cases = [
+        ([[2, 4], [6, 8]], (2, 4)),
+        # the chain-enforcing pass used to leave -6 on the diagonal here
+        ([[0, 2, 0], [-3, 0, 0], [3, 0, 3]], (1, 3, 6)),
+    ]
+    for rows, diagonal in cases:
+        m = IntMatrix.from_rows(rows)
+        d, u, v = smith_normal_form(m)
+        n = len(diagonal)
+        assert d.rows() == [[x if i == j else 0 for j in range(n)] for i, x in enumerate(diagonal)]
+        assert (u * m * v).rows() == d.rows()
 
 
 def test_smith_normal_form_certificates_random():

@@ -1,11 +1,16 @@
 """Command-line interface and the end-to-end replay pipeline."""
 
+import ast
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from vankampen import cli, pipeline
 from vankampen.cli import main
-from vankampen.pipeline import STAGE_NAMES, expected_stage_texts, reproduce_paper
+from vankampen.pipeline import STAGE_NAMES, Replay, expected_stage_texts, reproduce_paper
+from vankampen.presentation import MetacyclicForm, metacyclic_instances, parse_presentation
 
 LEMMA = "gens: p, g+; rels: p^4 g+^-1 p^-1 g+, p^9"
 
@@ -63,6 +68,50 @@ def test_expected_stage_texts_cover_every_stage():
     assert all(isinstance(t, str) and t for t in texts.values())
 
 
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_replay_computes_each_intermediate_once(monkeypatch):
+    calls = Counter()
+    want = {
+        "braid_action": 3,
+        "lift_monodromy": 3,
+        "zvk_assemble": 1,
+        "tietze_simplify": 1,
+        "patch_fiber": 9,
+        "singular_parameters": 1,
+    }
+    for name in want:
+        monkeypatch.setattr(pipeline, name, _counting(calls, name, getattr(pipeline, name)))
+    for _ in range(2):  # nothing is cached from one call to the next
+        calls.clear()
+        assert reproduce_paper().overall
+        assert calls == want
+    calls.clear()
+    assert reproduce_paper(k=4).overall
+    assert calls["patch_fiber"] == 1
+
+
+def test_commutant_form_is_read_from_the_patched_group(monkeypatch):
+    assert [(f, x, y) for _, _, f, x, y in metacyclic_instances(parse_presentation(LEMMA))] == [
+        (MetacyclicForm(9, 4), "p", "g+")
+    ]
+    other = parse_presentation("gens: p, g+; rels: p^7 g+^-1 p^-1 g+, p^9")
+    monkeypatch.setattr(pipeline, "patch_fiber", lambda *args: other)
+    stage = Replay(k=0).stage("commutant")
+    assert not stage.match
+    assert stage.computed.startswith("commutator [p^-1, g+^-1]: p^6\n")
+    cyclic = parse_presentation("gens: p, g+; rels: p^9")
+    monkeypatch.setattr(pipeline, "patch_fiber", lambda *args: cyclic)
+    stage = Replay(k=0).stage("commutant")
+    assert stage.computed == "error: patched group has no metacyclic form over p, g+"
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -92,6 +141,16 @@ def test_cli_patch_recovers_two_generator_presentation(capsys):
     rc, single, _ = run(capsys, "patch", "--k", "4")
     assert rc == 0
     assert single.strip() == LEMMA
+
+
+def test_cli_patch_disagreement_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(
+        pipeline, "patch_fiber", lambda P, g1, g2, k: parse_presentation(f"gens: p; rels: p^{k + 1}")
+    )
+    rc, out, err = run(capsys, "patch")
+    assert rc == 1
+    assert not out
+    assert err.startswith("error: patch results disagree across k")
 
 
 def test_cli_simplify(capsys):
@@ -132,6 +191,36 @@ def test_cli_verify_curves(capsys):
     assert rc == 0
     assert "all curve checks passed" in out
     assert "FAIL" not in out
+
+
+def test_cli_verify_curves_reports_a_stage_error(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("elimination failed")
+
+    monkeypatch.setattr(pipeline, "singular_parameters", broken)
+    rc, out, err = run(capsys, "verify-curves")
+    assert rc == 1
+    assert not out
+    assert err == "error: elimination failed\n"
+
+
+def test_cli_uses_only_public_pipeline_names():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "pipeline"
+    }
+    used |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "pipeline"
+        for alias in node.names
+    }
+    assert used
+    assert not [name for name in used if name.startswith("_")]
 
 
 def test_cli_reproduce_paper_text(capsys):
