@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from .errors import InternalCheckError
 from .presentation import Presentation
 
 
@@ -205,17 +206,17 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def _check_certificate(M: IntMatrix, D: IntMatrix, U: IntMatrix, V: IntMatrix) -> None:
     if (U * M) * V != D:
-        raise RuntimeError("SNF certificate failed: U M V != D")
+        raise InternalCheckError("SNF certificate failed: U M V != D")
     if abs(U.determinant()) != 1 or abs(V.determinant()) != 1:
-        raise RuntimeError("SNF certificate failed: transform not unimodular")
+        raise InternalCheckError("SNF certificate failed: transform not unimodular")
     diag = [D.entry(i, i) for i in range(min(D.nrows, D.ncols))]
     for i in range(D.nrows):
         for j in range(D.ncols):
             if i != j and D.entry(i, j) != 0:
-                raise RuntimeError("SNF certificate failed: not diagonal")
+                raise InternalCheckError("SNF certificate failed: not diagonal")
     for x, y in zip(diag, diag[1:]):
         if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
-            raise RuntimeError("SNF certificate failed: divisibility chain broken")
+            raise InternalCheckError("SNF certificate failed: divisibility chain broken")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import InternalCheckError
 from .presentation import Presentation
 from .words import Word
 
@@ -215,7 +216,7 @@ def _standardize(enum: _Enumerator) -> CosetTable:
         for col in range(enum.ncols):
             t = enum.table[c][col]
             if t is None:
-                raise RuntimeError("closed table has an undefined entry")
+                raise InternalCheckError("closed table has an undefined entry")
             t = enum.find(t)
             if t not in live:
                 live[t] = len(order)
@@ -234,14 +235,14 @@ def _verify(table: CosetTable, P: Presentation, subgroup: Sequence[Word]) -> Non
         for col in range(0, ncols, 2):
             fwd = table.rows[c][col]
             if table.rows[fwd][col + 1] != c:
-                raise RuntimeError("verification failed: actions are not mutually inverse")
+                raise InternalCheckError("verification failed: actions are not mutually inverse")
     for r in P.relators:
         for c in range(n):
             if table.act_word(c, r) != c:
-                raise RuntimeError(f"verification failed: relator {r} does not fix coset {c}")
+                raise InternalCheckError(f"verification failed: relator {r} does not fix coset {c}")
     for w in subgroup:
         if table.act_word(0, w) != 0:
-            raise RuntimeError(f"verification failed: subgroup word {w} moves coset 0")
+            raise InternalCheckError(f"verification failed: subgroup word {w} moves coset 0")
 
 
 def quotient_order(

@@ -10,7 +10,10 @@ the torus-structure identity of the sextic
 multiplicity of its two cubic factors in the far chart.
 
 Resultants are computed from the Sylvester matrix with fraction-free
-Bareiss elimination and exact multivariate division.
+Bareiss elimination and exact multivariate division.  Over Q both inputs
+are first scaled to integer coefficients, so the elimination runs on
+Python ints and the result is scaled back to Fractions at the end.
+Results of ring operations are built without re-validating their terms.
 """
 
 from __future__ import annotations
@@ -18,9 +21,23 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import ParseError
+from .errors import InternalCheckError, ParseError
+
+
+def _power(base: Any, n: int, one: Any) -> Any:
+    """base^n for n >= 0 by square-and-multiply: at most 2 log2(n) products."""
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
 
 
 class QEps:
@@ -55,13 +72,13 @@ class QEps:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return QEps(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other: Any) -> "QEps":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return QEps(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other: Any) -> "QEps":
         o = self._coerce(other)
@@ -99,11 +116,7 @@ class QEps:
         return o * self.inverse()
 
     def __pow__(self, n: int) -> "QEps":
-        base = self if n >= 0 else self.inverse()
-        out = QEps(1)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return _power(self if n >= 0 else self.inverse(), abs(n), QEps(1))
 
     def __eq__(self, other: Any) -> bool:
         o = self._coerce(other)
@@ -150,6 +163,29 @@ def _coerce_coeff(value: Any, field: str) -> Any:
     return value if isinstance(value, QEps) else QEps(value)
 
 
+def _div_coeff(a: Any, b: Any) -> Any:
+    """a / b, kept an int when both are ints and b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return a / b
+
+
+def _combine(a: Mapping[tuple[int, ...], Any], b: Mapping[tuple[int, ...], Any], sign: int) -> dict:
+    """Terms of a + sign * b, cancelled terms dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        if e in out:
+            s = out[e] + c if sign > 0 else out[e] - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        else:
+            out[e] = c if sign > 0 else -c
+    return out
+
+
 class MultiPoly:
     """A polynomial in named variables over Q or Q(eps).
 
@@ -187,6 +223,13 @@ class MultiPoly:
                 acc[exps] = c
         self.terms = {e: c for e, c in acc.items() if c}
 
+    @classmethod
+    def _new(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Any], field: str) -> MultiPoly:
+        """Trusted constructor: ``terms`` are already coerced and nonzero."""
+        p = object.__new__(cls)
+        p.variables, p.terms, p.field = variables, terms, field
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -216,20 +259,18 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = self._scalar(other)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return MultiPoly(self.variables, out, self.field)
+        return MultiPoly._new(self.variables, _combine(self.terms, other.terms, 1), self.field)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()}, self.field)
+        return MultiPoly._new(self.variables, {e: -c for e, c in self.terms.items()}, self.field)
 
     def __sub__(self, other: Any) -> MultiPoly:
         if not isinstance(other, MultiPoly):
             other = self._scalar(other)
-        return self + (-other)
+        self._check_compatible(other)
+        return MultiPoly._new(self.variables, _combine(self.terms, other.terms, -1), self.field)
 
     def __rsub__(self, other: Any) -> MultiPoly:
         return (-self) + self._scalar(other)
@@ -241,20 +282,17 @@ class MultiPoly:
         out: dict[tuple[int, ...], Any] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 out[e] = out[e] + c if e in out else c
-        return MultiPoly(self.variables, out, self.field)
+        return MultiPoly._new(self.variables, {e: c for e, c in out.items() if c}, self.field)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> MultiPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self._scalar(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, self._scalar(1))
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, MultiPoly):
@@ -315,7 +353,7 @@ class MultiPoly:
         for e, c in self.terms.items():
             ne = e[:i] + (0,) + e[i + 1:]
             buckets[e[i]][ne] = c
-        return [MultiPoly(self.variables, b, self.field) for b in buckets]
+        return [MultiPoly._new(self.variables, b, self.field) for b in buckets]
 
     def substitute(self, images: Mapping[str, Any]) -> MultiPoly:
         """Map every variable to a polynomial (or scalar) and expand.
@@ -358,8 +396,8 @@ class MultiPoly:
         for e, c in self.terms.items():
             term = c
             for v, k in zip(self.variables, e):
-                for _ in range(k):
-                    term = term * vals[v]
+                if k:
+                    term = term * vals[v] ** k
             acc = acc + term
         return acc
 
@@ -427,18 +465,27 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     quotient: dict[tuple[int, ...], Any] = {}
-    rem = f
+    rem = dict(f.terms)
     g_lead = max(g.terms)  # lex order on exponent tuples
     g_lc = g.terms[g_lead]
-    while not rem.is_zero:
-        r_lead = max(rem.terms)
-        diff = tuple(a - b for a, b in zip(r_lead, g_lead))
+    g_rest = [(e, c) for e, c in g.terms.items() if e != g_lead]
+    while rem:
+        r_lead = max(rem)
+        diff = tuple(map(sub, r_lead, g_lead))
         if any(d < 0 for d in diff):
             raise ValueError("not an exact division")
-        qc = rem.terms[r_lead] / g_lc
+        qc = _div_coeff(rem.pop(r_lead), g_lc)
         quotient[diff] = qc
-        rem = rem - MultiPoly(f.variables, {diff: qc}, f.field) * g
-    return MultiPoly(f.variables, quotient, f.field)
+        # rem -= qc * diff * g; the leading term cancels exactly and was popped
+        for e, c in g_rest:
+            t = tuple(map(add, diff, e))
+            if t not in rem:
+                rem[t] = -(qc * c)
+            elif s := rem[t] - qc * c:
+                rem[t] = s
+            else:
+                del rem[t]
+    return MultiPoly._new(f.variables, quotient, f.field)
 
 
 def divides(g: MultiPoly, f: MultiPoly) -> bool:
@@ -473,11 +520,20 @@ def _bareiss_det(m: list[list[MultiPoly]], ring_zero: MultiPoly) -> MultiPoly:
     return det if sign == 1 else -det
 
 
+def _integer_scaled(f: MultiPoly) -> tuple[MultiPoly, int]:
+    """(a f with int coefficients, a) for a the lcm of f's denominators."""
+    a = lcm(*(c.denominator for c in f.terms.values()))
+    terms = {e: c.numerator * (a // c.denominator) for e, c in f.terms.items()}
+    return MultiPoly._new(f.variables, terms, f.field), a
+
+
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Resultant of f and g with respect to ``var`` (Sylvester/Bareiss).
 
     Constants in ``var`` follow res(f, c) = c^deg(f); if both are
-    constant in ``var`` the resultant is 1.
+    constant in ``var`` the resultant is 1.  Over Q the determinant is
+    taken of a f and b g with int coefficients (a, b the lcms of their
+    denominators) and divided by a^deg(g) b^deg(f) at the end.
     """
     f._check_compatible(g)
     zero = MultiPoly(f.variables, (), f.field)
@@ -490,6 +546,9 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return f ** dg
     if dg == 0:
         return g ** df
+    over_q = f.field == FIELD_Q
+    if over_q:
+        (f, a), (g, b) = _integer_scaled(f), _integer_scaled(g)
     fc = f.coeffs_in(var)
     gc = g.coeffs_in(var)
     n = df + dg
@@ -504,7 +563,11 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         for j, c in enumerate(reversed(gc)):
             row[i + j] = c
         rows.append(row)
-    return _bareiss_det(rows, zero)
+    det = _bareiss_det(rows, zero)
+    if not over_q:
+        return det
+    scale = a ** dg * b ** df
+    return MultiPoly._new(det.variables, {e: Fraction(c, scale) for e, c in det.terms.items()}, FIELD_Q)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +632,6 @@ def _int_normalize(f: MultiPoly) -> MultiPoly:
     """Scale a Q-polynomial to integer primitive form, positive lead term."""
     if f.is_zero or f.field != FIELD_Q:
         return f
-    from math import gcd, lcm
-
     denom = lcm(*(c.denominator for c in f.terms.values()))
     nums = [int(c * denom) for c in f.terms.values()]
     g = 0
@@ -708,19 +769,19 @@ def singular_parameters() -> MultiPoly:
     intersect the eliminants (univariate gcd) to discard route-specific
     spurious factors.  Returns the squarefree part, integer-normalized;
     every parameter with an affine singular point is a root.  Raises
-    ValueError if an elimination step degenerates to the zero
-    polynomial.
+    InternalCheckError if an elimination step degenerates to the zero
+    polynomial: the input is fixed, so that is a broken computation.
     """
     f = cubic_pencil_generic()
     a = resultant(f, f.partial("x"), "x")
     bb = resultant(f, f.partial("y"), "x")
     c = resultant(f.partial("x"), f.partial("y"), "x")
     if a.is_zero or bb.is_zero or c.is_zero:
-        raise ValueError("degenerate elimination: vanishing resultant in x")
+        raise InternalCheckError("degenerate elimination: vanishing resultant in x")
     r1 = resultant(a, c, "y")
     r2 = resultant(bb, c, "y")
     if r1.is_zero or r2.is_zero:
-        raise ValueError("degenerate elimination: vanishing resultant in y")
+        raise InternalCheckError("degenerate elimination: vanishing resultant in y")
     g = _uni_gcd(
         _as_univariate(squarefree_part(r1, "b"), "b"),
         _as_univariate(squarefree_part(r2, "b"), "b"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import ParseError
+from .errors import InternalCheckError, ParseError
 from .words import FreeEndo, Word, parse_word
 
 Letter = tuple[str, int]
@@ -440,10 +440,10 @@ def commutant_report(form: MetacyclicForm, p_gen: str = "p", c_gen: str = "g+") 
     )
     images = {p_gen: (1, 0), c_gen: (0, 1)}
     if not verify_homomorphism(pres, images, target):
-        raise RuntimeError("internal certification failed: map is not a homomorphism")
+        raise InternalCheckError("internal certification failed: map is not a homomorphism")
     generator = Word.gen(p_gen, d) if d < n else Word()
     image = evaluate_word(generator, images, target)
     certified = 1 if image == target.identity else element_order(target, image)
     if certified != order:
-        raise RuntimeError("internal certification failed: commutant order mismatch")
+        raise InternalCheckError("internal certification failed: commutant order mismatch")
     return CommutantReport(generator, order, central)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from vankampen import cli, pipeline
+from vankampen import cli, curves, pipeline
+from vankampen.abelian import IntMatrix
 from vankampen.cli import main
+from vankampen.errors import InternalCheckError
 from vankampen.pipeline import STAGE_NAMES, Replay, expected_stage_texts, reproduce_paper
 from vankampen.presentation import MetacyclicForm, metacyclic_instances, parse_presentation
 
@@ -202,6 +204,31 @@ def test_cli_verify_curves_reports_a_stage_error(monkeypatch, capsys):
     assert rc == 1
     assert not out
     assert err == "error: elimination failed\n"
+
+
+def test_cli_degenerate_elimination_is_an_internal_failure(monkeypatch, capsys):
+    def zero(f, g, var):
+        return curves.MultiPoly(f.variables, (), f.field)
+
+    monkeypatch.setattr(curves, "resultant", zero)
+    with pytest.raises(InternalCheckError, match="degenerate elimination"):
+        curves.singular_parameters()
+    rc, out, err = run(capsys, "verify-curves")
+    assert rc == 1
+    assert not out
+    assert err == "error: degenerate elimination: vanishing resultant in x\n"
+
+
+def test_cli_certificate_failure_exits_one(monkeypatch, capsys):
+    def doubled(cls, n):  # as the starting transform, breaks U M V = D
+        return cls(n, n, tuple(2 * (i == j) for i in range(n) for j in range(n)))
+
+    monkeypatch.setattr(IntMatrix, "identity", classmethod(doubled))
+    rc, out, err = run(capsys, "abelianize", "gens: a, b; rels: a^2, b^3")
+    assert rc == 1
+    assert not out
+    assert err == "error: SNF certificate failed: U M V != D\n"
+    assert "Traceback" not in err
 
 
 def test_cli_uses_only_public_pipeline_names():

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from vankampen import curves
 from vankampen.curves import (
     EPS,
     MultiPoly,
@@ -74,6 +76,23 @@ def test_eps_field_arithmetic_random():
             assert (a / b) * b == a
 
 
+def test_powers_square_and_multiply(monkeypatch):
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    (x,) = poly_ring(("x",))
+    p = (x + 1) ** 64
+    assert len(calls) <= 8
+    assert p.terms == {(k,): Fraction(comb(64, k)) for k in range(65)}
+    assert p.evaluate({"x": Fraction(1, 2)}) == Fraction(3, 2) ** 64
+    assert EPS ** -1000 == EPS ** 2
+
+
 def test_eps_str_forms():
     assert str(EPS) == "e"
     assert str(-EPS) == "-e"
@@ -109,7 +128,9 @@ def test_exact_division_round_trip():
         g = rand_poly(rng, vs)
         if g.is_zero:
             continue
-        assert exact_div(f * g, g) == f
+        q = exact_div(f * g, g)
+        assert q == f
+        assert all(type(c) is Fraction for c in q.terms.values())
         assert divides(g, f * g)
 
 
@@ -151,12 +172,60 @@ def test_resultant_specializes_correctly():
         assert lhs == rhs
 
 
+def rand_q_poly_in_x(rng, degx):
+    """A polynomial in (x, y) of exact x-degree ``degx``, denominators in {1, 2, 3}."""
+    terms = {}
+    for _ in range(3):
+        terms[(rng.randint(0, degx - 1), rng.randint(0, 2))] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+    terms[(degx, rng.randint(0, 2))] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2, 3)))
+    return MultiPoly(("x", "y"), terms)
+
+
+def test_resultant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    sx, sy = sympy.symbols("x y")
+
+    def to_sympy(f):
+        return sum(sympy.Rational(c.numerator, c.denominator) * sx**i * sy**j for (i, j), c in f.terms.items())
+
+    def oracle(f, g):
+        # sympy 1.14 returns -res(f, g) when deg f = 1 and deg g = 3 (it gives
+        # res(x, x^3 + 1) = -1), so hand it the higher degree first and use
+        # res(f, g) = (-1)^(deg f deg g) res(g, f)
+        df, dg = f.degree("x"), g.degree("x")
+        if df >= dg:
+            return sympy.resultant(to_sympy(f), to_sympy(g), sx)
+        return (-1) ** (df * dg) * sympy.resultant(to_sympy(g), to_sympy(f), sx)
+
+    rng = random.Random(71)
+    scaled = 0
+    for df in range(1, 5):
+        for dg in range(1, 5):
+            for _ in range(2):
+                f, g = rand_q_poly_in_x(rng, df), rand_q_poly_in_x(rng, dg)
+                scaled += any(c.denominator > 1 for c in (*f.terms.values(), *g.terms.values()))
+                r = resultant(f, g, "x")
+                assert all(type(c) is Fraction for c in r.terms.values())
+                expected = sympy.Poly(oracle(f, g), sx, sy)
+                want = {e: Fraction(int(c.p), int(c.q)) for e, c in expected.terms() if c}
+                assert r.terms == want
+    assert scaled > 16
+
+
 def test_resultant_of_constants():
     vs = ("x",)
     (x,) = poly_ring(vs)
     three = MultiPoly.constant(3, vs)
     assert resultant(x * x + three, three, "x") == MultiPoly.constant(9, vs)
     assert resultant(three, x * x + three, "x") == MultiPoly.constant(9, vs)
+
+
+def test_resultant_sign_follows_the_definition():
+    # res(f, g) = lc(f)^deg(g) * prod of g over the roots of f
+    (x,) = poly_ring(("x",))
+    assert resultant(x, x**3 + 1, "x") == MultiPoly.constant(1, ("x",))
+    assert resultant(x - 2, x**3 + 1, "x") == MultiPoly.constant(9, ("x",))
+    assert resultant(x * Fraction(1, 2), x**3 + 1, "x") == MultiPoly.constant(Fraction(1, 8), ("x",))
 
 
 def test_squarefree_part():
@@ -235,6 +304,29 @@ def test_singular_parameter_polynomial():
     assert at(Fraction(0)) == 0
     assert at(Fraction(1, 3)) == 0
     assert at(Fraction(1)) != 0
+
+
+def test_singular_parameters_work_counters(monkeypatch):
+    calls = {"exact_div": 0, "init": 0}
+    div, init = curves.exact_div, MultiPoly.__init__
+
+    def counted_div(f, g):
+        calls["exact_div"] += 1
+        return div(f, g)
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(curves, "exact_div", counted_div)
+    monkeypatch.setattr(MultiPoly, "__init__", counted_init)
+    p = singular_parameters()
+    assert str(p) == "108*b^7 - 733*b^4 + 27*b"
+    assert all(type(c) is Fraction for c in p.terms.values())
+    # Bareiss divides through the module-level name, which the benchmark's spans wrap
+    assert calls["exact_div"] == 430
+    # ring results skip the validating constructor
+    assert calls["init"] <= 50
 
 
 def test_cube_root_members_have_nodes():
