@@ -1,15 +1,22 @@
 """Abelianization of finite presentations via Smith normal form.
 
-Everything is exact integer arithmetic.  ``smith_normal_form`` returns
-the diagonal form together with the unimodular row and column transforms
-and re-verifies the certificate (U M V = D, det U, det V = +-1,
-divisibility chain) before returning.
+Everything is exact integer arithmetic.  ``smith_normal_form`` works in
+two phases.  The Hermite phase brings the matrix to row echelon form by
+row operations, reducing the entries above each pivot modulo it, so the
+matrix and the row transform stay within a small multiple of the
+determinant's size in bits (Kannan & Bachem 1979; Cohen, *A Course in
+Computational Algebraic Number Theory*, 2.4).  The diagonal phase then
+clears rows and columns with the smallest pivot and fixes up the
+divisibility chain.  All quotients are rounded to the nearest integer.
+The result comes with the unimodular row and column transforms, and the
+certificate (U M V = D, det U, det V = +-1, D diagonal, divisibility
+chain) is re-verified before returning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import InternalCheckError
@@ -57,12 +64,12 @@ class IntMatrix:
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        a, b = self.rows(), other.rows()
-        prod = [
-            [sum(a[i][k] * b[k][j] for k in range(self.ncols)) for j in range(other.ncols)]
-            for i in range(self.nrows)
-        ]
-        return IntMatrix(self.nrows, other.ncols, tuple(x for row in prod for x in row))
+        cols = [other.entries[j::other.ncols] for j in range(other.ncols)]
+        return IntMatrix(
+            self.nrows,
+            other.ncols,
+            tuple(sum(map(mul, row, col)) for row in self.rows() for col in cols),
+        )
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free Bareiss elimination."""
@@ -96,6 +103,12 @@ def relator_matrix(P: Presentation) -> IntMatrix:
     ) if P.relators else IntMatrix(0, len(P.generators), ())
 
 
+def _nearest(x: int, p: int) -> int:
+    """Quotient of x by p > 0 whose remainder x - q p lies in (-p/2, p/2]."""
+    q, rem = divmod(x, p)
+    return q + 1 if 2 * rem > p else q
+
+
 def _find_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
     """Smallest nonzero |entry| in the trailing submatrix, row-then-col ties."""
     best: tuple[int, int] | None = None
@@ -117,7 +130,8 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     r, c = M.nrows, M.ncols
     a = M.rows()
     u = IntMatrix.identity(r).rows()
-    v = IntMatrix.identity(c).rows()
+    # V transposed, so that a column operation on V is a row operation here
+    vt = IntMatrix.identity(c).rows()
 
     def row_sub(i: int, j: int, q: int) -> None:
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -125,9 +139,9 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     def col_sub(i: int, j: int, q: int) -> None:
         for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+            if row[j]:
+                row[i] -= q * row[j]
+        vt[i] = [x - q * y for x, y in zip(vt[i], vt[j])]
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -136,12 +150,39 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     def col_swap(i: int, j: int) -> None:
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        vt[i], vt[j] = vt[j], vt[i]
 
     def negate_row(i: int) -> None:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+
+    # Hermite phase: row operations clear each column below its positive
+    # pivot, then reduce the entries above the pivot modulo it; without that
+    # reduction the entries of a and U grow far beyond those of D.
+    t = 0
+    for j in range(c):
+        if t == r:
+            break
+        while True:
+            rows = [i for i in range(t, r) if a[i][j]]
+            if not rows:
+                break
+            p = min(rows, key=lambda i: abs(a[i][j]))
+            if p != t:
+                row_swap(t, p)
+            if a[t][j] < 0:
+                negate_row(t)
+            if len(rows) == 1:
+                break
+            for i in range(t + 1, r):
+                if a[i][j]:
+                    row_sub(i, t, _nearest(a[i][j], a[t][j]))
+        if a[t][j]:
+            for i in range(t):
+                q = _nearest(a[i][j], a[t][j])
+                if q:
+                    row_sub(i, t, q)
+            t += 1
 
     def clear_at(t: int) -> None:
         """Diagonalize position t of the trailing submatrix."""
@@ -149,32 +190,25 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             loc = _find_pivot(a, t)
             if loc is None:
                 return
-            if loc != (t, t):
-                if loc[0] != t:
-                    row_swap(t, loc[0])
-                if loc[1] != t:
-                    col_swap(t, loc[1])
+            if loc[0] != t:
+                row_swap(t, loc[0])
+            if loc[1] != t:
+                col_swap(t, loc[1])
             if a[t][t] < 0:
                 negate_row(t)
-            dirty = False
+            p = a[t][t]
             for i in range(t + 1, r):
                 if a[i][t]:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        dirty = True
+                    row_sub(i, t, _nearest(a[i][t], p))
             for j in range(t + 1, c):
                 if a[t][j]:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            clean = all(a[i][t] == 0 for i in range(t + 1, r)) and all(
+                    col_sub(j, t, _nearest(a[t][j], p))
+            if all(a[i][t] == 0 for i in range(t + 1, r)) and all(
                 a[t][j] == 0 for j in range(t + 1, c)
-            )
-            if clean:
+            ):
                 return
 
+    # Diagonal phase, on the Hermite form
     k = min(r, c)
     for t in range(k):
         clear_at(t)
@@ -196,9 +230,9 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if a[t][t] < 0:
             negate_row(t)
 
-    D =IntMatrix.from_rows(a) if a else IntMatrix(0, c, ())
+    D = IntMatrix.from_rows(a) if a else IntMatrix(0, c, ())
     U = IntMatrix.from_rows(u) if u else IntMatrix(0, 0, ())
-    V = IntMatrix.from_rows(v)
+    V = IntMatrix.from_rows(list(zip(*vt)))
 
     _check_certificate(M, D, U, V)
     return D, U, V

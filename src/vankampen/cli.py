@@ -39,6 +39,16 @@ def _parse_k(text: str) -> int | None:
     return value
 
 
+def _parse_budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("the coset budget must be at least 1")
+    return value
+
+
 def _parse_weights(text: str) -> dict[str, int]:
     weights: dict[str, int] = {}
     for piece in text.split(","):
@@ -90,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coset-enum", help="index of a finitely generated subgroup")
     p.add_argument("presentation")
     p.add_argument("--subgroup", default="", help="comma-separated generator words")
-    p.add_argument("--max-cosets", type=int, default=100_000, help="definition budget")
+    p.add_argument("--max-cosets", type=_parse_budget, default=100_000, help="definition budget")
 
     p = sub.add_parser("alexander", help="Alexander polynomial from a weighted presentation")
     p.add_argument("presentation")
@@ -100,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-paper", help="replay every stage and diff against expectations")
     p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.add_argument("--max-cosets", type=int, default=10_000)
+    p.add_argument("--max-cosets", type=_parse_budget, default=10_000)
     p.add_argument("--k", type=_parse_k, default=None, help="patch exponent 0..8 or 'all' (default)")
     p.add_argument("--out", default=None, help="also write the report to this file")
 
@@ -144,7 +154,7 @@ def _cmd_coset_enum(args) -> int:
     pres = parse_presentation(args.presentation)
     result = enumerate_cosets(pres, subgroup=_parse_subgroup(args.subgroup), max_cosets=args.max_cosets)
     if isinstance(result, Overflow):
-        print(f"overflow: budget of {result.max_cosets} cosets exhausted")
+        print(result)
         return 3
     print(f"index: {result.count}")
     return 0
@@ -182,7 +192,9 @@ def _cmd_reproduce_paper(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
-    return 0 if report.overall else 1
+    if report.overall:
+        return 0
+    return 3 if all(s.exhausted for s in report.stages if not s.match) else 1
 
 
 _COMMANDS = {

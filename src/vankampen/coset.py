@@ -27,6 +27,9 @@ class Overflow:
 
     max_cosets: int
 
+    def __str__(self) -> str:
+        return f"overflow: budget of {self.max_cosets} cosets exhausted"
+
 
 @dataclass(frozen=True)
 class CosetTable:
@@ -52,9 +55,7 @@ class CosetTable:
 
     def act_word(self, coset: int, w: Word) -> int:
         for g, e in w.syllables:
-            coset = self.act(coset, g, 1 if e > 0 else -1)
-            for _ in range(abs(e) - 1):
-                coset = self.act(coset, g, 1 if e > 0 else -1)
+            coset = self.act(coset, g, e)
         return coset
 
 
@@ -198,7 +199,7 @@ def enumerate_cosets(
         return Overflow(max_cosets)
 
     table = _standardize(enum)
-    _verify(table, P, subgroup)
+    _verify(table, list(zip(P.relators, rel_cols)), list(zip(subgroup, sub_cols)))
     return table
 
 
@@ -228,20 +229,31 @@ def _standardize(enum: _Enumerator) -> CosetTable:
     return CosetTable(enum.gens, rows)
 
 
-def _verify(table: CosetTable, P: Presentation, subgroup: Sequence[Word]) -> None:
+def _verify(
+    table: CosetTable,
+    relators: Sequence[tuple[Word, list[int]]],
+    subgroup: Sequence[tuple[Word, list[int]]],
+) -> None:
+    """Check the closed table; each word comes with its ``_word_cols`` columns."""
     n = table.count
-    ncols = 2 * len(table.generators)
-    for c in range(n):
-        for col in range(0, ncols, 2):
-            fwd = table.rows[c][col]
-            if table.rows[fwd][col + 1] != c:
-                raise InternalCheckError("verification failed: actions are not mutually inverse")
-    for r in P.relators:
-        for c in range(n):
-            if table.act_word(c, r) != c:
-                raise InternalCheckError(f"verification failed: relator {r} does not fix coset {c}")
-    for w in subgroup:
-        if table.act_word(0, w) != 0:
+    # one list per column: images[col][c] is the image of coset c
+    images = list(zip(*table.rows))
+    for col in range(0, len(images), 2):
+        back = images[col + 1]
+        if any(back[fwd] != c for c, fwd in enumerate(images[col])):
+            raise InternalCheckError("verification failed: actions are not mutually inverse")
+    for r, cols in relators:
+        ends = range(n)
+        for col in cols:
+            ends = list(map(images[col].__getitem__, ends))
+        moved = next((c for c, e in enumerate(ends) if e != c), None)
+        if moved is not None:
+            raise InternalCheckError(f"verification failed: relator {r} does not fix coset {moved}")
+    for w, cols in subgroup:
+        end = 0
+        for col in cols:
+            end = images[col][end]
+        if end != 0:
             raise InternalCheckError(f"verification failed: subgroup word {w} moves coset 0")
 
 

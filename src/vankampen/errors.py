@@ -29,3 +29,11 @@ class InternalCheckError(RuntimeError):
     The input was fine; the result cannot be trusted.  The command line
     reports it with exit code 1, not as bad input.
     """
+
+
+class BudgetExhausted(RuntimeError):
+    """A search spent its budget before it could decide.
+
+    Nothing is known to be wrong; a larger budget may succeed.  The
+    command line reports it with exit code 3.
+    """

@@ -28,7 +28,7 @@ from typing import Callable
 from .abelian import AbelianInvariants, abelian_invariants
 from .alexander import LaurentPoly, WeightedPresentation, alexander_polynomial
 from .cover import lift_monodromy
-from .coset import quotient_order
+from .coset import Overflow, quotient_order
 from .curves import (
     EPS,
     TorusStructureReport,
@@ -42,7 +42,7 @@ from .curves import (
     verify_node,
     verify_torus_structure,
 )
-from .errors import InternalCheckError
+from .errors import BudgetExhausted, InternalCheckError
 from .presentation import (
     CommutantReport,
     Presentation,
@@ -71,6 +71,7 @@ class StageResult:
     name: str
     expected: str
     computed: str
+    exhausted: bool = False  # the stage stopped at its search budget
 
     @property
     def match(self) -> bool:
@@ -189,6 +190,8 @@ class Replay:
         a, b = metacyclic_normal_form(form, parse_word("p^-1 g+^-1 p g+"))
         commutator = Word(((("p", a),) if a else ()) + ((("g+", b),) if b else ()))
         order = quotient_order(self.patched, extra_relators=(parse_word("g+^3"),), max_cosets=self.max_cosets)
+        if isinstance(order, Overflow):
+            raise BudgetExhausted(str(order))
         return commutator, commutant_report(form), order
 
     @cached_property
@@ -226,9 +229,15 @@ class Replay:
         return expected_stage_texts()
 
     def stage(self, name: str) -> StageResult:
-        """Stage ``name`` against its expected text; an exception is recorded as ``error: <msg>``."""
+        """Stage ``name`` against its expected text.
+
+        A spent budget is recorded as its message with ``exhausted`` set,
+        any other exception as ``error: <msg>``.
+        """
         try:
             computed = _RENDER[name](self)
+        except BudgetExhausted as exc:
+            return StageResult(name, self.expected[name], str(exc), exhausted=True)
         except Exception as exc:
             computed = f"error: {exc}"
         return StageResult(name, self.expected[name], computed)

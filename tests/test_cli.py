@@ -176,6 +176,31 @@ def test_cli_coset_enum_index_and_overflow(capsys):
     assert out.strip() == "overflow: budget of 100 cosets exhausted"
 
 
+def test_cli_reproduce_paper_budget_exhausted_exits_three(monkeypatch, capsys):
+    rc, out, _ = run(capsys, "reproduce-paper", "--max-cosets", "20")
+    assert rc == 3
+    assert "commutant              MISMATCH" in out
+    assert "--- commutant: computed ---\noverflow: budget of 20 cosets exhausted\n" in out
+    assert "Overflow(" not in out
+    rc, out, _ = run(capsys, "reproduce-paper", "--max-cosets", "20", "--format", "structured")
+    assert rc == 3
+    (commutant,) = [s for s in json.loads(out)["stages"] if s["name"] == "commutant"]
+    assert commutant["computed"] == "overflow: budget of 20 cosets exhausted"
+    # a stage that fails for another reason still makes it a failed check
+    monkeypatch.setattr(pipeline, "singular_parameters", lambda: 1 / 0)
+    rc, _, _ = run(capsys, "reproduce-paper", "--max-cosets", "20")
+    assert rc == 1
+
+
+def test_cli_budget_below_one_is_a_usage_error(capsys):
+    for command in (["coset-enum", LEMMA], ["reproduce-paper"]):
+        for budget in ("-5", "0", "many"):
+            with pytest.raises(SystemExit) as info:
+                main(command + ["--max-cosets", budget])
+            assert info.value.code == 2
+            assert "--max-cosets" in capsys.readouterr().err
+
+
 def test_cli_alexander(capsys):
     rc, out, _ = run(
         capsys,

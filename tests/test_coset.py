@@ -2,8 +2,13 @@
 
 import math
 import random
+import re
 
+import pytest
+
+from vankampen import coset
 from vankampen.coset import CosetTable, Overflow, enumerate_cosets, quotient_order
+from vankampen.errors import InternalCheckError
 from vankampen.presentation import parse_presentation
 from vankampen.words import Word, parse_word
 
@@ -104,3 +109,29 @@ def test_metacyclic_orders_match_brute_force():
 def test_overflow_propagates_from_quotient_order():
     pres = parse_presentation("gens: a, b; rels:")
     assert quotient_order(pres, max_cosets=200) == Overflow(200)
+
+
+def test_verification_rejects_broken_tables(monkeypatch):
+    # each closed-table check, fed a table that breaks only it
+    cases = [
+        ("gens: a; rels: a^3", (), ((1, 2), (2, 2), (0, 1)), "actions are not mutually inverse"),
+        ("gens: a; rels: a^3", (), ((1, 1), (0, 0)), "relator a^3 does not fix coset 0"),
+        ("gens: a; rels: a^3", ("a",), ((1, 2), (2, 0), (0, 1)), "subgroup word a moves coset 0"),
+    ]
+    for text, subgroup, rows, message in cases:
+        monkeypatch.setattr(coset, "_standardize", lambda enum: CosetTable(("a",), rows))
+        with pytest.raises(InternalCheckError, match=re.escape(f"verification failed: {message}")):
+            enumerate_cosets(parse_presentation(text), tuple(map(parse_word, subgroup)))
+
+
+def test_act_word_follows_every_letter():
+    pres = parse_presentation("gens: a, b; rels: a^2, b^3, a b a b")
+    table = enumerate_cosets(pres)
+    col = {g: i for i, g in enumerate(table.generators)}
+    for text in ("a", "b^-2", "a^3 b^-4 a^-1 b^5", "b^7 a^-5"):
+        w = parse_word(text)
+        for c in range(table.count):
+            end = c
+            for g, e in w.letters():
+                end = table.rows[end][2 * col[g] + (0 if e > 0 else 1)]
+            assert table.act_word(c, w) == end
