@@ -10,17 +10,19 @@ clears rows and columns with the smallest pivot and fixes up the
 divisibility chain.  All quotients are rounded to the nearest integer.
 The result comes with the unimodular row and column transforms, and the
 certificate (U M V = D, det U, det V = +-1, D diagonal, divisibility
-chain) is re-verified before returning.
+chain) is re-verified before returning; the determinants come from the
+shared Bareiss elimination in ``ring``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import floordiv, mul
 from typing import Sequence
 
 from .errors import InternalCheckError
 from .presentation import Presentation
+from .ring import bareiss_det
 
 
 @dataclass(frozen=True)
@@ -75,25 +77,7 @@ class IntMatrix:
         """Exact determinant by fraction-free Bareiss elimination."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        m = self.rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return bareiss_det(self.rows(), floordiv) if self.nrows else 1
 
 
 def relator_matrix(P: Presentation) -> IntMatrix:

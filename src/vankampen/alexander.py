@@ -5,17 +5,21 @@ sends g to t^w(g).  Fox derivatives satisfy d(uv) = du + phi(u) dv and
 d(g^-1) = -phi(g^-1), evaluated here directly through the weight map, so
 derivatives land in Z[t, t^-1].  The Alexander polynomial is the gcd of
 the (n-1)x(n-1) minors of the Alexander matrix, normalized so the lowest
-exponent is 0 and the constant term is positive.
+exponent is 0 and the constant term is positive.  Each minor is a
+fraction-free Bareiss determinant over Z[t, t^-1], divided exactly by
+``LaurentPoly.__floordiv__``; the gcd is the primitive remainder sequence
+in Z[t].  Both come from ``ring``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from operator import floordiv
 from typing import Iterable, Mapping
 
 from .presentation import Presentation
+from .ring import bareiss_det, zpoly_gcd
 from .words import Word
 
 
@@ -47,6 +51,9 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -66,6 +73,30 @@ class LaurentPoly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
+
+    def __floordiv__(self, other: LaurentPoly) -> LaurentPoly:
+        """The exact quotient; raises ValueError unless ``other`` divides self.
+
+        Both sides are shifted into Z[t] and divided by long division with
+        integer quotients of the leading coefficients; a nonzero remainder
+        means the division is not exact.  The shifts are units, so they
+        only move the result.
+        """
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero Laurent polynomial")
+        f, low_f = _poly_coeff_list(self)
+        g, low_g = _poly_coeff_list(other)
+        dg, lead = len(g) - 1, g[-1]
+        quotient: dict[int, int] = {}
+        for k in range(len(f) - 1 - dg, -1, -1):
+            c = f[k + dg] // lead
+            if c:
+                quotient[k + low_f - low_g] = c
+                for i, gc in enumerate(g):
+                    f[k + i] -= c * gc
+        if any(f):
+            raise ValueError("not an exact division")
+        return LaurentPoly(quotient)
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
@@ -119,65 +150,6 @@ def _poly_coeff_list(p: LaurentPoly) -> tuple[list[int], int]:
     return [p.coeffs.get(e, 0) for e in range(low, high + 1)], low
 
 
-def _content(f: list[int]) -> int:
-    g = 0
-    for c in f:
-        g = gcd(g, c)
-    return g
-
-
-def _primitive(f: list[int]) -> list[int]:
-    c = _content(f)
-    if c == 0:
-        return []
-    out = [x // c for x in f]
-    if out[-1] < 0:
-        out = [-x for x in out]
-    return out
-
-
-def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder of f by g over Z (g nonzero, deg f >= deg g)."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        df = len(f) - 1
-        lead = f[-1]
-        f = [lg * c for c in f]
-        for i, gc in enumerate(g):
-            f[df - dg + i] -= lead * gc
-        while f and f[-1] == 0:
-            f.pop()
-    return f
-
-
-def _zpoly_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Gcd in Z[t] by the primitive Euclidean algorithm."""
-    f = [c for c in f]
-    g = [c for c in g]
-    while f and f[-1] == 0:
-        f.pop()
-    while g and g[-1] == 0:
-        g.pop()
-    if not f:
-        return _primitive(g) if g else []
-    if not g:
-        return _primitive(f)
-    cont = gcd(_content(f), _content(g))
-    a, b = _primitive(f), _primitive(g)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _primitive(_pseudo_rem(a, b))
-        a, b = b, r
-    return [cont * c for c in a]
-
-
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Gcd up to units, in canonical normalized form."""
     if p.is_zero:
@@ -186,7 +158,7 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return p.normalized()
     fp, _ = _poly_coeff_list(p)
     fq, _ = _poly_coeff_list(q)
-    g = _zpoly_gcd(fp, fq)
+    g = zpoly_gcd(fp, fq)
     return LaurentPoly(dict(enumerate(g))).normalized()
 
 
@@ -207,6 +179,9 @@ class WeightedPresentation:
         missing = [g for g in self.presentation.generators if g not in self.weights]
         if missing:
             raise ValueError(f"missing weight for generator(s) {missing}")
+        extra = [g for g in self.weights if g not in self.presentation.generators]
+        if extra:
+            raise ValueError(f"weight for non-generator(s) {extra}")
         object.__setattr__(
             self,
             "weights",
@@ -226,8 +201,10 @@ def fox_derivative(w: Word, gen: str, weights: Mapping[str, int]) -> LaurentPoly
     """The Fox derivative d w / d gen, evaluated through the weight map.
 
     Follows d(uv) = du + phi(u) dv with d(g) = 1 and d(g^-1) = -t^-w(g).
+    The terms of all syllables are summed into one dict, so the cost is
+    linear in the exponents.
     """
-    out = LaurentPoly.zero()
+    out: dict[int, int] = {}
     prefix = 0  # weight of the prefix read so far
     for g, e in w.syllables:
         if g not in weights:
@@ -236,12 +213,14 @@ def fox_derivative(w: Word, gen: str, weights: Mapping[str, int]) -> LaurentPoly
         if g == gen:
             if e > 0:
                 for i in range(e):
-                    out = out + LaurentPoly.term(1, prefix + i * wg)
+                    k = prefix + i * wg
+                    out[k] = out.get(k, 0) + 1
             else:
                 for i in range(1, -e + 1):
-                    out = out - LaurentPoly.term(1, prefix - i * wg)
+                    k = prefix - i * wg
+                    out[k] = out.get(k, 0) - 1
         prefix += e * wg
-    return out
+    return LaurentPoly(out)
 
 
 def alexander_matrix(wp: WeightedPresentation) -> list[list[LaurentPoly]]:
@@ -251,22 +230,6 @@ def alexander_matrix(wp: WeightedPresentation) -> list[list[LaurentPoly]]:
         [fox_derivative(r, g, wp.weights) for g in P.generators]
         for r in P.relators
     ]
-
-
-def _det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return matrix[0][0]
-    out = LaurentPoly.zero()
-    for j in range(n):
-        if matrix[0][j].is_zero:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        term = matrix[0][j] * _det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
 
 
 def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
@@ -289,7 +252,7 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
     for rows in combinations(range(m), size):
         for cols in combinations(range(n), size):
             sub = [[matrix[i][j] for j in cols] for i in rows]
-            acc = laurent_gcd(acc, _det(sub))
+            acc = laurent_gcd(acc, bareiss_det(sub, floordiv))
             if acc == LaurentPoly.one():
                 return acc
     return acc.normalized()

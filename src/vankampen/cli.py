@@ -58,7 +58,10 @@ def _parse_weights(text: str) -> dict[str, int]:
         name, sep, value = piece.partition("=")
         if not sep:
             raise ValueError(f"weight {piece!r} is not of the form name=integer")
-        weights[name.strip()] = int(value)
+        name = name.strip()
+        if name in weights:
+            raise ValueError(f"duplicate weight for {name!r}")
+        weights[name] = int(value)
     if not weights:
         raise ValueError("empty weight list")
     return weights

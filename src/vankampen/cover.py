@@ -82,19 +82,12 @@ _KERNEL_EXPANSION: dict[tuple[str, int], tuple[str, ...]] = {
 
 def expand_kernel(w: Word) -> InvolutionWord:
     """Expand a word in p, q back to an even involution word."""
-    flat: list[str] = []
+    flat: list[tuple[str, int]] = []
     for g, e in w.letters():
         if (g, e) not in _KERNEL_EXPANSION:
             raise ValueError(f"foreign generator {g!r}")
-        flat.extend(_KERNEL_EXPANSION[(g, e)])
-    # reduce: cancel equal adjacent letters
-    stack: list[str] = []
-    for g in flat:
-        if stack and stack[-1] == g:
-            stack.pop()
-        else:
-            stack.append(g)
-    return InvolutionWord(tuple(stack))
+        flat.extend((a, 1) for a in _KERNEL_EXPANSION[(g, e)])
+    return involution_reduce(Word(flat))
 
 
 def rewrite_to_pq(w: InvolutionWord) -> Word:

@@ -9,11 +9,14 @@ the torus-structure identity of the sextic
 (y^3 + y^2 + x^2)(y^3 + y^2 + x^2 - 4/27), and the local intersection
 multiplicity of its two cubic factors in the far chart.
 
-Resultants are computed from the Sylvester matrix with fraction-free
-Bareiss elimination and exact multivariate division.  Over Q both inputs
-are first scaled to integer coefficients, so the elimination runs on
-Python ints and the result is scaled back to Fractions at the end.
-Results of ring operations are built without re-validating their terms.
+Resultants are computed from the Sylvester matrix with the shared
+fraction-free Bareiss elimination of ``ring``, dividing by this module's
+exact multivariate division.  Over Q both inputs are first scaled to
+integer coefficients, so the elimination runs on Python ints and the
+result is scaled back to Fractions at the end.  Univariate gcds over Q
+(squarefree parts, intersecting eliminants) are the monic gcd of
+``ring``.  Results of ring operations are built without re-validating
+their terms.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from operator import add, sub
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ParseError
+from .ring import bareiss_det, qpoly_gcd
 
 
 def _power(base: Any, n: int, one: Any) -> Any:
@@ -312,6 +316,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
@@ -496,30 +503,6 @@ def divides(g: MultiPoly, f: MultiPoly) -> bool:
         return False
 
 
-def _bareiss_det(m: list[list[MultiPoly]], ring_zero: MultiPoly) -> MultiPoly:
-    """Fraction-free determinant of a square MultiPoly matrix."""
-    n = len(m)
-    if n == 0:
-        return ring_zero + 1
-    sign = 1
-    prev: MultiPoly | None = None
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if pivot is None:
-                return ring_zero
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else exact_div(num, prev)
-            m[i][k] = ring_zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def _integer_scaled(f: MultiPoly) -> tuple[MultiPoly, int]:
     """(a f with int coefficients, a) for a the lcm of f's denominators."""
     a = lcm(*(c.denominator for c in f.terms.values()))
@@ -563,7 +546,7 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         for j, c in enumerate(reversed(gc)):
             row[i + j] = c
         rows.append(row)
-    det = _bareiss_det(rows, zero)
+    det = bareiss_det(rows, exact_div)
     if not over_q:
         return det
     scale = a ** dg * b ** df
@@ -587,36 +570,6 @@ def _as_univariate(f: MultiPoly, var: str) -> list[Fraction]:
     return coeffs
 
 
-def _uni_trim(f: list[Fraction]) -> list[Fraction]:
-    f = list(f)
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _uni_rem(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) - 1 >= dg:
-        lead = f[-1] / g[-1]
-        for i in range(dg + 1):
-            f[len(f) - 1 - dg + i] -= lead * g[i]
-        f = _uni_trim(f)
-        if not f:
-            break
-    return f
-
-
-def _uni_gcd(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    f, g = _uni_trim(f), _uni_trim(g)
-    while g:
-        f, g = g, _uni_rem(f, g)
-    if f:
-        lead = f[-1]
-        f = [c / lead for c in f]
-    return f
-
-
 def _uni_to_poly(coeffs: Sequence[Fraction], var: str, ring: MultiPoly) -> MultiPoly:
     i = ring.variables.index(var)
     terms = {}
@@ -633,11 +586,7 @@ def _int_normalize(f: MultiPoly) -> MultiPoly:
     if f.is_zero or f.field != FIELD_Q:
         return f
     denom = lcm(*(c.denominator for c in f.terms.values()))
-    nums = [int(c * denom) for c in f.terms.values()]
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    scale = Fraction(denom, g)
+    scale = Fraction(denom, gcd(*(int(c * denom) for c in f.terms.values())))
     out = MultiPoly(f.variables, {e: c * scale for e, c in f.terms.items()}, FIELD_Q)
     lead = out.terms[max(out.terms)]
     if lead < 0:
@@ -647,11 +596,11 @@ def _int_normalize(f: MultiPoly) -> MultiPoly:
 
 def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
     """Squarefree part of a univariate Q-polynomial, integer-normalized."""
-    coeffs = _uni_trim(_as_univariate(f, var))
+    coeffs = _as_univariate(f, var)
     if not coeffs:
         raise ValueError("squarefree part of the zero polynomial")
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
-    g = _uni_gcd(coeffs, deriv)
+    g = qpoly_gcd(coeffs, deriv)
     gp = _uni_to_poly(g, var, f)
     return _int_normalize(exact_div(f, gp))
 
@@ -782,30 +731,11 @@ def singular_parameters() -> MultiPoly:
     r2 = resultant(bb, c, "y")
     if r1.is_zero or r2.is_zero:
         raise InternalCheckError("degenerate elimination: vanishing resultant in y")
-    g = _uni_gcd(
+    g = qpoly_gcd(
         _as_univariate(squarefree_part(r1, "b"), "b"),
         _as_univariate(squarefree_part(r2, "b"), "b"),
     )
     return _int_normalize(_uni_to_poly(g, "b", r1))
-
-
-def pencil_singular_candidates(b_value: Any) -> MultiPoly:
-    """Gcd in y of the three specialized elimination resultants at b_value.
-
-    Eliminates x from each pair drawn from {f, f_x, f_y} at the given
-    parameter and intersects the root sets.  A singular point's
-    y-coordinate is a root of all three (f_b is monic of degree 3 in x,
-    so no solution escapes to infinity); a constant result certifies
-    there is no affine singular point.
-    """
-    f = cubic_pencil(Fraction(b_value))
-    fx, fy = f.partial("x"), f.partial("y")
-    g: list[Fraction] | None = None
-    for lhs, rhs in ((f, fx), (f, fy), (fx, fy)):
-        r = _as_univariate(resultant(lhs, rhs, "x"), "y")
-        g = r if g is None else _uni_gcd(g, r)
-    assert g is not None
-    return _int_normalize(_uni_to_poly(g, "y", f)) if g else f._scalar(0)
 
 
 def intersection_multiplicity_origin(
@@ -840,7 +770,7 @@ def intersection_multiplicity_origin(
             if not lead.evaluate({yvar: 0, zvar: 0}):
                 raise ValueError("degenerate direction: leading coefficient vanishes at zvar = 0")
     if not g_line.is_zero and not h_line.is_zero:
-        common = _uni_gcd(_as_univariate(g_line, yvar), _as_univariate(h_line, yvar))
+        common = qpoly_gcd(_as_univariate(g_line, yvar), _as_univariate(h_line, yvar))
         if sum(1 for c in common if c) > 1:
             raise ValueError("degenerate direction: extra common points on zvar = 0")
     r = resultant(g, h, yvar)

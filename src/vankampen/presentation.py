@@ -344,11 +344,6 @@ class GroupOps:
     inv: Callable[[Any], Any]
 
 
-def cyclic_group(n: int) -> GroupOps:
-    """Z/n, written additively on representatives 0..n-1."""
-    return GroupOps(0, lambda a, b: (a + b) % n, lambda a: (-a) % n)
-
-
 def semidirect_metacyclic(n: int, m: int, s: int) -> GroupOps:
     """Z/n x| Z/m with the conjugation c^-1 p c = p^s, elements (a, b).
 

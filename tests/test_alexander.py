@@ -150,7 +150,70 @@ def test_weighted_presentation_validation_and_defect():
     pres = parse_presentation("gens: a, b; rels: a b^-1")
     with pytest.raises(ValueError):
         WeightedPresentation(pres, {"a": 1})
+    with pytest.raises(ValueError, match="non-generator"):
+        WeightedPresentation(pres, {"a": 1, "b": 1, "c": 2})
     balanced = WeightedPresentation(pres, {"a": 2, "b": 2})
     assert balanced.weight_defect() == []
     skewed = WeightedPresentation(pres, {"a": 1, "b": 3})
     assert skewed.weight_defect() == [("a b^-1", -2)]
+
+
+def test_torus_knot_polynomial_by_bareiss_minors(monkeypatch, torus_knot):
+    knot = torus_knot(7, 8)
+    wp = WeightedPresentation(knot, {g: 1 for g in knot.generators})
+    products = 0
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    delta = alexander_polynomial(wp)
+    monkeypatch.undo()
+    # the cofactor expansion of the 49 minors took 60 564 products
+    assert products <= 10_000
+
+    def binomial(k):
+        return LaurentPoly({k: 1, 0: -1})
+
+    # (t^56 - 1)(t - 1) = delta (t^7 - 1)(t^8 - 1)
+    assert delta * binomial(7) * binomial(8) == binomial(56) * binomial(1)
+    assert delta == delta.normalized()
+
+
+def test_fox_derivative_constructions_do_not_grow_with_exponent(monkeypatch):
+    def constructions(e):
+        count = 0
+        init = LaurentPoly.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal count
+            count += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LaurentPoly, "__init__", counted)
+        d = fox_derivative(parse_word(f"a^{e} b^-1 a^-{e}"), "a", {"a": 1, "b": 2})
+        monkeypatch.undo()
+        assert d == LaurentPoly({k: 1 for k in range(e)}) - LaurentPoly(
+            {e - 2 - k: 1 for k in range(1, e + 1)}
+        )
+        return count
+
+    assert constructions(10) == constructions(1000)
+
+
+def test_laurent_exact_division():
+    p = (T * T - T + ONE).shift(-3)
+    q = LaurentPoly({1: 2, -2: -5})
+    assert (p * q) // q == p
+    assert (p * q) // p.shift(4) == q.shift(-4)
+    assert LaurentPoly.zero() // q == LaurentPoly.zero()
+    for bad in (T + ONE, LaurentPoly({0: 2})):
+        with pytest.raises(ValueError, match="not an exact division"):
+            (T * T + ONE) // bad
+    with pytest.raises(ValueError, match="not an exact division"):
+        ONE // (T + ONE)
+    with pytest.raises(ZeroDivisionError):
+        ONE // LaurentPoly.zero()

@@ -312,6 +312,17 @@ def test_cli_errors_use_exit_code_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [("a=1,a=2,b=1", "duplicate weight for 'a'"), ("a=1,b=1,c=2", "non-generator(s) ['c']")],
+)
+def test_cli_rejects_ambiguous_or_foreign_weights(capsys, weights, message):
+    rc, out, err = run(capsys, "alexander", "gens: a, b; rels: a b^-1", "--weights", weights)
+    assert rc == 2
+    assert not out
+    assert err.startswith("error:") and message in err
+
+
 def test_cli_bad_k_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["patch", "--k", "11"])

@@ -18,7 +18,6 @@ from vankampen.curves import (
     intersection_multiplicity_origin,
     nodal_cubic,
     parse_polynomial,
-    pencil_singular_candidates,
     poly_ring,
     resultant,
     singular_parameters,
@@ -285,11 +284,6 @@ def test_rational_member_has_node():
     report = verify_node(cubic_pencil(Fraction(1, 3)), (Fraction(2, 5), Fraction(1, 5)))
     assert report.is_node
     assert report.hessian_det == Fraction(1, 3)
-
-
-def test_candidate_locus_matches_member():
-    assert str(pencil_singular_candidates(Fraction(1, 3))) == "5*y - 1"
-    assert str(pencil_singular_candidates(Fraction(1))) == "1"
 
 
 def test_singular_parameter_polynomial():
