@@ -14,9 +14,9 @@ import sys
 
 from .abelian import abelian_invariants
 from .alexander import WeightedPresentation, alexander_polynomial
-from .coset import Overflow, enumerate_cosets
+from .coset import enumerate_cosets
 from .cover import lift_monodromy
-from .errors import CoverError, InternalCheckError, ParseError
+from .errors import BudgetExhausted, CoverError, InternalCheckError, ParseError
 from . import pipeline
 from .presentation import (
     canonicalize,
@@ -155,11 +155,8 @@ def _cmd_abelianize(args) -> int:
 
 def _cmd_coset_enum(args) -> int:
     pres = parse_presentation(args.presentation)
-    result = enumerate_cosets(pres, subgroup=_parse_subgroup(args.subgroup), max_cosets=args.max_cosets)
-    if isinstance(result, Overflow):
-        print(result)
-        return 3
-    print(f"index: {result.count}")
+    table = enumerate_cosets(pres, subgroup=_parse_subgroup(args.subgroup), max_cosets=args.max_cosets)
+    print(f"index: {table.count}")
     return 0
 
 
@@ -224,6 +221,10 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BudgetExhausted as exc:
+        # an undecided search is an outcome, reported on stdout like a result
+        print(exc)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Todd-Coxeter coset enumeration (HLT strategy).
 
 ``enumerate_cosets`` either closes a coset table for a subgroup of a
-finitely presented group or returns ``Overflow`` once the definition
-budget is spent.  Overflow is an ordinary result, not an error: it means
-"index not determined within budget", never "the index is infinite".
+finitely presented group or raises ``BudgetExhausted`` once the
+definition budget is spent.  That means "index not determined within
+budget", never "the index is infinite".
 
 Coincidences are processed immediately with a union-find; definitions
 are made in scan order, which is breadth-first over the table, so the
@@ -16,19 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InternalCheckError
+from .errors import BudgetExhausted, InternalCheckError
 from .presentation import Presentation
 from .words import Word
-
-
-@dataclass(frozen=True)
-class Overflow:
-    """The enumeration exceeded its coset-definition budget."""
-
-    max_cosets: int
-
-    def __str__(self) -> str:
-        return f"overflow: budget of {self.max_cosets} cosets exhausted"
 
 
 @dataclass(frozen=True)
@@ -82,7 +72,7 @@ class _Enumerator:
 
     def define(self, alpha: int, col: int) -> None:
         if self.defined >= self.max_cosets:
-            raise _Budget()
+            raise BudgetExhausted(f"overflow: budget of {self.max_cosets} cosets exhausted")
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.parent.append(beta)
@@ -146,10 +136,6 @@ class _Enumerator:
             self.define(f, word[i])
 
 
-class _Budget(Exception):
-    pass
-
-
 def _word_cols(w: Word, gens: tuple[str, ...]) -> list[int]:
     index = {g: i for i, g in enumerate(gens)}
     out: list[int] = []
@@ -162,13 +148,13 @@ def enumerate_cosets(
     P: Presentation,
     subgroup: Sequence[Word] = (),
     max_cosets: int = 100_000,
-) -> CosetTable | Overflow:
+) -> CosetTable:
     """Enumerate cosets of <subgroup> in the presented group.
 
-    Returns a closed ``CosetTable`` or ``Overflow(max_cosets)``.  The
-    closed table passes a full verification sweep (all relators trace
-    the identity at every coset, subgroup words fix coset 0) before it
-    is returned.
+    Returns a closed ``CosetTable``, or raises ``BudgetExhausted`` after
+    ``max_cosets`` definitions.  The closed table passes a full
+    verification sweep (all relators trace the identity at every coset,
+    subgroup words fix coset 0) before it is returned.
     """
     gens = P.generators
     for w in subgroup:
@@ -179,24 +165,21 @@ def enumerate_cosets(
     sub_cols = [_word_cols(w, gens) for w in subgroup]
 
     enum = _Enumerator(gens, max_cosets)
-    try:
-        for w in sub_cols:
-            if w:
-                enum.scan_and_fill(0, w)
-        alpha = 0
-        while alpha < len(enum.table):
+    for w in sub_cols:
+        if w:
+            enum.scan_and_fill(0, w)
+    alpha = 0
+    while alpha < len(enum.table):
+        if enum.alive(alpha):
+            for rel in rel_cols:
+                enum.scan_and_fill(alpha, rel)
+                if not enum.alive(alpha):
+                    break
             if enum.alive(alpha):
-                for rel in rel_cols:
-                    enum.scan_and_fill(alpha, rel)
-                    if not enum.alive(alpha):
-                        break
-                if enum.alive(alpha):
-                    for col in range(enum.ncols):
-                        if enum.table[alpha][col] is None:
-                            enum.define(alpha, col)
-            alpha += 1
-    except _Budget:
-        return Overflow(max_cosets)
+                for col in range(enum.ncols):
+                    if enum.table[alpha][col] is None:
+                        enum.define(alpha, col)
+        alpha += 1
 
     table = _standardize(enum)
     _verify(table, list(zip(P.relators, rel_cols)), list(zip(subgroup, sub_cols)))
@@ -261,12 +244,11 @@ def quotient_order(
     P: Presentation,
     extra_relators: Sequence[Word] = (),
     max_cosets: int = 100_000,
-) -> int | Overflow:
+) -> int:
     """Order of the quotient of ``P`` by ``extra_relators``.
 
     Enumerates the trivial subgroup in the presentation extended by the
     extra relator words.
     """
     extended = Presentation(P.generators, P.relators + tuple(extra_relators))
-    result = enumerate_cosets(extended, (), max_cosets)
-    return result.count if isinstance(result, CosetTable) else result
+    return enumerate_cosets(extended, (), max_cosets).count

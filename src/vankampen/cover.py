@@ -12,10 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CoverError
-from .words import FreeEndo, Word
+from .words import FreeEndo, Word, substitute
 
 FIBER_GENS: tuple[str, ...] = ("a1", "a2", "a3")
 KERNEL_GENS: tuple[str, ...] = ("p", "q")
+
+# The kernel basis as words in the fiber generators.
+KERNEL_BASIS: dict[str, Word] = {
+    "p": Word((("a1", 1), ("a2", 1))),
+    "q": Word((("a3", 1), ("a2", 1))),
+}
 
 
 @dataclass(frozen=True)
@@ -41,11 +47,17 @@ class InvolutionWord:
 
 
 def involution_reduce(w: Word) -> InvolutionWord:
-    """Fold all exponents mod 2 and cancel equal adjacent letters."""
+    """Fold all exponents mod 2 and cancel equal adjacent letters.
+
+    A syllable with an even exponent is trivial; one with an odd exponent
+    is a single letter.
+    """
     stack: list[str] = []
-    for g, _ in w.letters():
+    for g, e in w.syllables:
         if g not in FIBER_GENS:
             raise ValueError(f"foreign generator {g!r}")
+        if e % 2 == 0:
+            continue
         if stack and stack[-1] == g:
             stack.pop()
         else:
@@ -71,23 +83,10 @@ PAIR_TABLE: dict[tuple[str, str], Word] = {
     ("a3", "a1"): _Q * _P ** -1,
 }
 
-# Kernel letters expanded back to involution letter pairs.
-_KERNEL_EXPANSION: dict[tuple[str, int], tuple[str, ...]] = {
-    ("p", 1): ("a1", "a2"),
-    ("p", -1): ("a2", "a1"),
-    ("q", 1): ("a3", "a2"),
-    ("q", -1): ("a2", "a3"),
-}
-
 
 def expand_kernel(w: Word) -> InvolutionWord:
     """Expand a word in p, q back to an even involution word."""
-    flat: list[tuple[str, int]] = []
-    for g, e in w.letters():
-        if (g, e) not in _KERNEL_EXPANSION:
-            raise ValueError(f"foreign generator {g!r}")
-        flat.extend((a, 1) for a in _KERNEL_EXPANSION[(g, e)])
-    return involution_reduce(Word(flat))
+    return involution_reduce(substitute(w, KERNEL_BASIS))
 
 
 def rewrite_to_pq(w: InvolutionWord) -> Word:
@@ -99,9 +98,8 @@ def rewrite_to_pq(w: InvolutionWord) -> Word:
     """
     if grade(w) != 0:
         raise CoverError(f"odd-length word {w} is not in the kernel")
-    out = Word()
-    for i in range(0, len(w.letters), 2):
-        out = out * PAIR_TABLE[(w.letters[i], w.letters[i + 1])]
+    pairs = zip(w.letters[::2], w.letters[1::2])
+    out = Word(s for pair in pairs for s in PAIR_TABLE[pair].syllables)
     if expand_kernel(out) != w:
         raise CoverError(f"rewriting of {w} failed its round-trip check")
     return out
@@ -109,8 +107,7 @@ def rewrite_to_pq(w: InvolutionWord) -> Word:
 
 def _lift_images(m: FreeEndo) -> dict[str, Word]:
     images: dict[str, Word] = {}
-    reps = (("p", Word((("a1", 1), ("a2", 1)))), ("q", Word((("a3", 1), ("a2", 1)))))
-    for name, rep in reps:
+    for name, rep in KERNEL_BASIS.items():
         reduced = involution_reduce(m.apply(rep))
         if grade(reduced) != 0:
             raise CoverError(

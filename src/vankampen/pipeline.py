@@ -10,10 +10,8 @@ is compared against the expected text stored in
 report, never skipped; the report serializes deterministically so golden
 tests can pin it byte for byte.
 
-Two knobs exist purely as test hooks: ``braid_convention="flipped"``
-interprets every braid letter as its inverse (a plausible rival sign
-convention, which the diff must catch), and ``k`` restricts the patch
-sweep to a single exponent (whose result must not depend on k).
+``k`` restricts the patch sweep to a single exponent, whose result must
+not depend on k.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Callable
 from .abelian import AbelianInvariants, abelian_invariants
 from .alexander import LaurentPoly, WeightedPresentation, alexander_polynomial
 from .cover import lift_monodromy
-from .coset import Overflow, quotient_order
+from .coset import quotient_order
 from .curves import (
     EPS,
     TorusStructureReport,
@@ -139,20 +137,15 @@ class Replay:
     restricts the sweep (the outcome must be identical either way).
     """
 
-    def __init__(self, braid_convention: str = "standard", k: int | None = None, max_cosets: int = 10_000):
-        if braid_convention not in ("standard", "flipped"):
-            raise ValueError(f"unknown braid convention {braid_convention!r}")
+    def __init__(self, k: int | None = None, max_cosets: int = 10_000):
         if k is not None and not 0 <= k <= 8:
             raise ValueError("k must lie in 0..8")
-        self.braid_convention = braid_convention
         self.k_values = tuple(range(9)) if k is None else (k,)
         self.max_cosets = max_cosets
 
     @cached_property
     def actions(self) -> dict[str, FreeEndo]:
-        flip = self.braid_convention == "flipped"
-        braids = {name: parse_braid(text, 3) for name, text in MONODROMY_BRAIDS.items()}
-        return {name: braid_action(b.inverse() if flip else b) for name, b in braids.items()}
+        return {name: braid_action(parse_braid(text, 3)) for name, text in MONODROMY_BRAIDS.items()}
 
     @cached_property
     def lifts(self) -> dict[str, FreeEndo]:
@@ -190,8 +183,6 @@ class Replay:
         a, b = metacyclic_normal_form(form, parse_word("p^-1 g+^-1 p g+"))
         commutator = Word(((("p", a),) if a else ()) + ((("g+", b),) if b else ()))
         order = quotient_order(self.patched, extra_relators=(parse_word("g+^3"),), max_cosets=self.max_cosets)
-        if isinstance(order, Overflow):
-            raise BudgetExhausted(str(order))
         return commutator, commutant_report(form), order
 
     @cached_property
@@ -290,11 +281,7 @@ _RENDER: dict[str, Callable[[Replay], str]] = {
 STAGE_NAMES = tuple(_RENDER)
 
 
-def reproduce_paper(
-    k: int | None = None,
-    max_cosets: int = 10_000,
-    braid_convention: str = "standard",
-) -> PipelineReport:
+def reproduce_paper(k: int | None = None, max_cosets: int = 10_000) -> PipelineReport:
     """Run every stage of one fresh ``Replay`` (same arguments) and diff it against its expected text."""
-    replay = Replay(braid_convention, k, max_cosets)
+    replay = Replay(k, max_cosets)
     return PipelineReport(tuple(replay.stage(name) for name in STAGE_NAMES))

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ParseError
-from .words import FreeEndo, Word, parse_word
+from .words import FreeEndo, Word, parse_word, substitute
 
 Letter = tuple[str, int]
 
@@ -110,11 +110,20 @@ def zvk_assemble(
 
 
 def cyclic_reduce(w: Word) -> Word:
-    """Strip matching first/last letters until the word is cyclically reduced."""
-    letters = list(w.letters())
-    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        letters = letters[1:-1]
-    return Word(letters)
+    """Strip opposite-signed end syllables until the word is cyclically reduced.
+
+    Ends of equal length cancel outright; otherwise the longer end keeps
+    the difference in its place, and the ends then differ in generator.
+    """
+    syl = w.syllables
+    i, j = 0, len(syl) - 1
+    while i < j and syl[i][0] == syl[j][0] and (syl[i][1] > 0) != (syl[j][1] > 0):
+        (g, a), (_, b) = syl[i], syl[j]
+        if a + b:
+            rest = syl[i + 1:j]
+            return Word(((g, a + b),) + rest if abs(a) > abs(b) else rest + ((g, a + b),))
+        i, j = i + 1, j - 1
+    return Word(syl[i:j + 1])
 
 
 def _letter_key(order: Mapping[str, int]) -> Callable[[Letter], tuple[int, int]]:
@@ -169,14 +178,6 @@ def canonicalize(P: Presentation) -> Presentation:
 # Tietze simplification
 
 
-def substitute_generator(w: Word, name: str, image: Word) -> Word:
-    """Replace every occurrence of ``name`` in ``w`` by ``image``."""
-    out = Word()
-    for g, e in w.syllables:
-        out = out * (image ** e if g == name else Word(((g, e),)))
-    return out
-
-
 def _defining_occurrence(r: Word, name: str) -> int:
     """Exponent (+1/-1) if ``name`` occurs exactly once in ``r``, else 0."""
     hits = [e for g, e in r.syllables if g == name]
@@ -186,17 +187,18 @@ def _defining_occurrence(r: Word, name: str) -> int:
 
 
 def _eliminate(P: Presentation, relator: Word, name: str) -> Presentation:
-    """Remove ``name`` using ``relator``, which defines it."""
-    letters = list(relator.letters())
-    pos = next(i for i, (g, e) in enumerate(letters) if g == name)
-    g, e = letters[pos]
-    rest = Word(letters[pos + 1:] + letters[:pos])
-    image = rest.inverse() if e == 1 else rest
+    """Remove ``name`` using ``relator``, which defines it.
+
+    The relator is split at its one ``name^(+-1)`` syllable, and the rest,
+    read cyclically from there, gives the image of ``name``.
+    """
+    syl = relator.syllables
+    pos = next(i for i, (g, _) in enumerate(syl) if g == name)
+    rest = Word(syl[pos + 1:] + syl[:pos])
+    images = {g: Word.gen(g) for g in P.generators}
+    images[name] = rest.inverse() if syl[pos][1] == 1 else rest
     gens = tuple(x for x in P.generators if x != name)
-    rels = tuple(
-        substitute_generator(r, name, image) for r in P.relators if r is not relator
-    )
-    return Presentation(gens, rels)
+    return Presentation(gens, tuple(substitute(r, images) for r in P.relators if r is not relator))
 
 
 @dataclass(frozen=True)

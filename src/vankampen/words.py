@@ -6,6 +6,11 @@ and no two adjacent syllables sharing a name; the empty sequence is the
 identity.  Construction always reduces, so every ``Word`` in circulation
 is freely reduced.
 
+Every word is built by one reduction pass over a syllable stream: a
+power repeats the syllables and reduces once, and ``substitute`` (which
+``FreeEndo.apply``, Tietze elimination and the cover expansion share)
+collects every image into one stream before reducing it.
+
 Braid words on n strands act on the free group of rank n by the Artin
 rule ``s_i: a_i -> a_i a_{i+1} a_i^-1, a_{i+1} -> a_i`` (other generators
 fixed), extended to products by ``action(b1 b2) = action(b1) o action(b2)``.
@@ -30,6 +35,7 @@ _WORD_TOKEN_RE = re.compile(
 
 
 def _merge(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
+    """Freely reduce a syllable stream in one pass, keeping a reduced stack."""
     out: list[Syllable] = []
     for gen, exp in syllables:
         if exp == 0:
@@ -75,13 +81,8 @@ class Word:
         return self.inverse()
 
     def __pow__(self, n: int) -> Word:
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return Word(base.syllables * abs(n))
 
     def letters(self) -> Iterator[tuple[str, int]]:
         """Yield single letters (name, +1 or -1), expanding exponents."""
@@ -142,6 +143,36 @@ def parse_word(
     return Word(syllables)
 
 
+def substitute(w: Word, images: Mapping[str, Word]) -> Word:
+    """Replace every generator of ``w`` by its image, in one reduction pass.
+
+    Each syllable ``g^e`` contributes ``images[g]^e`` to a single syllable
+    stream, which is reduced once.  A one-syllable image ``h^f`` contributes
+    the single syllable ``h^(f*e)``.
+    """
+    return Word(_image_stream(w, images))
+
+
+def _image_stream(w: Word, images: Mapping[str, Word]) -> Iterator[Syllable]:
+    # Lazy, one syllable at a time: holding the unreduced stream, or inverted
+    # copies of images, beside the reduced result fragmented the heap and
+    # raised peak memory.
+    for g, e in w.syllables:
+        if g not in images:
+            raise ValueError(f"word uses generator {g!r} outside the domain")
+        image = images[g].syllables
+        if len(image) == 1:
+            h, f = image[0]
+            yield (h, f * e)
+        elif e > 0:
+            for _ in range(e):
+                yield from image
+        else:
+            for _ in range(-e):
+                for h, f in reversed(image):
+                    yield (h, -f)
+
+
 class FreeEndo:
     """An endomorphism of a free group, given by generator images.
 
@@ -178,12 +209,7 @@ class FreeEndo:
 
     def apply(self, w: Word) -> Word:
         """Image of a word: substitute generator images and reduce."""
-        out = Word()
-        for g, e in w.syllables:
-            if g not in self.images:
-                raise ValueError(f"word uses generator {g!r} outside the domain")
-            out = out * self.images[g] ** e
-        return out
+        return substitute(w, self.images)
 
     def __call__(self, w: Word) -> Word:
         return self.apply(w)
@@ -220,17 +246,14 @@ class FreeEndo:
 
 
 def compose(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:
-    """Composite ``e1 o e2``: ``compose(e1, e2)(w) == e1(e2(w))``."""
+    """Composite ``e1 o e2``: ``compose(e1, e2)(w) == e1(e2(w))``.
+
+    The composite carries no inverse; attach one with ``with_inverse``,
+    which verifies it.
+    """
     if e1.domain != e2.domain:
         raise ValueError("domain mismatch in composition")
-    out = FreeEndo(e1.domain, {g: e1.apply(e2.images[g]) for g in e1.domain})
-    if e1.inverse is not None and e2.inverse is not None:
-        inv = FreeEndo(
-            e1.domain,
-            {g: e2.inverse.apply(e1.inverse.images[g]) for g in e1.domain},
-        )
-        out = out.with_inverse(inv)
-    return out
+    return FreeEndo(e1.domain, {g: e1.apply(e2.images[g]) for g in e1.domain})
 
 
 @dataclass(frozen=True)

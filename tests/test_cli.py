@@ -13,6 +13,7 @@ from vankampen.cli import main
 from vankampen.errors import InternalCheckError
 from vankampen.pipeline import STAGE_NAMES, Replay, expected_stage_texts, reproduce_paper
 from vankampen.presentation import MetacyclicForm, metacyclic_instances, parse_presentation
+from vankampen.words import parse_braid
 
 LEMMA = "gens: p, g+; rels: p^4 g+^-1 p^-1 g+, p^9"
 
@@ -44,12 +45,25 @@ def test_reproduce_paper_text_and_json_are_stable():
     assert [s["name"] for s in doc["stages"]] == list(STAGE_NAMES)
 
 
-def test_flipped_braid_convention_breaks_cover_lifts():
-    report = reproduce_paper(braid_convention="flipped")
+def test_flipped_braid_convention_breaks_cover_lifts(monkeypatch):
+    # the rival sign convention reads every braid letter as its inverse
+    flipped = {name: str(parse_braid(text, 3).inverse()) for name, text in pipeline.MONODROMY_BRAIDS.items()}
+    monkeypatch.setattr(pipeline, "MONODROMY_BRAIDS", flipped)
+    report = reproduce_paper()
     assert not report.overall
     by_name = {s.name: s for s in report.stages}
     assert not by_name["cover-lifts"].match
-    assert "MISMATCH" in report.to_text()
+    assert report.to_text().startswith(
+        "braid-actions          MISMATCH\n"
+        "cover-lifts            MISMATCH\n"
+        "zvk-presentation       MISMATCH\n"
+        "patch-sweep            MISMATCH\n"
+        "commutant              MISMATCH\n"
+        "abelian-invariants     ok\n"
+        "alexander-polynomials  ok\n"
+        "curve-checks           ok\n"
+        "overall: FAIL (3/8)\n"
+    )
 
 
 def test_reproduce_paper_single_exponent_still_matches():
@@ -60,8 +74,6 @@ def test_reproduce_paper_single_exponent_still_matches():
 def test_reproduce_paper_validates_arguments():
     with pytest.raises(ValueError):
         reproduce_paper(k=9)
-    with pytest.raises(ValueError):
-        reproduce_paper(braid_convention="sideways")
 
 
 def test_expected_stage_texts_cover_every_stage():

@@ -31,6 +31,29 @@ def test_involution_reduce_cancels_doubles():
     assert involution_reduce(parse_word("a1^-3 a2")) == InvolutionWord(("a1", "a2"))
 
 
+def involution_reduce_by_letters(w):
+    """Letter-level reference: push every letter, cancelling equal neighbours."""
+    stack = []
+    for g, _ in w.letters():
+        if stack and stack[-1] == g:
+            stack.pop()
+        else:
+            stack.append(g)
+    return InvolutionWord(tuple(stack))
+
+
+def test_involution_reduce_matches_letter_level_reference():
+    rng = random.Random(909)
+    for _ in range(300):
+        syllables = [(rng.choice(FIBER_GENS), rng.choice([-1, 1]) * rng.randint(1, 5)) for _ in range(rng.randint(0, 10))]
+        w = Word(syllables)
+        assert involution_reduce(w) == involution_reduce_by_letters(w)
+    # a syllable costs one step whatever its exponent
+    assert involution_reduce(parse_word("a1^100000001 a2^-4 a1")) == InvolutionWord(())
+    with pytest.raises(ValueError, match="foreign generator"):
+        involution_reduce(parse_word("a1 x^2"))
+
+
 def test_involution_reduce_idempotent():
     rng = random.Random(5)
     for _ in range(200):

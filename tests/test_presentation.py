@@ -80,6 +80,26 @@ def test_cyclic_reduce():
     assert cyclic_reduce(Word(())) == Word(())
 
 
+def cyclic_reduce_by_letters(w):
+    """Letter-level reference: strip inverse first/last letters one pair at a time."""
+    letters = list(w.letters())
+    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    return Word(letters)
+
+
+def test_cyclic_reduce_matches_letter_level_reference():
+    rng = random.Random(707)
+    for _ in range(400):
+        # short words over two generators, so ends often share a generator
+        syllables = [(rng.choice("pq"), rng.choice([-1, 1]) * rng.randint(1, 5)) for _ in range(rng.randint(0, 7))]
+        w = Word(syllables)
+        assert cyclic_reduce(w) == cyclic_reduce_by_letters(w)
+    assert cyclic_reduce(parse_word("p^3 q p^-5")) == parse_word("q p^-2")
+    assert cyclic_reduce(parse_word("p^-5 q p^3")) == parse_word("p^-2 q")
+    assert cyclic_reduce(parse_word("p^2 q^3 p q^-3 p^-2")) == parse_word("p")
+
+
 def test_canonical_relator_invariance():
     rng = random.Random(31)
     order = {"p": 0, "q": 1}

@@ -1,9 +1,12 @@
 """Free-group words, their parser, endomorphisms, and the braid action."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from vankampen import cover, presentation, words
 from vankampen.errors import ParseError
 from vankampen.words import (
     BraidWord,
@@ -14,6 +17,7 @@ from vankampen.words import (
     fiber_names,
     parse_braid,
     parse_word,
+    substitute,
 )
 
 
@@ -55,6 +59,117 @@ def test_free_reduction_idempotent_on_random_words():
         again = Word(tuple(w.syllables))
         assert again == w
         assert (w * w.inverse()).length == 0
+
+
+def count_merges(monkeypatch):
+    """Patch ``words._merge`` to record its calls; returns the record."""
+    calls = []
+    merge = words._merge
+
+    def counted(syllables):
+        calls.append(1)
+        return merge(syllables)
+
+    monkeypatch.setattr(words, "_merge", counted)
+    return calls
+
+
+def test_power_reduces_once(monkeypatch):
+    w = parse_word("a b")
+    calls = count_merges(monkeypatch)
+    big = w ** 100_000
+    assert big.length == 200_000
+    assert len(calls) == 1
+    assert (w ** -3) == parse_word("b^-1 a^-1 b^-1 a^-1 b^-1 a^-1")
+    # a conjugate's power cancels at every seam
+    assert parse_word("a b a^-1") ** 4 == parse_word("a b^4 a^-1")
+
+
+def substitute_by_letters(w, images):
+    """Letter-level reference: expand every letter into its image's letters."""
+    out = []
+    for g, e in w.letters():
+        image = list(images[g].letters())
+        out.extend(image if e > 0 else [(h, -f) for h, f in reversed(image)])
+    return Word(out)
+
+
+def rand_power_word(gens, rng, max_len):
+    """A random word with exponents in +-1..5."""
+    return Word((rng.choice(gens), rng.choice([-1, 1]) * rng.randint(1, 5)) for _ in range(rng.randint(0, max_len)))
+
+
+def test_substitute_matches_letter_level_reference(monkeypatch):
+    rng = random.Random(808)
+    gens = ("p", "q", "r")
+    calls = count_merges(monkeypatch)
+    for _ in range(300):
+        w = rand_power_word(gens, rng, 8)
+        images = {g: rand_power_word(gens, rng, 4) for g in gens}
+        expected = substitute_by_letters(w, images)
+        del calls[:]
+        assert substitute(w, images) == expected
+        assert len(calls) == 1
+    with pytest.raises(ValueError, match="outside the domain"):
+        substitute(parse_word("p x"), {"p": parse_word("q")})
+
+
+def test_compose_carries_no_inverse():
+    b1, b2 = parse_braid("s1 s2^-1", 3), parse_braid("s2 s1", 3)
+    composite = compose(braid_action(b1), braid_action(b2))
+    assert composite.inverse is None
+    assert braid_action(b1 * b2).is_automorphism
+
+
+# the word-building layers substitute through ``words.substitute`` only
+SUBSTITUTION_COPIES = {"substitute_generator", "_KERNEL_EXPANSION"}
+
+
+def products_rebuilt_in_loops(tree):
+    """``x = x * y`` or ``x *= y`` inside a loop: a word rebuilt product by product."""
+    found = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+                found.append(node.lineno)
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.BinOp)
+                and isinstance(node.value.op, ast.Mult)
+                and isinstance(node.value.left, ast.Name)
+                and node.value.left.id == node.targets[0].id
+            ):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("module", [words, presentation, cover], ids=lambda m: m.__name__)
+def test_layers_use_one_substitution(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assigned = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    assert not (defined | assigned) & SUBSTITUTION_COPIES
+    assert not {name for name in defined if "substitut" in name} - {"substitute"}
+    assert not products_rebuilt_in_loops(tree)
+    if module is not words:
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "words" and node.level == 1
+            for alias in node.names
+        }
+        assert "substitute" in imported
+        assert "substitute" not in defined
 
 
 def test_exponent_sum_and_generators():
