@@ -1,17 +1,18 @@
 """Abelianization of finite presentations via Smith normal form.
 
-Everything is exact integer arithmetic.  ``smith_normal_form`` works in
-two phases.  The Hermite phase brings the matrix to row echelon form by
-row operations, reducing the entries above each pivot modulo it, so the
-matrix and the row transform stay within a small multiple of the
-determinant's size in bits (Kannan & Bachem 1979; Cohen, *A Course in
-Computational Algebraic Number Theory*, 2.4).  The diagonal phase then
-clears rows and columns with the smallest pivot and fixes up the
-divisibility chain.  All quotients are rounded to the nearest integer.
-The result comes with the unimodular row and column transforms, and the
-certificate (U M V = D, det U, det V = +-1, D diagonal, divisibility
-chain) is re-verified before returning; the determinants come from the
-shared Bareiss elimination in ``ring``.
+Everything is exact integer arithmetic.  ``smith_normal_form`` has one
+elimination routine, ``_echelon``, which brings a matrix to row echelon
+form by row operations with positive pivots, reducing the entries above
+each pivot modulo it, so the matrix and its transform stay within a small
+multiple of the determinant's size in bits (Kannan & Bachem 1979; Cohen,
+*A Course in Computational Algebraic Number Theory*, 2.4).  It runs on the
+rows and then on the columns, in turn, until the matrix is diagonal; where
+a diagonal entry does not divide the next, one column addition folds the
+next into it and the alternation resumes.  All quotients are rounded to
+the nearest integer.  The result comes with the unimodular row and column
+transforms, and the certificate (U M V = D, det U, det V = +-1, D
+diagonal, divisibility chain) is re-verified before returning; the
+determinants come from the shared Bareiss elimination in ``ring``.
 """
 
 from __future__ import annotations
@@ -93,16 +94,45 @@ def _nearest(x: int, p: int) -> int:
     return q + 1 if 2 * rem > p else q
 
 
-def _find_pivot(m: list[list[int]], t: int) -> tuple[int, int] | None:
-    """Smallest nonzero |entry| in the trailing submatrix, row-then-col ties."""
-    best: tuple[int, int] | None = None
-    best_val = 0
-    for i in range(t, len(m)):
-        for j in range(t, len(m[0]) if m else 0):
-            v = abs(m[i][j])
-            if v and (best is None or v < best_val):
-                best, best_val = (i, j), v
-    return best
+def _echelon(a: list[list[int]], u: list[list[int]]) -> None:
+    """Bring a to row echelon form in place, repeating each row operation on u.
+
+    Row operations clear each column below its positive pivot, then reduce
+    the entries above the pivot modulo it; without that reduction the
+    entries of a and u grow far beyond those of the Smith form.
+    """
+    r, c = len(a), len(a[0]) if a else 0
+
+    def row_sub(i: int, j: int, q: int) -> None:
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    t = 0
+    for j in range(c):
+        if t == r:
+            break
+        while True:
+            rows = [i for i in range(t, r) if a[i][j]]
+            if not rows:
+                break
+            p = min(rows, key=lambda i: abs(a[i][j]))
+            if p != t:
+                a[t], a[p] = a[p], a[t]
+                u[t], u[p] = u[p], u[t]
+            if a[t][j] < 0:
+                a[t] = [-x for x in a[t]]
+                u[t] = [-x for x in u[t]]
+            if len(rows) == 1:
+                break
+            for i in range(t + 1, r):
+                if a[i][j]:
+                    row_sub(i, t, _nearest(a[i][j], a[t][j]))
+        if a[t][j]:
+            for i in range(t):
+                q = _nearest(a[i][j], a[t][j])
+                if q:
+                    row_sub(i, t, q)
+            t += 1
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -116,103 +146,24 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     u = IntMatrix.identity(r).rows()
     # V transposed, so that a column operation on V is a row operation here
     vt = IntMatrix.identity(c).rows()
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        for row in a:
-            if row[j]:
-                row[i] -= q * row[j]
-        vt[i] = [x - q * y for x, y in zip(vt[i], vt[j])]
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        vt[i], vt[j] = vt[j], vt[i]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    # Hermite phase: row operations clear each column below its positive
-    # pivot, then reduce the entries above the pivot modulo it; without that
-    # reduction the entries of a and U grow far beyond those of D.
-    t = 0
-    for j in range(c):
-        if t == r:
+    while True:
+        # echelon on the rows, then on the columns, until a is diagonal;
+        # its pivots are then positive, with the zeros last
+        _echelon(a, u)
+        at = [[row[j] for row in a] for j in range(c)]
+        _echelon(at, vt)
+        a = [[col[i] for col in at] for i in range(r)]
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        # add column t + 1 to column t where d_t does not divide d_t+1: this
+        # keeps d_0 .. d_t-1 and lowers d_t to at most gcd(d_t, d_t+1)
+        bad = [t for t in range(min(r, c) - 1) if a[t][t] and a[t + 1][t + 1] % a[t][t]]
+        if not bad:
             break
-        while True:
-            rows = [i for i in range(t, r) if a[i][j]]
-            if not rows:
-                break
-            p = min(rows, key=lambda i: abs(a[i][j]))
-            if p != t:
-                row_swap(t, p)
-            if a[t][j] < 0:
-                negate_row(t)
-            if len(rows) == 1:
-                break
-            for i in range(t + 1, r):
-                if a[i][j]:
-                    row_sub(i, t, _nearest(a[i][j], a[t][j]))
-        if a[t][j]:
-            for i in range(t):
-                q = _nearest(a[i][j], a[t][j])
-                if q:
-                    row_sub(i, t, q)
-            t += 1
-
-    def clear_at(t: int) -> None:
-        """Diagonalize position t of the trailing submatrix."""
-        while True:
-            loc = _find_pivot(a, t)
-            if loc is None:
-                return
-            if loc[0] != t:
-                row_swap(t, loc[0])
-            if loc[1] != t:
-                col_swap(t, loc[1])
-            if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
-            for i in range(t + 1, r):
-                if a[i][t]:
-                    row_sub(i, t, _nearest(a[i][t], p))
-            for j in range(t + 1, c):
-                if a[t][j]:
-                    col_sub(j, t, _nearest(a[t][j], p))
-            if all(a[i][t] == 0 for i in range(t + 1, r)) and all(
-                a[t][j] == 0 for j in range(t + 1, c)
-            ):
-                return
-
-    # Diagonal phase, on the Hermite form
-    k = min(r, c)
-    for t in range(k):
-        clear_at(t)
-
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for t in range(k - 1):
-            d, e = a[t][t], a[t + 1][t + 1]
-            if d and e % d != 0:
-                # fold the next diagonal entry into column t and rediagonalize
-                col_sub(t, t + 1, -1)
-                clear_at(t)
-                clear_at(t + 1)
-                changed = True
-    # rediagonalizing can leave a negative entry behind; units fix the sign
-    for t in range(k):
-        if a[t][t] < 0:
-            negate_row(t)
+        t = bad[0]
+        for row in a:
+            row[t] += row[t + 1]
+        vt[t] = [x + y for x, y in zip(vt[t], vt[t + 1])]
 
     D = IntMatrix.from_rows(a) if a else IntMatrix(0, c, ())
     U = IntMatrix.from_rows(u) if u else IntMatrix(0, 0, ())

@@ -56,7 +56,6 @@ class _Enumerator:
         self.max_cosets = max_cosets
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent: list[int] = [0]
-        self.defined = 1
         self.queue: deque[int] = deque()
 
     def find(self, c: int) -> int:
@@ -71,12 +70,11 @@ class _Enumerator:
         return self.parent[c] == c
 
     def define(self, alpha: int, col: int) -> None:
-        if self.defined >= self.max_cosets:
+        if len(self.table) >= self.max_cosets:
             raise BudgetExhausted(f"overflow: budget of {self.max_cosets} cosets exhausted")
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.parent.append(beta)
-        self.defined += 1
         self.table[alpha][col] = beta
         self.table[beta][col ^ 1] = alpha
 

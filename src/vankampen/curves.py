@@ -722,20 +722,19 @@ def singular_parameters() -> MultiPoly:
     polynomial: the input is fixed, so that is a broken computation.
     """
     f = cubic_pencil_generic()
-    a = resultant(f, f.partial("x"), "x")
-    bb = resultant(f, f.partial("y"), "x")
-    c = resultant(f.partial("x"), f.partial("y"), "x")
+    fx, fy = f.partial("x"), f.partial("y")
+    a = resultant(f, fx, "x")
+    bb = resultant(f, fy, "x")
+    c = resultant(fx, fy, "x")
     if a.is_zero or bb.is_zero or c.is_zero:
         raise InternalCheckError("degenerate elimination: vanishing resultant in x")
     r1 = resultant(a, c, "y")
     r2 = resultant(bb, c, "y")
     if r1.is_zero or r2.is_zero:
         raise InternalCheckError("degenerate elimination: vanishing resultant in y")
-    g = qpoly_gcd(
-        _as_univariate(squarefree_part(r1, "b"), "b"),
-        _as_univariate(squarefree_part(r2, "b"), "b"),
-    )
-    return _int_normalize(_uni_to_poly(g, "b", r1))
+    # over Q[b], sqfree(gcd(r1, r2)) = gcd(sqfree r1, sqfree r2)
+    g = qpoly_gcd(_as_univariate(r1, "b"), _as_univariate(r2, "b"))
+    return squarefree_part(_uni_to_poly(g, "b", r1), "b")
 
 
 def intersection_multiplicity_origin(
@@ -752,8 +751,8 @@ def intersection_multiplicity_origin(
             raise ValueError(f"expected polynomials in {yvar!r}, {zvar!r}")
         if f.evaluate({yvar: 0, zvar: 0}):
             raise ValueError("curve does not pass through the origin")
-    g_line = g.substitute({yvar: MultiPoly.variable(yvar, g.variables), zvar: 0})
-    h_line = h.substitute({yvar: MultiPoly.variable(yvar, h.variables), zvar: 0})
+    # restriction to zvar = 0; the zero polynomial has no coefficients
+    g_line, h_line = ((f.coeffs_in(zvar) or [f])[0] for f in (g, h))
     if g_line.is_zero and h_line.is_zero:
         raise ValueError("both curves contain the line zvar = 0")
     for f, f_line in ((g, g_line), (h, h_line)):

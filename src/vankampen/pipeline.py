@@ -202,12 +202,11 @@ class Replay:
         """The curve-checks claims, in the order that stage prints them."""
         third = Fraction(1, 3)
         node_q = verify_node(cubic_pencil(third), (Fraction(2, 5), Fraction(1, 5))).is_node
-        node_eps = verify_node(
-            cubic_pencil(EPS * third), (Fraction(2, 5) * EPS, Fraction(1, 5) * EPS ** -1)
-        ).is_node
+        direct = cubic_pencil(EPS * third)
+        node_eps = verify_node(direct, (Fraction(2, 5) * EPS, Fraction(1, 5) * EPS ** -1)).is_node
         swapped = {"x": Fraction(2, 5) * EPS ** -1, "y": Fraction(1, 5) * EPS}
         on_conjugate = not cubic_pencil(EPS ** -1 * third).evaluate(swapped)
-        on_direct = not cubic_pencil(EPS * third).evaluate(swapped)
+        on_direct = not direct.evaluate(swapped)
         node_origin = verify_node(nodal_cubic(), (0, 0)).is_node
         elimination = singular_parameters()
         divisible = divides(parse_polynomial("27*b^3 - 1", elimination.variables), elimination)

@@ -1,11 +1,14 @@
 """Integer matrices, Smith normal form with certificates, abelian invariants."""
 
+import ast
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from vankampen import abelian
 from vankampen.abelian import (
     AbelianInvariants,
     IntMatrix,
@@ -123,7 +126,8 @@ def test_smith_normal_form_certificates_random():
 
 
 def harder_shapes():
-    """Seeded square, rectangular and rank-deficient matrices up to 12 x 20."""
+    """Seeded square, rectangular and rank-deficient matrices up to 12 x 20,
+    and small ones that need the divisibility fix."""
     rng = random.Random(125)
     shapes = [(12, 12), (12, 20), (20, 12), (7, 11), (11, 7), (9, 9), (5, 16), (16, 5)]
     out = []
@@ -134,6 +138,8 @@ def harder_shapes():
         left = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(r)]
         right = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(inner)]
         out.append([[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left])
+    # diagonal or nearly so, but off the divisibility chain
+    out += [[[6, 0], [0, 4]], [[4, 0, 0], [0, 6, 0], [0, 0, 10]], [[0, 0], [0, 5]], [[-7]]]
     return out
 
 
@@ -167,6 +173,12 @@ def test_smith_transforms_stay_small():
             m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
             _, u, v = smith_normal_form(m)
             assert bits(u) <= limit and bits(v) <= limit
+
+
+def test_smith_has_one_elimination_routine():
+    tree = ast.parse(Path(abelian.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_find_pivot", "clear_at", "col_sub", "col_swap"}
 
 
 def test_smith_diagonal_matches_determinantal_divisors():
