@@ -84,8 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lift-monodromy", help="lift a braid action through the double cover")
-    p.add_argument("braid", help="braid word, e.g. 's1^-3 s2 s1^3'")
-    p.add_argument("--strands", type=int, default=3, help="number of strands (default 3)")
+    p.add_argument("braid", help="braid word on 3 strands, e.g. 's1^-3 s2 s1^3'")
 
     p = sub.add_parser("zvk", help="assemble the presentation from the built-in monodromies")
     p.add_argument("--raw", action="store_true", help="print the unsimplified assembly")
@@ -121,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_lift_monodromy(args) -> int:
-    braid = parse_braid(args.braid, args.strands)
+    braid = parse_braid(args.braid, 3)
     action = braid_action(braid)
     print(f"action: {action}")
     print(f"lift: {lift_monodromy(action)}")
@@ -188,10 +187,13 @@ def _cmd_verify_curves(args) -> int:
 def _cmd_reproduce_paper(args) -> int:
     report = pipeline.reproduce_paper(k=args.k, max_cosets=args.max_cosets)
     rendered = report.to_text() if args.format == "text" else report.to_json()
-    print(rendered, end="")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out!r}: {exc.strerror}") from exc
+    print(rendered, end="")
     if report.overall:
         return 0
     return 3 if all(s.exhausted for s in report.stages if not s.match) else 1

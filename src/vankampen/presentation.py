@@ -9,7 +9,8 @@ x in {p, q}.
 decider: it eliminates generators defined by a single +-1 occurrence,
 cyclically reduces, deduplicates, drops relators that are consequences
 of an identified metacyclic pair, and sorts canonically.  Equal inputs
-give identical outputs and the output is a fixed point.
+give identical outputs and the output is a fixed point.  Canonical forms
+are computed on syllables: no exponent is ever expanded into letters.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from .cover import KERNEL_GENS
 from .errors import InternalCheckError, ParseError
-from .words import FreeEndo, Word, parse_word, substitute
-
-Letter = tuple[str, int]
+from .words import FreeEndo, Syllable, Word, parse_word, substitute
 
 
 @dataclass(frozen=True)
@@ -78,29 +78,27 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def zvk_assemble(
-    kept: Sequence[FreeEndo],
-    removed: Sequence[tuple[str, FreeEndo]],
-    kernel_gens: tuple[str, str] = ("p", "q"),
+    kept: Sequence[FreeEndo], removed: Sequence[tuple[str, FreeEndo]]
 ) -> Presentation:
     """Assemble the total-space presentation from fiber monodromies.
 
-    Every endomorphism must live on ``kernel_gens``.  Meridian names of
+    Every endomorphism must live on ``KERNEL_GENS``.  Meridian names of
     removed fibers must be fresh.  Trivial relators are dropped.
     """
     names = [name for name, _ in removed]
-    all_gens = list(kernel_gens) + names
+    all_gens = list(KERNEL_GENS) + names
     if len(set(all_gens)) != len(all_gens):
         raise ValueError("meridian name collides with an existing generator")
     for m in list(kept) + [m for _, m in removed]:
-        if m.domain != tuple(kernel_gens):
-            raise ValueError(f"monodromy domain must be {kernel_gens}")
+        if m.domain != KERNEL_GENS:
+            raise ValueError(f"monodromy domain must be {KERNEL_GENS}")
     relators: list[Word] = []
     for m in kept:
-        for x in kernel_gens:
+        for x in KERNEL_GENS:
             relators.append(Word.gen(x, -1) * m.apply(Word.gen(x)))
     for name, m in removed:
         g = Word.gen(name)
-        for x in kernel_gens:
+        for x in KERNEL_GENS:
             relators.append(g.inverse() * Word.gen(x) * g * m.apply(Word.gen(x)).inverse())
     return Presentation(tuple(all_gens), tuple(relators))
 
@@ -126,12 +124,21 @@ def cyclic_reduce(w: Word) -> Word:
     return Word(syl[i:j + 1])
 
 
-def _letter_key(order: Mapping[str, int]) -> Callable[[Letter], tuple[int, int]]:
-    def key(letter: Letter) -> tuple[int, int]:
-        g, e = letter
-        return (order[g], 0 if e > 0 else 1)
+def _keys(syllables: Sequence[Syllable], order: Mapping[str, int]) -> list[tuple]:
+    """Order keys, one per syllable, that compare as the letters do.
 
-    return key
+    A letter is ordered by (generator order, inverse after positive).  Of
+    two runs of one letter, the shorter is smaller iff the letter after it
+    is smaller (``up`` is false).  The first syllable follows the last.
+    Both callers compare words of equal length only, where the run that
+    ends a word is never the shorter, so the wrap matters only to rotations.
+    """
+    letters = [(order[g], e < 0) for g, e in syllables]
+    keys = []
+    for (_, e), letter, after in zip(syllables, letters, letters[1:] + letters[:1]):
+        up = after > letter
+        keys.append((letter, up, -abs(e) if up else abs(e)))
+    return keys
 
 
 def canonical_relator(w: Word, order: Mapping[str, int]) -> Word:
@@ -139,30 +146,26 @@ def canonical_relator(w: Word, order: Mapping[str, int]) -> Word:
 
     The input is cyclically reduced first, so the result represents the
     same cyclic word (up to inversion) for any rotation of the input.
+    Only syllable starts are tried: a least rotation starts a run of the
+    least letter, as the letter after that run is larger.
     """
-    w = cyclic_reduce(w)
-    letters = list(w.letters())
-    if not letters:
-        return Word()
-    key = _letter_key(order)
-    best: list[Letter] | None = None
-    inv = [(g, -e) for g, e in reversed(letters)]
-    for seq in (letters, inv):
-        for shift in range(len(seq)):
-            rot = seq[shift:] + seq[:shift]
-            if best is None or [key(l) for l in rot] < [key(l) for l in best]:
-                best = rot
-    return Word(best)
-
-
-def _generator_order(P: Presentation) -> dict[str, int]:
-    return {g: i for i, g in enumerate(P.generators)}
+    syl = cyclic_reduce(w).syllables
+    if len(syl) > 1 and syl[0][0] == syl[-1][0]:
+        # after cyclic reduction equal end generators share a sign: one cyclic run
+        syl = ((syl[0][0], syl[0][1] + syl[-1][1]),) + syl[1:-1]
+    best: tuple[list[tuple], tuple[Syllable, ...]] | None = None
+    for seq in (syl, tuple((g, -e) for g, e in reversed(syl))):
+        keys = _keys(seq, order)
+        for i in range(len(seq)):
+            rot = keys[i:] + keys[:i]
+            if best is None or rot < best[0]:
+                best = (rot, seq[i:] + seq[:i])
+    return Word(best[1]) if best else Word()
 
 
 def canonicalize(P: Presentation) -> Presentation:
     """Cyclically reduce, canonicalize, deduplicate, and sort relators."""
-    order = _generator_order(P)
-    key = _letter_key(order)
+    order = {g: i for i, g in enumerate(P.generators)}
     seen: set[Word] = set()
     canon: list[Word] = []
     for r in P.relators:
@@ -170,7 +173,7 @@ def canonicalize(P: Presentation) -> Presentation:
         if c and c not in seen:
             seen.add(c)
             canon.append(c)
-    canon.sort(key=lambda w: (w.length, [key(l) for l in w.letters()]))
+    canon.sort(key=lambda w: (w.length, _keys(w.syllables, order)))
     return Presentation(P.generators, tuple(canon))
 
 
@@ -315,20 +318,18 @@ def tietze_simplify(P: Presentation) -> Presentation:
         return current
 
 
-def patch_fiber(
-    P: Presentation, g1: str, g2: str, k: int, power_gen: str = "p"
-) -> Presentation:
-    """Impose the section relation g2 g1 = power_gen^k and eliminate g2.
+def patch_fiber(P: Presentation, g1: str, g2: str, k: int) -> Presentation:
+    """Impose the section relation g2 g1 = p^k and eliminate g2.
 
     The simplified result must not depend on k when the conjugation
     relators already force it; callers sweep k to check that.
     """
-    for name in (g1, g2, power_gen):
+    for name in (g1, g2, "p"):
         if name not in P.generators:
             raise ValueError(f"unknown generator {name!r}")
     if g1 == g2:
         raise ValueError("g1 and g2 must differ")
-    relator = Word.gen(g2) * Word.gen(g1) * Word.gen(power_gen, -k)
+    relator = Word.gen(g2) * Word.gen(g1) * Word.gen("p", -k)
     patched = Presentation(P.generators, P.relators + (relator,))
     return tietze_simplify(_eliminate(patched, relator, g2))
 

@@ -113,10 +113,7 @@ class Word:
 
 
 def parse_word(
-    text: str,
-    generators: Iterable[str] | None = None,
-    line: int = 1,
-    column_offset: int = 0,
+    text: str, generators: Iterable[str] | None = None, column_offset: int = 0
 ) -> Word:
     """Parse the word grammar, e.g. ``p q^-1 p^3``; ``1`` is the identity.
 
@@ -132,13 +129,13 @@ def parse_word(
             continue
         m = _WORD_TOKEN_RE.match(piece)
         if m is None:
-            raise ParseError(f"bad word token {piece!r}", line, col)
+            raise ParseError(f"bad word token {piece!r}", column=col)
         name = m.group("name")
         exp = int(m.group("exp")) if m.group("exp") is not None else 1
         if exp == 0:
-            raise ParseError(f"zero exponent on {name!r}", line, col)
+            raise ParseError(f"zero exponent on {name!r}", column=col)
         if known is not None and name not in known:
-            raise ParseError(f"unknown generator {name!r}", line, col)
+            raise ParseError(f"unknown generator {name!r}", column=col)
         syllables.append((name, exp))
     return Word(syllables)
 
@@ -303,7 +300,7 @@ class BraidWord:
 _BRAID_TOKEN_RE = re.compile(r"s(?P<idx>[1-9][0-9]*)(?:\^(?P<exp>-?\d+))?$")
 
 
-def parse_braid(text: str, strands: int | None = None, line: int = 1) -> BraidWord:
+def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """Parse the braid grammar, e.g. ``s1 s2^-1 s1^3``.
 
     With ``strands=None`` the count is inferred as (largest index + 1),
@@ -318,13 +315,13 @@ def parse_braid(text: str, strands: int | None = None, line: int = 1) -> BraidWo
             continue
         m = _BRAID_TOKEN_RE.match(piece)
         if m is None:
-            raise ParseError(f"bad braid token {piece!r}", line, col)
+            raise ParseError(f"bad braid token {piece!r}", column=col)
         idx = int(m.group("idx"))
         exp = int(m.group("exp")) if m.group("exp") is not None else 1
         if exp == 0:
-            raise ParseError(f"zero exponent on s{idx}", line, col)
+            raise ParseError(f"zero exponent on s{idx}", column=col)
         if strands is not None and idx >= strands:
-            raise ParseError(f"unknown braid generator s{idx} on {strands} strands", line, col)
+            raise ParseError(f"unknown braid generator s{idx} on {strands} strands", column=col)
         max_idx = max(max_idx, idx)
         sign = 1 if exp > 0 else -1
         letters.extend((idx, sign) for _ in range(abs(exp)))

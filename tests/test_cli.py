@@ -311,6 +311,21 @@ def test_cli_reproduce_paper_out_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == json.loads(out)
 
 
+def test_cli_reproduce_paper_unwritable_out_is_bad_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    rc, out, err = run(capsys, "reproduce-paper", "--out", str(target))
+    assert rc == 2
+    assert not out
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+
+
+def test_cli_simplify_keeps_huge_exponents_as_syllables(capsys):
+    rc, out, _ = run(capsys, "simplify", "gens: p; rels: p^100000000")
+    assert rc == 0
+    assert out == "gens: p; rels: p^100000000\n"
+
+
 def test_cli_errors_use_exit_code_two(capsys):
     rc, out, err = run(capsys, "lift-monodromy", "s9")
     assert rc == 2

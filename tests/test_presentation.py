@@ -1,9 +1,12 @@
 """Presentations: assembly, canonical simplification, patching, metacyclic forms."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from vankampen import presentation
 from vankampen.abelian import abelian_invariants
 from vankampen.errors import ParseError
 from vankampen.presentation import (
@@ -116,6 +119,79 @@ def test_canonical_relator_invariance():
         rotated = Word(tuple(letters[k:] + letters[:k]))
         assert canonical_relator(rotated, order) == canon
         assert canonical_relator(w.inverse(), order) == canon
+
+
+def letter_key(order):
+    return lambda letter: (order[letter[0]], 0 if letter[1] > 0 else 1)
+
+
+def canonical_relator_by_letters(w, order):
+    """Letter-level reference: least letter rotation of the word or its inverse."""
+    letters = list(cyclic_reduce(w).letters())
+    key = letter_key(order)
+    best = []
+    inv = [(g, -e) for g, e in reversed(letters)]
+    for seq in (letters, inv):
+        for shift in range(len(seq)):
+            rot = seq[shift:] + seq[:shift]
+            if not best or [key(l) for l in rot] < [key(l) for l in best]:
+                best = rot
+    return Word(best)
+
+
+def sort_key_by_letters(w, order):
+    """Letter-level reference for the canonical relator order."""
+    key = letter_key(order)
+    return (w.length, [key(l) for l in w.letters()])
+
+
+def rand_relator(gens, rng, max_syllables):
+    syllables = [(rng.choice(gens), rng.choice([-1, 1]) * rng.randint(1, 4)) for _ in range(rng.randint(0, max_syllables))]
+    if syllables and rng.random() < 0.3:
+        # a last syllable on the first one's generator: one cyclic run, or a cancellation
+        syllables.append((syllables[0][0], rng.choice([-1, 1]) * rng.randint(1, 4)))
+    return Word(syllables)
+
+
+def test_canonical_forms_match_letter_level_reference():
+    rng = random.Random(1010)
+    for _ in range(300):
+        # generators listed in a random order, so the order is not the alphabet's
+        gens = tuple(rng.sample("abcd", rng.randint(1, 4)))
+        order = {g: i for i, g in enumerate(gens)}
+        words = [rand_relator(gens, rng, 9) for _ in range(rng.randint(1, 8))]
+        for w in words:
+            assert canonical_relator(w, order) == canonical_relator_by_letters(w, order)
+        expected = sorted(
+            {canonical_relator_by_letters(w, order) for w in words} - {Word()},
+            key=lambda w: sort_key_by_letters(w, order),
+        )
+        assert canonicalize(Presentation(gens, tuple(words))).relators == tuple(expected)
+    # equal ends fuse into one cyclic run before rotating
+    assert canonical_relator(parse_word("b^2 a b^3"), {"a": 0, "b": 1}) == parse_word("a b^5")
+    assert canonical_relator(parse_word("b^2 a b^3"), {"b": 0, "a": 1}) == parse_word("b^5 a")
+
+
+def test_canonical_relator_keeps_a_huge_power_as_one_syllable():
+    power = Word((("p", 10**8),))
+    assert canonical_relator(power, {"p": 0}) == power
+
+
+def test_simplify_never_expands_letters(monkeypatch):
+    def refuse(self):
+        raise AssertionError("canonical forms expanded a word into letters")
+
+    monkeypatch.setattr(Word, "letters", refuse)
+    assert format_presentation(tietze_simplify(parse_presentation(RAW_G1))) == EQ_G1
+    family = parse_presentation("gens: p, q; rels: p^300, q p q^-1 p^-1")
+    assert format_presentation(tietze_simplify(family)) == "gens: p, q; rels: p q p^-1 q^-1, p^300"
+
+
+def test_presentation_orders_syllables_not_letters():
+    tree = ast.parse(Path(presentation.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_letter_key" not in defined
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "letters"]
 
 
 def test_canonicalize_idempotent_and_sorted():
