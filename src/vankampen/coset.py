@@ -36,18 +36,6 @@ class CosetTable:
     def count(self) -> int:
         return len(self.rows)
 
-    def act(self, coset: int, gen: str, exp: int = 1) -> int:
-        i = self.generators.index(gen)
-        col = 2 * i if exp > 0 else 2 * i + 1
-        for _ in range(abs(exp)):
-            coset = self.rows[coset][col]
-        return coset
-
-    def act_word(self, coset: int, w: Word) -> int:
-        for g, e in w.syllables:
-            coset = self.act(coset, g, e)
-        return coset
-
 
 class _Enumerator:
     def __init__(self, gens: tuple[str, ...], max_cosets: int):

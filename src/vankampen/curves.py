@@ -408,13 +408,11 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def homogenize(self, newvar: str, degree: int | None = None) -> MultiPoly:
-        """Pad every term with a power of ``newvar`` up to ``degree``."""
+    def homogenize(self, newvar: str) -> MultiPoly:
+        """Pad every term with a power of ``newvar`` up to the total degree."""
         if newvar in self.variables:
             raise ValueError(f"variable {newvar!r} already present")
-        d = self.total_degree() if degree is None else degree
-        if d < self.total_degree():
-            raise ValueError("degree below the total degree")
+        d = self.total_degree()
         out = {e + (d - sum(e),): c for e, c in self.terms.items()}
         return MultiPoly(self.variables + (newvar,), out, self.field)
 
@@ -609,11 +607,13 @@ def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
 # the curves under study
 
 
+def _pencil(b: Any, x: MultiPoly, y: MultiPoly) -> MultiPoly:
+    return b * (-(x ** 2) - x * y ** 2 + y) + (x ** 3 - x * y + y ** 3)
+
+
 def cubic_pencil(b: Any) -> MultiPoly:
     """f_b = b(-x^2 - x y^2 + y) + (x^3 - x y + y^3) over Q or Q(eps)."""
-    field = _field_of(b)
-    x, y = poly_ring(("x", "y"), field)
-    return b * (-(x ** 2) - x * y ** 2 + y) + (x ** 3 - x * y + y ** 3)
+    return _pencil(b, *poly_ring(("x", "y"), _field_of(b)))
 
 
 def nodal_cubic() -> MultiPoly:
@@ -623,8 +623,7 @@ def nodal_cubic() -> MultiPoly:
 
 def cubic_pencil_generic() -> MultiPoly:
     """f_b with b as a polynomial variable, over Q[b, x, y]."""
-    b, x, y = poly_ring(("b", "x", "y"))
-    return b * (-(x ** 2) - x * y ** 2 + y) + (x ** 3 - x * y + y ** 3)
+    return _pencil(*poly_ring(("b", "x", "y")))
 
 
 def torus_sextic_factors() -> tuple[MultiPoly, MultiPoly]:
@@ -647,7 +646,7 @@ def chart_cubic_factors() -> tuple[MultiPoly, MultiPoly]:
     ybar, zbar = poly_ring(("ybar", "zbar"))
     out = []
     for factor in torus_sextic_factors():
-        h = factor.homogenize("w", 3)
+        h = factor.homogenize("w")
         out.append(h.substitute({"x": 1, "y": ybar, "w": zbar}))
     return out[0], out[1]
 
@@ -702,8 +701,7 @@ def verify_torus_structure(outer_shift: Fraction = Fraction(4, 27)) -> TorusStru
     With the true shift 4/27 the difference is the constant -4/729; any
     other shift leaves a non-constant difference and the check fails.
     """
-    x, y = poly_ring(("x", "y"))
-    u = y ** 3 + y ** 2 + x ** 2
+    u, _ = torus_sextic_factors()
     diff = u * (u - outer_shift) - (u - Fraction(2, 27)) ** 2
     if not diff.is_constant():
         return TorusStructureReport(False, None)
@@ -737,24 +735,22 @@ def singular_parameters() -> MultiPoly:
     return squarefree_part(_uni_to_poly(g, "b", r1), "b")
 
 
-def intersection_multiplicity_origin(
-    g: MultiPoly, h: MultiPoly, yvar: str = "ybar", zvar: str = "zbar"
-) -> int:
-    """Order of vanishing at zvar = 0 of res_yvar(g, h).
+def intersection_multiplicity_origin(g: MultiPoly, h: MultiPoly) -> int:
+    """Order of vanishing at zbar = 0 of res_ybar(g, h), for curves in ybar, zbar.
 
     Valid (and checked) when both curves pass through the origin, they
-    share no component, their only common point on the line zvar = 0 is
-    the origin, and no yvar-leading coefficient vanishes at zvar = 0.
+    share no component, their only common point on the line zbar = 0 is
+    the origin, and no ybar-leading coefficient vanishes at zbar = 0.
     """
     for f in (g, h):
-        if set(f.variables) != {yvar, zvar}:
-            raise ValueError(f"expected polynomials in {yvar!r}, {zvar!r}")
-        if f.evaluate({yvar: 0, zvar: 0}):
+        if set(f.variables) != {"ybar", "zbar"}:
+            raise ValueError("expected polynomials in 'ybar', 'zbar'")
+        if f.evaluate({"ybar": 0, "zbar": 0}):
             raise ValueError("curve does not pass through the origin")
-    # restriction to zvar = 0; the zero polynomial has no coefficients
-    g_line, h_line = ((f.coeffs_in(zvar) or [f])[0] for f in (g, h))
+    # restriction to zbar = 0; the zero polynomial has no coefficients
+    g_line, h_line = ((f.coeffs_in("zbar") or [f])[0] for f in (g, h))
     if g_line.is_zero and h_line.is_zero:
-        raise ValueError("both curves contain the line zvar = 0")
+        raise ValueError("both curves contain the line zbar = 0")
     for f, f_line in ((g, g_line), (h, h_line)):
         if f_line.is_zero:
             continue
@@ -762,20 +758,20 @@ def intersection_multiplicity_origin(
         other = h_line if f is g else g_line
         if other.is_zero:
             if len(f_line.terms) != 1:
-                raise ValueError("degenerate direction: extra common points on zvar = 0")
-        dy = f.degree(yvar)
+                raise ValueError("degenerate direction: extra common points on zbar = 0")
+        dy = f.degree("ybar")
         if dy > 0:
-            lead = f.coeffs_in(yvar)[dy]
-            if not lead.evaluate({yvar: 0, zvar: 0}):
-                raise ValueError("degenerate direction: leading coefficient vanishes at zvar = 0")
+            lead = f.coeffs_in("ybar")[dy]
+            if not lead.evaluate({"ybar": 0, "zbar": 0}):
+                raise ValueError("degenerate direction: leading coefficient vanishes at zbar = 0")
     if not g_line.is_zero and not h_line.is_zero:
-        common = qpoly_gcd(_as_univariate(g_line, yvar), _as_univariate(h_line, yvar))
+        common = qpoly_gcd(_as_univariate(g_line, "ybar"), _as_univariate(h_line, "ybar"))
         if sum(1 for c in common if c) > 1:
-            raise ValueError("degenerate direction: extra common points on zvar = 0")
-    r = resultant(g, h, yvar)
+            raise ValueError("degenerate direction: extra common points on zbar = 0")
+    r = resultant(g, h, "ybar")
     if r.is_zero:
         raise ValueError("common factor: resultant vanishes identically")
-    return r.valuation(zvar)
+    return r.valuation("zbar")
 
 
 # ---------------------------------------------------------------------------

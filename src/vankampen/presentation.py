@@ -415,8 +415,8 @@ class CommutantReport:
     central: bool
 
 
-def commutant_report(form: MetacyclicForm, p_gen: str = "p", c_gen: str = "g+") -> CommutantReport:
-    """Commutator subgroup of <p, c | p^n, c^-1 p c p^-s>.
+def commutant_report(form: MetacyclicForm) -> CommutantReport:
+    """Commutator subgroup of <p, g+ | p^n, g+^-1 p g+ p^-s>.
 
     It is generated by p^d with d = gcd(s - 1, n) and has order n/d;
     centrality holds iff s*d = d mod n.  The order claim is certified by
@@ -429,17 +429,12 @@ def commutant_report(form: MetacyclicForm, p_gen: str = "p", c_gen: str = "g+") 
     central = (s * d) % n == d % n
     m = multiplicative_order(s, n)
     target = semidirect_metacyclic(n, m, s)
-    pres = Presentation(
-        (p_gen, c_gen),
-        (
-            Word.gen(p_gen, n),
-            Word.gen(c_gen, -1) * Word.gen(p_gen) * Word.gen(c_gen) * Word.gen(p_gen, -s),
-        ),
-    )
-    images = {p_gen: (1, 0), c_gen: (0, 1)}
+    p, c = Word.gen("p"), Word.gen("g+")
+    pres = Presentation(("p", "g+"), (p ** n, ~c * p * c * p ** -s))
+    images = {"p": (1, 0), "g+": (0, 1)}
     if not verify_homomorphism(pres, images, target):
         raise InternalCheckError("internal certification failed: map is not a homomorphism")
-    generator = Word.gen(p_gen, d) if d < n else Word()
+    generator = p ** d if d < n else Word()
     image = evaluate_word(generator, images, target)
     certified = 1 if image == target.identity else element_order(target, image)
     if certified != order:

@@ -14,6 +14,8 @@ collects every image into one stream before reducing it.
 Braid words on n strands act on the free group of rank n by the Artin
 rule ``s_i: a_i -> a_i a_{i+1} a_i^-1, a_{i+1} -> a_i`` (other generators
 fixed), extended to products by ``action(b1 b2) = action(b1) o action(b2)``.
+Braid text is word text over ``s1 .. s(n-1)``, and the action is built
+by updating the two images a letter moves, one reduction pass each.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from .errors import ParseError
 
 Syllable = tuple[str, int]
 
-# Generator names: identifier with an optional trailing + or - marker.
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*[+-]?")
 _TOKEN_RE = re.compile(r"\S+")
+# Generator names: identifier with an optional trailing + or - marker.
 _WORD_TOKEN_RE = re.compile(
     r"(?P<name>[A-Za-z_][A-Za-z0-9_]*[+-]?)(?:\^(?P<exp>-?\d+))?$"
 )
@@ -282,51 +283,20 @@ class BraidWord:
         return BraidWord(self.strands, tuple((i, -s) for i, s in reversed(self.letters)))
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        parts: list[str] = []
-        i = 0
-        while i < len(self.letters):
-            idx, sign = self.letters[i]
-            j = i
-            while j + 1 < len(self.letters) and self.letters[j + 1] == (idx, sign):
-                j += 1
-            run = (j - i + 1) * sign
-            parts.append(f"s{idx}" if run == 1 else f"s{idx}^{run}")
-            i = j + 1
-        return " ".join(parts)
+        return str(Word((f"s{i}", e) for i, e in self.letters))
 
 
-_BRAID_TOKEN_RE = re.compile(r"s(?P<idx>[1-9][0-9]*)(?:\^(?P<exp>-?\d+))?$")
+def parse_braid(text: str, strands: int) -> BraidWord:
+    """Parse the braid grammar, e.g. ``s1 s2^-1 s1^3``, on ``strands`` strands.
 
-
-def parse_braid(text: str, strands: int | None = None) -> BraidWord:
-    """Parse the braid grammar, e.g. ``s1 s2^-1 s1^3``.
-
-    With ``strands=None`` the count is inferred as (largest index + 1),
-    and at least 2.
+    The grammar is the word grammar over ``s1 .. s(strands-1)``, so the
+    braid is freely reduced before its syllables expand into letters.
     """
+    w = parse_word(text, generators=[f"s{i}" for i in range(1, strands)])
     letters: list[tuple[int, int]] = []
-    max_idx = 1
-    for tok in _TOKEN_RE.finditer(text):
-        col = tok.start() + 1
-        piece = tok.group()
-        if piece == "1":
-            continue
-        m = _BRAID_TOKEN_RE.match(piece)
-        if m is None:
-            raise ParseError(f"bad braid token {piece!r}", column=col)
-        idx = int(m.group("idx"))
-        exp = int(m.group("exp")) if m.group("exp") is not None else 1
-        if exp == 0:
-            raise ParseError(f"zero exponent on s{idx}", column=col)
-        if strands is not None and idx >= strands:
-            raise ParseError(f"unknown braid generator s{idx} on {strands} strands", column=col)
-        max_idx = max(max_idx, idx)
-        sign = 1 if exp > 0 else -1
-        letters.extend((idx, sign) for _ in range(abs(exp)))
-    n = strands if strands is not None else max_idx + 1
-    return BraidWord(n, tuple(letters))
+    for name, exp in w.syllables:
+        letters.extend([(int(name[1:]), 1 if exp > 0 else -1)] * abs(exp))
+    return BraidWord(strands, tuple(letters))
 
 
 def fiber_names(strands: int) -> tuple[str, ...]:
@@ -334,31 +304,31 @@ def fiber_names(strands: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(1, strands + 1))
 
 
-def _sigma_endo(i: int, names: tuple[str, ...], sign: int) -> FreeEndo:
-    a, b = names[i - 1], names[i]
-    images = {g: Word.gen(g) for g in names}
-    if sign == 1:
-        images[a] = Word(((a, 1), (b, 1), (a, -1)))
-        images[b] = Word.gen(a)
-    else:
-        images[a] = Word.gen(b)
-        images[b] = Word(((b, -1), (a, 1), (b, 1)))
-    return FreeEndo(names, images)
+def _artin_images(braid: BraidWord) -> dict[str, Word]:
+    """Generator images of the braid's action, two images updated per letter.
+
+    Composing the action so far with ``s_i`` sends the images ``(A, B)`` of
+    ``a_i, a_{i+1}`` to ``(A B A^-1, A)``; with ``s_i^-1``, to ``(B, B^-1 A B)``.
+    """
+    names = fiber_names(braid.strands)
+    images = [Word.gen(g) for g in names]
+    for idx, sign in braid.letters:
+        a, b = images[idx - 1].syllables, images[idx].syllables
+        if sign == 1:
+            a_inv = tuple((g, -e) for g, e in reversed(a))
+            images[idx - 1], images[idx] = Word(a + b + a_inv), images[idx - 1]
+        else:
+            b_inv = tuple((g, -e) for g, e in reversed(b))
+            images[idx - 1], images[idx] = images[idx], Word(b_inv + a + b)
+    return dict(zip(names, images))
 
 
-def braid_action(braid: BraidWord, names: Iterable[str] | None = None) -> FreeEndo:
-    """The action of a braid word on the free group of rank ``strands``.
+def braid_action(braid: BraidWord) -> FreeEndo:
+    """The action of a braid word on the free group on ``fiber_names(strands)``.
 
     Returns a verified automorphism (its inverse is the action of the
     inverse braid word).
     """
-    gens = tuple(names) if names is not None else fiber_names(braid.strands)
-    if len(gens) != braid.strands:
-        raise ValueError("need one generator name per strand")
-    forward = FreeEndo.identity(gens)
-    for idx, sign in braid.letters:
-        forward = compose(forward, _sigma_endo(idx, gens, sign))
-    backward = FreeEndo.identity(gens)
-    for idx, sign in braid.inverse().letters:
-        backward = compose(backward, _sigma_endo(idx, gens, sign))
-    return forward.with_inverse(backward)
+    names = fiber_names(braid.strands)
+    backward = FreeEndo(names, _artin_images(braid.inverse()))
+    return FreeEndo(names, _artin_images(braid)).with_inverse(backward)

@@ -363,7 +363,7 @@ def test_chart_factors_and_sextic_agree():
     assert str(g) == "ybar^3 + ybar^2*zbar + zbar"
     assert str(h) == "ybar^3 + ybar^2*zbar - 4/27*zbar^3 + zbar"
     vs = ("x", "y")
-    chart = torus_sextic().homogenize("w", 6).substitute(
+    chart = torus_sextic().homogenize("w").substitute(
         {
             "x": MultiPoly.constant(1, ("x", "y", "w")),
             "y": MultiPoly.variable("y", ("x", "y", "w")),

@@ -2,11 +2,12 @@
 
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
 
-from vankampen import cover, presentation, words
+from vankampen import cover, pipeline, presentation, words
 from vankampen.errors import ParseError
 from vankampen.words import (
     BraidWord,
@@ -240,11 +241,32 @@ def test_with_inverse_verifies():
 
 
 def test_braid_parse_and_round_trip():
-    b = parse_braid("s1^-3 s2 s1^3")
+    b = parse_braid("s1^-3 s2 s1^3", 3)
     assert b.strands == 3
     assert str(b) == "s1^-3 s2 s1^3"
     assert parse_braid(str(b), 3) == b
     assert parse_braid("s1 s1 s1", 3) == parse_braid("s1^3", 3)
+    assert parse_braid("s3^2 1 s1", 4).letters == ((3, 1), (3, 1), (1, 1))
+
+
+def test_braid_parse_reduces_freely():
+    assert parse_braid("s1 s1^-1", 3) == BraidWord(3)
+    assert parse_braid("s2 s1^2 s1^-3 s2^-1 s2 s1", 3).letters == ((2, 1),)
+    # a letter sequence given directly is kept; it prints as its reduction
+    assert str(BraidWord(3, ((1, 1), (1, -1), (2, -1), (2, -1)))) == "s2^-2"
+
+
+def test_braid_parse_errors_name_the_token():
+    cases = [
+        ("s1 s9", "unknown generator 's9'", 4),
+        ("x1", "unknown generator 'x1'", 1),
+        ("s2 s1^0", "zero exponent on 's1'", 4),
+        ("s1^x", "bad word token 's1^x'", 1),
+    ]
+    for text, message, column in cases:
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_braid(text, 3)
+        assert err.value.column == column
 
 
 def test_braid_inverse_acts_as_inverse():
@@ -278,8 +300,8 @@ def test_braid_action_is_homomorphism():
         letters2 = [(rng.randint(1, 2), rng.choice([-1, 1])) for _ in range(rng.randint(0, 4))]
         b1 = BraidWord(3, tuple(letters1))
         b2 = BraidWord(3, tuple(letters2))
-        lhs = braid_action(b1 * b2, names)
-        rhs = compose(braid_action(b1, names), braid_action(b2, names))
+        lhs = braid_action(b1 * b2)
+        rhs = compose(braid_action(b1), braid_action(b2))
         assert all(lhs(Word(((n, 1),))) == rhs(Word(((n, 1),))) for n in names)
 
 
@@ -310,3 +332,84 @@ def test_action_preserves_conjugacy_shape():
             img = act(Word(((name, 1),)))
             assert sum(img.exponent_sum(n) for n in names) == 1
             assert sum(abs(e) for _, e in img.syllables) % 2 == 1
+
+
+def sigma_endo(strands, i, sign):
+    """The action of one Artin letter as a free-group endomorphism."""
+    names = fiber_names(strands)
+    a, b = names[i - 1], names[i]
+    images = {g: Word.gen(g) for g in names}
+    if sign == 1:
+        images[a], images[b] = Word(((a, 1), (b, 1), (a, -1))), Word.gen(a)
+    else:
+        images[a], images[b] = Word.gen(b), Word(((b, -1), (a, 1), (b, 1)))
+    return FreeEndo(names, images)
+
+
+def action_by_composition(braid):
+    """Reference action: compose the identity with one letter's action at a time."""
+    forward = FreeEndo.identity(fiber_names(braid.strands))
+    for idx, sign in braid.letters:
+        forward = compose(forward, sigma_endo(braid.strands, idx, sign))
+    return forward
+
+
+def rand_braid(rng, strands, max_len):
+    letters = [(rng.randint(1, strands - 1), rng.choice([-1, 1])) for _ in range(rng.randint(0, max_len))]
+    if letters and rng.random() < 0.3:
+        # splice in a cancelling pair, so the sequence is not freely reduced
+        k = rng.randrange(len(letters) + 1)
+        idx, sign = rng.randint(1, strands - 1), rng.choice([-1, 1])
+        letters[k:k] = [(idx, sign), (idx, -sign)]
+    return BraidWord(strands, tuple(letters))
+
+
+def test_braid_action_matches_per_letter_composition():
+    rng = random.Random(31)
+    for _ in range(300):
+        braid = rand_braid(rng, rng.choice((3, 3, 4)), 10)
+        act = braid_action(braid)
+        assert act == action_by_composition(braid)
+        assert act.inverse == action_by_composition(braid.inverse())
+
+
+def test_artin_images_reduce_once_per_letter(monkeypatch):
+    braid = parse_braid("s1^-1 s2^2 s1 s2^-2 s1", 3)
+    calls = count_merges(monkeypatch)
+    words._artin_images(braid)
+    assert len(calls) == braid.strands + len(braid.letters)
+
+
+def test_braid_action_builds_no_per_letter_endomorphism(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("braid actions must not compose endomorphisms")
+
+    built = []
+    init = FreeEndo.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(words, "compose", refuse)
+    monkeypatch.setattr(FreeEndo, "__init__", counted)
+    counts = []
+    for text in ("s1", "s1^-1 s2^2 s1 s2^-2 s1", "s1^5 s2^-7 s1^3"):
+        del built[:]
+        assert braid_action(parse_braid(text, 3)).is_automorphism
+        counts.append(len(built))
+    assert len(set(counts)) == 1
+    assert pipeline.reproduce_paper().overall
+
+
+def test_braid_layer_keeps_no_grammar_or_letter_action_of_its_own():
+    tree = ast.parse(Path(words.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assigned = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    assert not (defined | assigned) & {"_BRAID_TOKEN_RE", "_sigma_endo"}
