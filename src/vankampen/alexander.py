@@ -9,6 +9,16 @@ exponent is 0 and the constant term is positive.  Each minor is a
 fraction-free Bareiss determinant over Z[t, t^-1], divided exactly by
 ``LaurentPoly.__floordiv__``; the gcd is the primitive remainder sequence
 in Z[t].  Both come from ``ring``.
+
+Fox's fundamental formula (Fox 1953, "Free differential calculus I",
+Ann. Math. 57; Crowell & Fox, *Introduction to Knot Theory*, ch. VII)
+says sum_j (dr/dg_j)(t^w(g_j) - 1) = t^w(r) - 1 for every relator r.  It
+certifies the Alexander matrix row by row.  When every relator has weight
+zero, the columns c_j satisfy sum_j c_j (t^w(g_j) - 1) = 0, so on any
+rows the minor M_j omitting column j obeys
+(t^w(g_k) - 1) M_j = +-(t^w(g_j) - 1) M_k.  If w(g_k) = +-1 the factor
+(t^w(g_k) - 1) divides (t^w(g_j) - 1), and the minors omitting column k
+alone have the gcd of all of them.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from itertools import combinations
 from operator import floordiv
 from typing import Iterable, Mapping
 
+from .errors import InternalCheckError
 from .presentation import Presentation
 from .ring import bareiss_det, zpoly_gcd
 from .words import Word
@@ -232,12 +243,27 @@ def alexander_matrix(wp: WeightedPresentation) -> list[list[LaurentPoly]]:
     ]
 
 
+def _certify_fox_matrix(wp: WeightedPresentation, matrix: list[list[LaurentPoly]]) -> None:
+    """Check Fox's fundamental formula, with or without defect, on every row."""
+    P = wp.presentation
+    for r, row in zip(P.relators, matrix):
+        total = LaurentPoly.zero()
+        for g, entry in zip(P.generators, row):
+            total = total + entry.shift(wp.weights[g]) - entry
+        weight = sum(e * wp.weights[g] for g, e in r.syllables)
+        if total != LaurentPoly.term(1, weight) - LaurentPoly.one():
+            raise InternalCheckError(f"Fox row of relator {r} fails the fundamental formula")
+
+
 def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
     """Gcd of the (n-1)x(n-1) minors of the Alexander matrix, normalized.
 
     With n generators and fewer than n-1 relators the gcd is over an
     empty set of minors and the result is 0; with n = 1 the empty minor
-    has determinant 1 and the polynomial is trivial.
+    has determinant 1 and the polynomial is trivial.  The matrix is
+    certified before any minor is taken, and with every relator of weight
+    zero and some generator of weight +-1 only the minors omitting that
+    generator's column are taken (see the module docstring).
     """
     P = wp.presentation
     n = len(P.generators)
@@ -248,9 +274,15 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
     if m < size:
         return LaurentPoly.zero()
     matrix = alexander_matrix(wp)
+    _certify_fox_matrix(wp, matrix)
+    units = [k for k, g in enumerate(P.generators) if abs(wp.weights[g]) == 1]
+    if units and not wp.weight_defect():
+        column_sets = [tuple(j for j in range(n) if j != units[0])]
+    else:
+        column_sets = list(combinations(range(n), size))
     acc = LaurentPoly.zero()
     for rows in combinations(range(m), size):
-        for cols in combinations(range(n), size):
+        for cols in column_sets:
             sub = [[matrix[i][j] for j in cols] for i in rows]
             acc = laurent_gcd(acc, bareiss_det(sub, floordiv))
             if acc == LaurentPoly.one():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CoverError
+from .errors import CoverError, InternalCheckError
 from .words import FreeEndo, Word, substitute
 
 FIBER_GENS: tuple[str, ...] = ("a1", "a2", "a3")
@@ -94,14 +94,15 @@ def rewrite_to_pq(w: InvolutionWord) -> Word:
 
     Consumes letters two at a time through ``PAIR_TABLE``.  Raises
     ``CoverError`` on odd-length input.  The expansion of the result is
-    checked to recover ``w`` before returning.
+    checked to recover ``w`` before returning; a failure is an
+    ``InternalCheckError``, since the pair table itself is then wrong.
     """
     if grade(w) != 0:
         raise CoverError(f"odd-length word {w} is not in the kernel")
     pairs = zip(w.letters[::2], w.letters[1::2])
     out = Word(s for pair in pairs for s in PAIR_TABLE[pair].syllables)
     if expand_kernel(out) != w:
-        raise CoverError(f"rewriting of {w} failed its round-trip check")
+        raise InternalCheckError(f"rewriting of {w} failed its round-trip check")
     return out
 
 

@@ -17,10 +17,10 @@ not depend on k.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 from typing import Callable
 
 from .abelian import AbelianInvariants, abelian_invariants
@@ -118,8 +118,9 @@ class PipelineReport:
 
 def expected_stage_texts() -> dict[str, str]:
     """Expected per-stage text blocks from the packaged data file."""
-    path = resources.files("vankampen").joinpath("data/expected_stages.json")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    path = os.path.join(os.path.dirname(__file__), "data", "expected_stages.json")
+    with open(path, encoding="utf-8") as f:
+        data = json.load(f)
     out: dict[str, str] = {}
     for stage in data["stages"]:
         out[stage["name"]] = "\n".join(text for _, text in stage["lines"])

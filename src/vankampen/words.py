@@ -14,8 +14,13 @@ collects every image into one stream before reducing it.
 Braid words on n strands act on the free group of rank n by the Artin
 rule ``s_i: a_i -> a_i a_{i+1} a_i^-1, a_{i+1} -> a_i`` (other generators
 fixed), extended to products by ``action(b1 b2) = action(b1) o action(b2)``.
-Braid text is word text over ``s1 .. s(n-1)``, and the action is built
-by updating the two images a letter moves, one reduction pass each.
+Braid text is word text over ``s1 .. s(n-1)``, at most
+``MAX_BRAID_LETTERS`` letters long, and the action is built by updating
+the two images a letter moves, one reduction pass each.  The action of
+the inverse braid is built the same way, and the pair is certified by
+peeling each side back to the identity along the other's letters, so the
+check costs letters times image length, not the product of the two image
+lengths that ``FreeEndo.with_inverse`` pays.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ParseError
+from .errors import InternalCheckError, ParseError
 
 Syllable = tuple[str, int]
 
@@ -286,13 +291,21 @@ class BraidWord:
         return str(Word((f"s{i}", e) for i, e in self.letters))
 
 
+# Longest braid, in letters after free reduction, that ``parse_braid`` accepts.
+MAX_BRAID_LETTERS = 1000
+
+
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse the braid grammar, e.g. ``s1 s2^-1 s1^3``, on ``strands`` strands.
 
     The grammar is the word grammar over ``s1 .. s(strands-1)``, so the
-    braid is freely reduced before its syllables expand into letters.
+    braid is freely reduced before its syllables expand into letters.  A
+    braid of more than ``MAX_BRAID_LETTERS`` letters is rejected before it
+    is expanded.
     """
     w = parse_word(text, generators=[f"s{i}" for i in range(1, strands)])
+    if w.length > MAX_BRAID_LETTERS:
+        raise ParseError(f"braid has {w.length} letters, more than the limit {MAX_BRAID_LETTERS}")
     letters: list[tuple[int, int]] = []
     for name, exp in w.syllables:
         letters.extend([(int(name[1:]), 1 if exp > 0 else -1)] * abs(exp))
@@ -304,14 +317,14 @@ def fiber_names(strands: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(1, strands + 1))
 
 
-def _artin_images(braid: BraidWord) -> dict[str, Word]:
-    """Generator images of the braid's action, two images updated per letter.
+def _artin_images(images: list[Word], braid: BraidWord) -> list[Word]:
+    """Images of the action ``images o action(braid)``, two updated per letter.
 
-    Composing the action so far with ``s_i`` sends the images ``(A, B)`` of
+    ``images`` lists the images of ``fiber_names(strands)`` under the action
+    so far.  Composing it with ``s_i`` sends the images ``(A, B)`` of
     ``a_i, a_{i+1}`` to ``(A B A^-1, A)``; with ``s_i^-1``, to ``(B, B^-1 A B)``.
     """
-    names = fiber_names(braid.strands)
-    images = [Word.gen(g) for g in names]
+    images = list(images)
     for idx, sign in braid.letters:
         a, b = images[idx - 1].syllables, images[idx].syllables
         if sign == 1:
@@ -320,15 +333,26 @@ def _artin_images(braid: BraidWord) -> dict[str, Word]:
         else:
             b_inv = tuple((g, -e) for g, e in reversed(b))
             images[idx - 1], images[idx] = images[idx], Word(b_inv + a + b)
-    return dict(zip(names, images))
+    return images
 
 
 def braid_action(braid: BraidWord) -> FreeEndo:
     """The action of a braid word on the free group on ``fiber_names(strands)``.
 
-    Returns a verified automorphism (its inverse is the action of the
-    inverse braid word).
+    Returns a verified automorphism whose inverse is the action of the
+    inverse braid word.  Peeling the forward images along the inverse
+    braid, and the backward images along the braid, must give the
+    identity; that proves ``forward o backward = id = backward o forward``.
     """
     names = fiber_names(braid.strands)
-    backward = FreeEndo(names, _artin_images(braid.inverse()))
-    return FreeEndo(names, _artin_images(braid)).with_inverse(backward)
+    identity = [Word.gen(g) for g in names]
+    inverse = braid.inverse()
+    forward = _artin_images(identity, braid)
+    backward = _artin_images(identity, inverse)
+    for side, images, peel in (("forward", forward, inverse), ("inverse", backward, braid)):
+        if _artin_images(images, peel) != identity:
+            raise InternalCheckError(f"{side} images of braid {braid} fail the peel check")
+    out = FreeEndo(names, dict(zip(names, forward)))
+    back = FreeEndo(names, dict(zip(names, backward)))
+    out.inverse, back.inverse = back, out
+    return out

@@ -1,9 +1,11 @@
 """Laurent polynomials, Fox derivatives, Alexander polynomials."""
 
 import random
+from itertools import combinations
 
 import pytest
 
+from vankampen import alexander
 from vankampen.alexander import (
     LaurentPoly,
     WeightedPresentation,
@@ -12,6 +14,7 @@ from vankampen.alexander import (
     fox_derivative,
     laurent_gcd,
 )
+from vankampen.errors import InternalCheckError
 from vankampen.presentation import Presentation, parse_presentation
 from vankampen.words import Word, parse_word
 
@@ -217,3 +220,100 @@ def test_laurent_exact_division():
         ONE // (T + ONE)
     with pytest.raises(ZeroDivisionError):
         ONE // LaurentPoly.zero()
+
+
+def count_minors(monkeypatch):
+    """Patch ``alexander.bareiss_det`` to record its calls; returns the record."""
+    calls = []
+    det = alexander.bareiss_det
+
+    def counted(*args):
+        calls.append(1)
+        return det(*args)
+
+    monkeypatch.setattr(alexander, "bareiss_det", counted)
+    return calls
+
+
+def test_torus_knot_takes_one_column_of_minors(monkeypatch, torus_knot):
+    knot = torus_knot(7, 8)
+    wp = WeightedPresentation(knot, {g: 1 for g in knot.generators})
+    minors = count_minors(monkeypatch)
+    alexander_polynomial(wp)
+    # one column set on each of the C(7, 6) row sets, not 7 * 7 minors
+    assert 0 < len(minors) <= 7
+
+
+def test_weight_six_relator_keeps_every_column(monkeypatch):
+    wp = WeightedPresentation(parse_presentation(BRAID_QUOTIENT), {"s1": 1, "s2": 1})
+    assert wp.weight_defect() == [("s1 s2 s1 s2 s1 s2", 6)]
+    minors = count_minors(monkeypatch)
+    assert str(alexander_polynomial(wp)) == "t^2 - t + 1"
+    assert len(minors) == 4
+
+
+@pytest.mark.parametrize("text", [BRAID_QUOTIENT, "gens: a, b, c; rels: a b a^-1 c^-1, b c b^-1 a^-1"])
+def test_corrupted_fox_entry_is_rejected(monkeypatch, text):
+    pres = parse_presentation(text)
+    wp = WeightedPresentation(pres, {g: 1 for g in pres.generators})
+    fox = alexander.alexander_matrix
+
+    def corrupted(wp):
+        matrix = fox(wp)
+        matrix[-1][0] = matrix[-1][0] + T
+        return matrix
+
+    monkeypatch.setattr(alexander, "alexander_matrix", corrupted)
+    minors = count_minors(monkeypatch)
+    with pytest.raises(InternalCheckError, match="fundamental formula"):
+        alexander_polynomial(wp)
+    assert not minors
+
+
+def sympy_alexander(sympy, pres, weights):
+    """Independent oracle: letter-by-letter Fox rows, sympy minors and gcd."""
+    t = sympy.Symbol("t")
+    rows = []
+    for r in pres.relators:
+        # a unit t^shift per row keeps every exponent nonnegative
+        shift = sum(abs(weights[h]) for h, _ in r.letters()) + max(abs(w) for w in weights.values())
+        row = []
+        for g in pres.generators:
+            d, prefix = 0, shift
+            for h, e in r.letters():
+                if h == g:
+                    d += t**prefix if e == 1 else -(t ** (prefix - weights[h]))
+                prefix += e * weights[h]
+            row.append(d)
+        rows.append(row)
+    matrix = sympy.Matrix(rows)
+    size = len(pres.generators) - 1
+    acc = sympy.Integer(0)
+    for rs in combinations(range(len(rows)), size):
+        for cs in combinations(range(len(pres.generators)), size):
+            acc = sympy.gcd(acc, sympy.expand(matrix.extract(list(rs), list(cs)).det()))
+    if acc == 0:
+        return LaurentPoly.zero()
+    coeffs = {e: int(c) for (e,), c in sympy.Poly(acc, t).terms()}
+    return LaurentPoly(coeffs).normalized()
+
+
+def test_alexander_polynomial_matches_sympy_on_weight_zero_presentations():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    gens = ("a", "b", "c", "d")
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        names = gens[:n]
+        weights = {g: rng.choice((-2, -1, 0, 1, 2, 3)) for g in names}
+        unit = rng.choice(names)
+        weights[unit] = rng.choice((-1, 1))
+        relators = []
+        for _ in range(rng.randint(n - 1, n)):
+            w = rand_word(rng, names, rng.randint(1, 4))
+            # a trailing power of the weight +-1 generator brings the weight to zero
+            relators.append(w * Word.gen(unit, -weight_of(w, weights) * weights[unit]))
+        pres = Presentation(names, tuple(relators))
+        wp = WeightedPresentation(pres, weights)
+        assert wp.weight_defect() == []
+        assert alexander_polynomial(wp) == sympy_alexander(sympy, pres, weights)

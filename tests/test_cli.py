@@ -326,6 +326,13 @@ def test_cli_simplify_keeps_huge_exponents_as_syllables(capsys):
     assert out == "gens: p; rels: p^100000000\n"
 
 
+def test_cli_rejects_an_oversized_braid_by_its_size(capsys):
+    rc, out, err = run(capsys, "lift-monodromy", "s1^100000000")
+    assert rc == 2
+    assert not out
+    assert err == "error: line 1, column 1: braid has 100000000 letters, more than the limit 1000\n"
+
+
 def test_cli_errors_use_exit_code_two(capsys):
     rc, out, err = run(capsys, "lift-monodromy", "s9")
     assert rc == 2

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from vankampen import cover
+from vankampen.cli import main
 from vankampen.cover import (
     FIBER_GENS,
     KERNEL_GENS,
@@ -14,7 +16,7 @@ from vankampen.cover import (
     lift_monodromy,
     rewrite_to_pq,
 )
-from vankampen.errors import CoverError
+from vankampen.errors import CoverError, InternalCheckError
 from vankampen.words import Word, braid_action, parse_braid, parse_word
 
 
@@ -152,3 +154,13 @@ def test_lift_attaches_verified_inverse():
     assert lifted.is_automorphism
     w = parse_word("p q^-1 p^2")
     assert lifted.inverse(lifted(w)) == w
+
+
+def test_round_trip_failure_is_an_internal_check(monkeypatch, capsys):
+    monkeypatch.setitem(cover.PAIR_TABLE, ("a1", "a2"), parse_word("q"))
+    with pytest.raises(InternalCheckError, match="round-trip"):
+        rewrite_to_pq(InvolutionWord(("a1", "a2")))
+    assert main(["lift-monodromy", "s2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("action: ") and "lift:" not in captured.out
+    assert captured.err == "error: rewriting of a1 a2 a3 a2 failed its round-trip check\n"

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from vankampen import cover, pipeline, presentation, words
-from vankampen.errors import ParseError
+from vankampen.errors import InternalCheckError, ParseError
 from vankampen.words import (
+    MAX_BRAID_LETTERS,
     BraidWord,
     FreeEndo,
     Word,
@@ -375,9 +376,10 @@ def test_braid_action_matches_per_letter_composition():
 
 def test_artin_images_reduce_once_per_letter(monkeypatch):
     braid = parse_braid("s1^-1 s2^2 s1 s2^-2 s1", 3)
+    identity = [Word.gen(g) for g in fiber_names(3)]
     calls = count_merges(monkeypatch)
-    words._artin_images(braid)
-    assert len(calls) == braid.strands + len(braid.letters)
+    words._artin_images(identity, braid)
+    assert len(calls) == len(braid.letters)
 
 
 def test_braid_action_builds_no_per_letter_endomorphism(monkeypatch):
@@ -413,3 +415,47 @@ def test_braid_layer_keeps_no_grammar_or_letter_action_of_its_own():
         if isinstance(target, ast.Name)
     }
     assert not (defined | assigned) & {"_BRAID_TOKEN_RE", "_sigma_endo"}
+
+
+@pytest.mark.parametrize("call, side", [(0, "forward"), (1, "inverse")])
+def test_braid_action_peel_rejects_a_corrupted_side(monkeypatch, call, side):
+    # braid_action builds forward, then backward, then peels each; corrupt
+    # one of the first two results and the peel of that side must fail
+    artin = words._artin_images
+    calls = []
+
+    def corrupting(images, braid):
+        out = artin(images, braid)
+        if len(calls) == call:
+            out[0] = out[0] * Word.gen("a2")
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(words, "_artin_images", corrupting)
+    for text in ("s1", "s1^-1 s2^2 s1 s2^-2 s1"):
+        del calls[:]
+        with pytest.raises(InternalCheckError, match=f"{side} images of braid .* peel"):
+            braid_action(parse_braid(text, 3))
+
+
+def test_braid_action_never_calls_with_inverse(monkeypatch):
+    def refuse(self, inv):
+        raise AssertionError("braid actions are certified by the peel, not with_inverse")
+
+    monkeypatch.setattr(FreeEndo, "with_inverse", refuse)
+    rng = random.Random(7)
+    for braid in [parse_braid(t, 3) for t in ("s2", "s1^-3 s2 s1^3", "s1^-1 s2^2 s1 s2^-2 s1")] + [
+        rand_braid(rng, 4, 10) for _ in range(20)
+    ]:
+        act = braid_action(braid)
+        assert act.inverse.inverse is act
+        assert act.inverse == action_by_composition(braid.inverse())
+
+
+def test_parse_braid_bounds_the_letters_before_expanding():
+    assert len(parse_braid(f"s1^{MAX_BRAID_LETTERS}", 3).letters) == MAX_BRAID_LETTERS
+    # the bound applies after free reduction
+    assert len(parse_braid("s2^1500 s2^-1000", 3).letters) == 500
+    for text in (f"s1^{MAX_BRAID_LETTERS} s2", "s1^100000000", "s1^-600 s2^600"):
+        with pytest.raises(ParseError, match=f"more than the limit {MAX_BRAID_LETTERS}"):
+            parse_braid(text, 3)
