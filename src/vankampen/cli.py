@@ -122,8 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_lift_monodromy(args) -> int:
     braid = parse_braid(args.braid, 3)
     action = braid_action(braid)
+    lift = lift_monodromy(action)
     print(f"action: {action}")
-    print(f"lift: {lift_monodromy(action)}")
+    print(f"lift: {lift}")
     return 0
 
 

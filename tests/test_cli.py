@@ -188,6 +188,11 @@ def test_cli_coset_enum_index_and_overflow(capsys):
     assert out.strip() == "overflow: budget of 100 cosets exhausted"
 
 
+def test_cli_coset_enum_closes_order_2756_within_the_default_budget(capsys):
+    rc, out, _ = run(capsys, "coset-enum", "gens: p, c; rels: p^53, c^52, c^-1 p c p^-2")
+    assert (rc, out) == (0, "index: 2756\n")
+
+
 def test_cli_reproduce_paper_budget_exhausted_exits_three(monkeypatch, capsys):
     rc, out, _ = run(capsys, "reproduce-paper", "--max-cosets", "20")
     assert rc == 3

@@ -162,5 +162,5 @@ def test_round_trip_failure_is_an_internal_check(monkeypatch, capsys):
         rewrite_to_pq(InvolutionWord(("a1", "a2")))
     assert main(["lift-monodromy", "s2"]) == 1
     captured = capsys.readouterr()
-    assert captured.out.startswith("action: ") and "lift:" not in captured.out
+    assert captured.out == ""
     assert captured.err == "error: rewriting of a1 a2 a3 a2 failed its round-trip check\n"
