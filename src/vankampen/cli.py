@@ -10,6 +10,7 @@ the full replay pipeline with stage diffing.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .abelian import abelian_invariants
@@ -56,7 +57,7 @@ def _parse_weights(text: str) -> dict[str, int]:
         if not piece:
             continue
         name, sep, value = piece.partition("=")
-        if not sep:
+        if not sep or not re.fullmatch(r"\s*[+-]?\d+\s*", value):
             raise ValueError(f"weight {piece!r} is not of the form name=integer")
         name = name.strip()
         if name in weights:

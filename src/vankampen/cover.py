@@ -1,10 +1,12 @@
 """Descent of fiber monodromies to an index-2 free subgroup.
 
-The fiber group is free on a1, a2, a3.  Imposing ai^2 = 1 on each
-generator and keeping only even-length words leaves a free group of
-rank 2 with basis p = a1 a2 and q = a3 a2.  Monodromy endomorphisms of
-the fiber group descend along this rewriting to endomorphisms of
-F(p, q); that descent is what ``lift_monodromy`` computes.
+Imposing ai^2 = 1 on the free fiber group F(a1, a2, a3) gives
+W = Z/2 * Z/2 * Z/2, whose even words are free on p = a1 a2 and
+q = a3 a2 (Reidemeister-Schreier; Magnus, Karrass & Solitar,
+*Combinatorial Group Theory*, section 2.3), so E: F(p, q) -> W is injective.
+A monodromy m whose images are involutions in W descends to m_W on W;
+``lift_monodromy`` computes its lift L = E^-1 m_W E and certifies the lift
+of a verified inverse with one pass over each image.
 """
 
 from __future__ import annotations
@@ -107,27 +109,32 @@ def rewrite_to_pq(w: InvolutionWord) -> Word:
 
 
 def _lift_images(m: FreeEndo) -> dict[str, Word]:
-    images: dict[str, Word] = {}
-    for name, rep in KERNEL_BASIS.items():
-        reduced = involution_reduce(m.apply(rep))
-        if grade(reduced) != 0:
-            raise CoverError(
-                f"image of {name} has odd grade; the monodromy does not preserve the kernel"
-            )
-        images[name] = rewrite_to_pq(reduced)
-    return images
+    """Lift images of p and q; raises ``CoverError`` unless ``m`` descends to W.
+
+    Each ``m(ai)`` must reduce to a nonempty palindrome, an involution of W;
+    its odd length keeps even words even.  ``rewrite_to_pq`` proves E L = m_W E.
+    """
+    for g in FIBER_GENS:
+        letters = involution_reduce(m.images[g]).letters
+        if not letters or letters != letters[::-1]:
+            raise CoverError(f"image of {g} is not an involution in W; the monodromy does not descend")
+    return {name: rewrite_to_pq(involution_reduce(m.apply(rep))) for name, rep in KERNEL_BASIS.items()}
 
 
 def lift_monodromy(m: FreeEndo) -> FreeEndo:
     """Descend a fiber monodromy to the kernel basis p, q.
 
-    ``m`` must be an endomorphism of the free group on a1, a2, a3 whose
-    images have even grade (braid actions do).  When ``m`` carries a
-    verified inverse the lift does too.
+    ``m`` must be an endomorphism of F(a1, a2, a3) whose images are
+    involutions in W, as braid actions' are.  When ``m`` carries a verified
+    inverse, its lift L carries the lift K of that inverse, and K carries L:
+    m and m^-1 descend to m_W and n_W with m_W n_W = id = n_W m_W; the round
+    trips give E L = m_W E and E K = n_W E on p and q, hence on every word;
+    so E L K = E = E K L, and E is injective.
     """
     if m.domain != FIBER_GENS:
         raise ValueError(f"monodromy domain must be {FIBER_GENS}")
     lifted = FreeEndo(KERNEL_GENS, _lift_images(m))
     if m.inverse is not None:
-        lifted = lifted.with_inverse(FreeEndo(KERNEL_GENS, _lift_images(m.inverse)))
+        back = FreeEndo(KERNEL_GENS, _lift_images(m.inverse))
+        lifted.inverse, back.inverse = back, lifted
     return lifted

@@ -16,10 +16,10 @@ class ParseError(ValueError):
 
 
 class CoverError(ValueError):
-    """A word that should lie in the even (kernel) part of the cover does not.
+    """A monodromy or word does not descend to the even part of the cover.
 
-    Raised when a lifted image has odd grade; this signals a wrong braid
-    or rewriting convention rather than bad user input.
+    Raised when a fiber image is not an involution modulo squares, or a
+    word to rewrite has odd grade; braid actions never reach either case.
     """
 
 

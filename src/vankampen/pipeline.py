@@ -34,8 +34,8 @@ from .curves import (
     cubic_pencil,
     intersection_multiplicity_origin,
     nodal_cubic,
-    parse_polynomial,
     divides,
+    poly_ring,
     singular_parameters,
     verify_node,
     verify_torus_structure,
@@ -210,7 +210,8 @@ class Replay:
         on_direct = not direct.evaluate(swapped)
         node_origin = verify_node(nodal_cubic(), (0, 0)).is_node
         elimination = singular_parameters()
-        divisible = divides(parse_polynomial("27*b^3 - 1", elimination.variables), elimination)
+        b = dict(zip(elimination.variables, poly_ring(elimination.variables)))["b"]
+        divisible = divides(27 * b**3 - 1, elimination)
         torus = verify_torus_structure()
         multiplicity = intersection_multiplicity_origin(*chart_cubic_factors())
         return node_q, node_eps, on_conjugate, on_direct, node_origin, divisible, torus, multiplicity
@@ -223,14 +224,14 @@ class Replay:
         """Stage ``name`` against its expected text.
 
         A spent budget is recorded as its message with ``exhausted`` set,
-        any other exception as ``error: <msg>``.
+        any other exception as ``error: <Type>: <msg>``.
         """
         try:
             computed = _RENDER[name](self)
         except BudgetExhausted as exc:
             return StageResult(name, self.expected[name], str(exc), exhausted=True)
         except Exception as exc:
-            computed = f"error: {exc}"
+            computed = f"error: {type(exc).__name__}: {exc}"
         return StageResult(name, self.expected[name], computed)
 
 

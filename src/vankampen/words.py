@@ -20,7 +20,7 @@ the two images a letter moves, one reduction pass each.  The action of
 the inverse braid is built the same way, and the pair is certified by
 peeling each side back to the identity along the other's letters, so the
 check costs letters times image length, not the product of the two image
-lengths that ``FreeEndo.with_inverse`` pays.
+lengths that substituting one side into the other would.
 """
 
 from __future__ import annotations
@@ -179,9 +179,11 @@ def _image_stream(w: Word, images: Mapping[str, Word]) -> Iterator[Syllable]:
 class FreeEndo:
     """An endomorphism of a free group, given by generator images.
 
-    The ``inverse`` attribute, when set, has been verified to be a
-    two-sided inverse on generators, so the endomorphism is a genuine
-    automorphism exactly when ``is_automorphism`` is true.
+    The ``inverse`` attribute, when set, is a verified two-sided inverse,
+    so the endomorphism is a genuine automorphism exactly when
+    ``is_automorphism`` is true.  Only ``identity``, ``braid_action`` and
+    ``cover.lift_monodromy`` set it, each with a certificate built
+    together with the images.
     """
 
     __slots__ = ("domain", "images", "inverse")
@@ -217,20 +219,6 @@ class FreeEndo:
     def __call__(self, w: Word) -> Word:
         return self.apply(w)
 
-    def with_inverse(self, inv: FreeEndo) -> FreeEndo:
-        """Attach ``inv`` after verifying it is a two-sided inverse."""
-        if inv.domain != self.domain:
-            raise ValueError("inverse has a different domain")
-        for g in self.domain:
-            one = Word.gen(g)
-            if self.apply(inv.images[g]) != one or inv.apply(self.images[g]) != one:
-                raise ValueError(f"claimed inverse fails on generator {g!r}")
-        out = FreeEndo(self.domain, self.images)
-        back = FreeEndo(inv.domain, inv.images)
-        out.inverse = back
-        back.inverse = out
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FreeEndo)
@@ -251,8 +239,7 @@ class FreeEndo:
 def compose(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:
     """Composite ``e1 o e2``: ``compose(e1, e2)(w) == e1(e2(w))``.
 
-    The composite carries no inverse; attach one with ``with_inverse``,
-    which verifies it.
+    The composite carries no inverse.
     """
     if e1.domain != e2.domain:
         raise ValueError("domain mismatch in composition")

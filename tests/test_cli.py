@@ -123,7 +123,7 @@ def test_commutant_form_is_read_from_the_patched_group(monkeypatch):
     cyclic = parse_presentation("gens: p, g+; rels: p^9")
     monkeypatch.setattr(pipeline, "patch_fiber", lambda *args: cyclic)
     stage = Replay(k=0).stage("commutant")
-    assert stage.computed == "error: patched group has no metacyclic form over p, g+"
+    assert stage.computed == "error: InternalCheckError: patched group has no metacyclic form over p, g+"
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -245,7 +245,7 @@ def test_cli_verify_curves_reports_a_stage_error(monkeypatch, capsys):
     rc, out, err = run(capsys, "verify-curves")
     assert rc == 1
     assert not out
-    assert err == "error: elimination failed\n"
+    assert err == "error: RuntimeError: elimination failed\n"
 
 
 def test_cli_degenerate_elimination_is_an_internal_failure(monkeypatch, capsys):
@@ -258,7 +258,7 @@ def test_cli_degenerate_elimination_is_an_internal_failure(monkeypatch, capsys):
     rc, out, err = run(capsys, "verify-curves")
     assert rc == 1
     assert not out
-    assert err == "error: degenerate elimination: vanishing resultant in x\n"
+    assert err == "error: InternalCheckError: degenerate elimination: vanishing resultant in x\n"
 
 
 def test_cli_certificate_failure_exits_one(monkeypatch, capsys):
@@ -353,7 +353,12 @@ def test_cli_errors_use_exit_code_two(capsys):
 
 @pytest.mark.parametrize(
     "weights, message",
-    [("a=1,a=2,b=1", "duplicate weight for 'a'"), ("a=1,b=1,c=2", "non-generator(s) ['c']")],
+    [
+        ("a=1,a=2,b=1", "duplicate weight for 'a'"),
+        ("a=1,b=1,c=2", "non-generator(s) ['c']"),
+        ("a=1,b=x", "weight 'b=x' is not of the form name=integer"),
+        ("a=1.5,b=1", "weight 'a=1.5' is not of the form name=integer"),
+    ],
 )
 def test_cli_rejects_ambiguous_or_foreign_weights(capsys, weights, message):
     rc, out, err = run(capsys, "alexander", "gens: a, b; rels: a b^-1", "--weights", weights)

@@ -17,7 +17,7 @@ from vankampen.cover import (
     rewrite_to_pq,
 )
 from vankampen.errors import CoverError, InternalCheckError
-from vankampen.words import Word, braid_action, parse_braid, parse_word
+from vankampen.words import BraidWord, FreeEndo, Word, braid_action, parse_braid, parse_word, substitute
 
 
 def rand_involution_word(rng, max_len=10):
@@ -106,8 +106,6 @@ def test_expand_kernel_of_generators():
 
 
 def test_lift_requires_fiber_domain():
-    from vankampen.words import FreeEndo
-
     wrong = FreeEndo(("x", "y"), {"x": parse_word("x"), "y": parse_word("y")})
     with pytest.raises(ValueError):
         lift_monodromy(wrong)
@@ -135,7 +133,7 @@ def test_lift_of_two_band_braid_oracle():
 
 
 def test_lift_functoriality_on_random_braids():
-    from vankampen.words import BraidWord, compose
+    from vankampen.words import compose
 
     rng = random.Random(41)
     for _ in range(30):
@@ -152,6 +150,7 @@ def test_lift_functoriality_on_random_braids():
 def test_lift_attaches_verified_inverse():
     lifted = lift_monodromy(braid_action(parse_braid("s1^-3 s2 s1^3", 3)))
     assert lifted.is_automorphism
+    assert lifted.inverse.inverse is lifted
     w = parse_word("p q^-1 p^2")
     assert lifted.inverse(lifted(w)) == w
 
@@ -164,3 +163,46 @@ def test_round_trip_failure_is_an_internal_check(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: rewriting of a1 a2 a3 a2 failed its round-trip check\n"
+
+
+def rand_braid(rng, max_len):
+    return BraidWord(3, tuple((rng.randint(1, 2), rng.choice([-1, 1])) for _ in range(rng.randint(0, max_len))))
+
+
+def test_lifted_inverse_substitutes_back_to_the_basis():
+    # the two-sided substitution check the lift no longer runs, kept as an oracle
+    rng = random.Random(1414)
+    basis = {g: Word.gen(g) for g in KERNEL_GENS}
+    for _ in range(200):
+        lifted = lift_monodromy(braid_action(rand_braid(rng, 10)))
+        back = lifted.inverse
+        for g in KERNEL_GENS:
+            assert substitute(back.images[g], lifted.images) == basis[g]
+            assert substitute(lifted.images[g], back.images) == basis[g]
+
+
+def test_lift_never_substitutes_into_a_lift(monkeypatch):
+    kernel_calls = []
+    apply = FreeEndo.apply
+
+    def counting(self, w):
+        if self.domain == KERNEL_GENS:
+            kernel_calls.append(w)
+        return apply(self, w)
+
+    monkeypatch.setattr(FreeEndo, "apply", counting)
+    rng = random.Random(88)
+    for braid in [parse_braid("s1^-1 s2^2 s1 s2^-2 s1", 3)] + [rand_braid(rng, 10) for _ in range(20)]:
+        assert lift_monodromy(braid_action(braid)).is_automorphism
+    assert kernel_calls == []
+
+
+def test_non_descending_monodromy_is_rejected():
+    images = {"a1": parse_word("a1 a2 a3"), "a2": parse_word("a2"), "a3": parse_word("a3")}
+    with pytest.raises(CoverError, match="image of a1 is not an involution in W; the monodromy does not descend"):
+        lift_monodromy(FreeEndo(FIBER_GENS, images))
+    # the inverse is checked the same way
+    action = braid_action(parse_braid("s2", 3))
+    action.inverse = FreeEndo(FIBER_GENS, {**images, "a1": parse_word("a1^2")})
+    with pytest.raises(CoverError, match="image of a1 is not an involution"):
+        lift_monodromy(action)

@@ -231,16 +231,6 @@ def test_endo_identity():
     assert ident(w) == w
 
 
-def test_with_inverse_verifies():
-    e = FreeEndo(("p", "q"), {"p": parse_word("p q"), "q": parse_word("q")})
-    inv = FreeEndo(("p", "q"), {"p": parse_word("p q^-1"), "q": parse_word("q")})
-    auto = e.with_inverse(inv)
-    assert auto.is_automorphism
-    bad = FreeEndo(("p", "q"), {"p": parse_word("p"), "q": parse_word("q^2")})
-    with pytest.raises(ValueError):
-        e.with_inverse(bad)
-
-
 def test_braid_parse_and_round_trip():
     b = parse_braid("s1^-3 s2 s1^3", 3)
     assert b.strands == 3
@@ -372,6 +362,7 @@ def test_braid_action_matches_per_letter_composition():
         act = braid_action(braid)
         assert act == action_by_composition(braid)
         assert act.inverse == action_by_composition(braid.inverse())
+        assert act.inverse.inverse is act
 
 
 def test_artin_images_reduce_once_per_letter(monkeypatch):
@@ -436,20 +427,6 @@ def test_braid_action_peel_rejects_a_corrupted_side(monkeypatch, call, side):
         del calls[:]
         with pytest.raises(InternalCheckError, match=f"{side} images of braid .* peel"):
             braid_action(parse_braid(text, 3))
-
-
-def test_braid_action_never_calls_with_inverse(monkeypatch):
-    def refuse(self, inv):
-        raise AssertionError("braid actions are certified by the peel, not with_inverse")
-
-    monkeypatch.setattr(FreeEndo, "with_inverse", refuse)
-    rng = random.Random(7)
-    for braid in [parse_braid(t, 3) for t in ("s2", "s1^-3 s2 s1^3", "s1^-1 s2^2 s1 s2^-2 s1")] + [
-        rand_braid(rng, 4, 10) for _ in range(20)
-    ]:
-        act = braid_action(braid)
-        assert act.inverse.inverse is act
-        assert act.inverse == action_by_composition(braid.inverse())
 
 
 def test_parse_braid_bounds_the_letters_before_expanding():
