@@ -47,6 +47,12 @@ class InvolutionWord:
     def __str__(self) -> str:
         return " ".join(self.letters) if self.letters else "1"
 
+    def __mul__(self, other: InvolutionWord) -> InvolutionWord:
+        """The product in W: equal letters cancel where the two words meet."""
+        u, v = self.letters, other.letters
+        k = next((k for k, (x, y) in enumerate(zip(reversed(u), v)) if x != y), min(len(u), len(v)))
+        return InvolutionWord(u[:len(u) - k] + v[k:])
+
 
 def involution_reduce(w: Word) -> InvolutionWord:
     """Fold all exponents mod 2 and cancel equal adjacent letters.
@@ -112,13 +118,15 @@ def _lift_images(m: FreeEndo) -> dict[str, Word]:
     """Lift images of p and q; raises ``CoverError`` unless ``m`` descends to W.
 
     Each ``m(ai)`` must reduce to a nonempty palindrome, an involution of W;
-    its odd length keeps even words even.  ``rewrite_to_pq`` proves E L = m_W E.
+    its odd length keeps even words even.  Kernel generators x y map to
+    m_W(x) m_W(y), multiplied in W; ``rewrite_to_pq`` proves E L = m_W E.
     """
-    for g in FIBER_GENS:
-        letters = involution_reduce(m.images[g]).letters
-        if not letters or letters != letters[::-1]:
+    w = {g: involution_reduce(m.images[g]) for g in FIBER_GENS}
+    for g, image in w.items():
+        if not image.letters or image.letters != image.letters[::-1]:
             raise CoverError(f"image of {g} is not an involution in W; the monodromy does not descend")
-    return {name: rewrite_to_pq(involution_reduce(m.apply(rep))) for name, rep in KERNEL_BASIS.items()}
+    return {name: rewrite_to_pq(w[rep.syllables[0][0]] * w[rep.syllables[1][0]])
+            for name, rep in KERNEL_BASIS.items()}
 
 
 def lift_monodromy(m: FreeEndo) -> FreeEndo:

@@ -9,14 +9,15 @@ the torus-structure identity of the sextic
 (y^3 + y^2 + x^2)(y^3 + y^2 + x^2 - 4/27), and the local intersection
 multiplicity of its two cubic factors in the far chart.
 
-Resultants are computed from the Sylvester matrix with the shared
-fraction-free Bareiss elimination of ``ring``, dividing by this module's
-exact multivariate division.  Over Q both inputs are first scaled to
-integer coefficients, so the elimination runs on Python ints and the
-result is scaled back to Fractions at the end.  Univariate gcds over Q
-(squarefree parts, intersecting eliminants) are the monic gcd of
-``ring``.  Results of ring operations are built without re-validating
-their terms.
+Resultants are Sylvester determinants by the shared fraction-free
+Bareiss elimination of ``ring``, over Q on inputs scaled to integer
+coefficients.  With one variable left (the y-eliminations, the chart
+multiplicity) they are integer determinants at D + 1 points, interpolated
+exactly; otherwise (the x-eliminations, Q(eps)) Bareiss divides
+polynomial entries by this module's exact multivariate division.
+Univariate gcds over Q (squarefree parts, intersecting eliminants) are
+the monic gcd of ``ring``.  Results of ring operations are built without
+re-validating their terms.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, sub
+from math import lcm
+from operator import add, floordiv, sub
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ParseError
-from .ring import bareiss_det, qpoly_gcd
+from .ring import bareiss_det, qpoly_gcd, zpoly_interpolate
 
 
 def _power(base: Any, n: int, one: Any) -> Any:
@@ -508,6 +509,20 @@ def _integer_scaled(f: MultiPoly) -> tuple[MultiPoly, int]:
     return MultiPoly._new(f.variables, terms, f.field), a
 
 
+def _sylvester(fc: list[Any], gc: list[Any], zero: Any) -> list[list[Any]]:
+    """Sylvester matrix of ascending coefficient lists of degrees df, dg >= 1."""
+    df, dg = len(fc) - 1, len(gc) - 1
+    return ([[zero] * i + fc[::-1] + [zero] * (dg - 1 - i) for i in range(dg)]
+            + [[zero] * i + gc[::-1] + [zero] * (df - 1 - i) for i in range(df)])
+
+
+def _horner(p: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Resultant of f and g with respect to ``var`` (Sylvester/Bareiss).
 
@@ -515,6 +530,12 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     constant in ``var`` the resultant is 1.  Over Q the determinant is
     taken of a f and b g with int coefficients (a, b the lcms of their
     denominators) and divided by a^deg(g) b^deg(f) at the end.
+
+    Over Q with one variable t left at most, each term of the determinant
+    takes one entry from every row and every column, so its degree in t is
+    at most D, the smaller of the sums over rows and over columns of the
+    largest entry degree (Collins 1971).  Integer determinants at
+    t = 0..D then fix it, and ``zpoly_interpolate`` recovers it exactly.
     """
     f._check_compatible(g)
     zero = MultiPoly(f.variables, (), f.field)
@@ -527,28 +548,26 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return f ** dg
     if dg == 0:
         return g ** df
-    over_q = f.field == FIELD_Q
-    if over_q:
-        (f, a), (g, b) = _integer_scaled(f), _integer_scaled(g)
-    fc = f.coeffs_in(var)
-    gc = g.coeffs_in(var)
-    n = df + dg
-    rows: list[list[MultiPoly]] = []
-    for i in range(dg):
-        row = [zero] * n
-        for j, c in enumerate(reversed(fc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(df):
-        row = [zero] * n
-        for j, c in enumerate(reversed(gc)):
-            row[i + j] = c
-        rows.append(row)
-    det = bareiss_det(rows, exact_div)
-    if not over_q:
-        return det
+    if f.field != FIELD_Q:
+        return bareiss_det(_sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div)
+    (f, a), (g, b) = _integer_scaled(f), _integer_scaled(g)
+    i = f.variables.index(var)
+    left = {j for e in (*f.terms, *g.terms) for j, k in enumerate(e) if k and j != i}
+    if len(left) > 1:
+        det = bareiss_det(_sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div).terms
+    else:
+        (t,) = left or {i}  # with no variable left, only t^0 occurs
+        def mono(k: int) -> tuple[int, ...]:
+            return tuple(k if j == t else 0 for j in range(len(f.variables)))
+        fc, gc = ([[p.terms.get(mono(k), 0) for k in range(p.total_degree() + 1)] for p in h.coeffs_in(var)]
+                  for h in (f, g))
+        degrees = _sylvester([len(c) - 1 for c in fc], [len(c) - 1 for c in gc], 0)
+        bound = min(sum(map(max, degrees)), sum(map(max, zip(*degrees))))
+        values = [bareiss_det(_sylvester([_horner(c, x) for c in fc], [_horner(c, x) for c in gc], 0), floordiv)
+                  for x in range(bound + 1)]
+        det = {mono(k): c for k, c in enumerate(zpoly_interpolate(values)) if c}
     scale = a ** dg * b ** df
-    return MultiPoly._new(det.variables, {e: Fraction(c, scale) for e, c in det.terms.items()}, FIELD_Q)
+    return MultiPoly._new(f.variables, {e: Fraction(c, scale) for e, c in det.items()}, FIELD_Q)
 
 
 # ---------------------------------------------------------------------------
@@ -579,28 +598,16 @@ def _uni_to_poly(coeffs: Sequence[Fraction], var: str, ring: MultiPoly) -> Multi
     return MultiPoly(ring.variables, terms, FIELD_Q)
 
 
-def _int_normalize(f: MultiPoly) -> MultiPoly:
-    """Scale a Q-polynomial to integer primitive form, positive lead term."""
-    if f.is_zero or f.field != FIELD_Q:
-        return f
-    denom = lcm(*(c.denominator for c in f.terms.values()))
-    scale = Fraction(denom, gcd(*(int(c * denom) for c in f.terms.values())))
-    out = MultiPoly(f.variables, {e: c * scale for e, c in f.terms.items()}, FIELD_Q)
-    lead = out.terms[max(out.terms)]
-    if lead < 0:
-        out = -out
-    return out
-
-
 def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
     """Squarefree part of a univariate Q-polynomial, integer-normalized."""
     coeffs = _as_univariate(f, var)
     if not coeffs:
         raise ValueError("squarefree part of the zero polynomial")
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
-    g = qpoly_gcd(coeffs, deriv)
-    gp = _uni_to_poly(g, var, f)
-    return _int_normalize(exact_div(f, gp))
+    q = _as_univariate(exact_div(f, _uni_to_poly(qpoly_gcd(coeffs, deriv), var, f)), var)
+    # a monic polynomial times the lcm of its denominators is primitive over Z
+    d = lcm(*((c / q[-1]).denominator for c in q))
+    return _uni_to_poly([c / q[-1] * d for c in q], var, f)
 
 
 # ---------------------------------------------------------------------------

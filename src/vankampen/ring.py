@@ -11,8 +11,10 @@ One implementation per algorithm:
   sequence (Knuth, TAOCP vol. 2, 4.6.1), on ascending coefficient lists.
 - ``qpoly_gcd``: the monic gcd in Q[t], by clearing denominators and
   running ``zpoly_gcd``.
+- ``zpoly_interpolate``: the polynomial in Z[t] of degree at most D through
+  its values at t = 0..D, by Newton's forward differences scaled by D!.
 
-This module imports nothing from the rest of the package.
+Of the rest of the package this module imports only an exception type.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Callable
+
+from .errors import InternalCheckError
 
 
 def bareiss_det(m: list[list[Any]], div: Callable[[Any, Any], Any]) -> Any:
@@ -103,3 +107,24 @@ def qpoly_gcd(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
     """Monic gcd in Q[t] of ascending coefficient lists; [] if both are zero."""
     h = zpoly_gcd(_cleared(f), _cleared(g))
     return [Fraction(c, h[-1]) for c in h]
+
+
+def zpoly_interpolate(values: list[int]) -> list[int]:
+    """Trimmed ascending coefficients of the p in Z[t] of degree at most
+    D = len(values) - 1 with p(k) = values[k] for k = 0..D.  D! p(t) is the
+    sum of d_k (D!/k!) t (t-1) ... (t-k+1), d_k the k-th forward difference
+    at 0, by Horner's scheme over the falling factorials; then divide by D!.
+    """
+    d = list(values)  # d[k] becomes the k-th forward difference at 0
+    for k in range(1, len(d)):
+        d[k:] = [b - a for a, b in zip(d[k - 1:], d[k:])]
+    acc, weight = [], 1  # weight = D!/k!
+    for k in range(len(d) - 1, -1, -1):
+        acc = [lo - k * hi for lo, hi in zip([0] + acc, acc + [0])]  # acc * (t - k)
+        acc[0] += d[k] * weight
+        weight *= k or 1
+    if any(c % weight for c in acc):
+        raise InternalCheckError(f"values at t = 0..{len(d) - 1} fit no polynomial over Z")
+    while acc and not acc[-1]:
+        acc.pop()
+    return [c // weight for c in acc]

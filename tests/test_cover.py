@@ -182,19 +182,19 @@ def test_lifted_inverse_substitutes_back_to_the_basis():
 
 
 def test_lift_never_substitutes_into_a_lift(monkeypatch):
-    kernel_calls = []
+    # nor into the action: kernel images are products in W of the reduced fiber images
+    calls = []
     apply = FreeEndo.apply
 
     def counting(self, w):
-        if self.domain == KERNEL_GENS:
-            kernel_calls.append(w)
+        calls.append((self.domain, w))
         return apply(self, w)
 
     monkeypatch.setattr(FreeEndo, "apply", counting)
     rng = random.Random(88)
     for braid in [parse_braid("s1^-1 s2^2 s1 s2^-2 s1", 3)] + [rand_braid(rng, 10) for _ in range(20)]:
         assert lift_monodromy(braid_action(braid)).is_automorphism
-    assert kernel_calls == []
+    assert calls == []
 
 
 def test_non_descending_monodromy_is_rejected():
@@ -206,3 +206,26 @@ def test_non_descending_monodromy_is_rejected():
     action.inverse = FreeEndo(FIBER_GENS, {**images, "a1": parse_word("a1^2")})
     with pytest.raises(CoverError, match="image of a1 is not an involution"):
         lift_monodromy(action)
+
+
+def test_lift_images_equal_the_substituted_images():
+    # oracle: reduce m(x y) in the free group, then modulo squares
+    rng = random.Random(300)
+    for _ in range(300):
+        action = braid_action(rand_braid(rng, 14))
+        lifted = lift_monodromy(action)
+        for m, lift in ((action, lifted), (action.inverse, lifted.inverse)):
+            for name, rep in cover.KERNEL_BASIS.items():
+                assert lift.images[name] == rewrite_to_pq(involution_reduce(m.apply(rep)))
+
+
+def test_involution_word_product():
+    a1, a2, a3 = (InvolutionWord((g,)) for g in FIBER_GENS)
+    assert a1 * a1 == InvolutionWord(())
+    assert InvolutionWord(("a1", "a2", "a3")) * InvolutionWord(("a3", "a2", "a1")) == InvolutionWord(())
+    assert InvolutionWord(("a1", "a2", "a1")) * InvolutionWord(("a1", "a3")) == InvolutionWord(("a1", "a2", "a3"))
+    assert a1 * a2 * a3 == InvolutionWord(("a1", "a2", "a3"))
+    rng = random.Random(17)
+    for _ in range(200):
+        u, v = rand_involution_word(rng), rand_involution_word(rng)
+        assert u * v == involution_reduce(Word(tuple((g, 1) for g in u.letters + v.letters)))

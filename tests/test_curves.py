@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from vankampen import curves
+from vankampen import curves, ring
 from vankampen.curves import (
     EPS,
     MultiPoly,
@@ -180,8 +180,28 @@ def rand_q_poly_in_x(rng, degx):
     return MultiPoly(("x", "y"), terms)
 
 
-def test_resultant_matches_sympy():
+def count_paths(monkeypatch):
+    """Count ``bareiss_det`` calls in ``curves`` by path: integer entries or ``MultiPoly`` entries."""
+    calls = {"int": 0, "poly": 0}
+    det = curves.bareiss_det
+
+    def counted(m, div):
+        calls["int" if type(m[0][0]) is int else "poly"] += 1
+        return det(m, div)
+
+    monkeypatch.setattr(curves, "bareiss_det", counted)
+    return calls
+
+
+def multipoly_path(f, g, var):
+    """Oracle for the integer path: Bareiss on the MultiPoly Sylvester matrix, Fraction coefficients."""
+    zero = MultiPoly(f.variables, (), f.field)
+    return ring.bareiss_det(curves._sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div)
+
+
+def test_resultant_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
+    paths = count_paths(monkeypatch)
     sx, sy = sympy.symbols("x y")
 
     def to_sympy(f):
@@ -209,6 +229,85 @@ def test_resultant_matches_sympy():
                 want = {e: Fraction(int(c.p), int(c.q)) for e, c in expected.terms() if c}
                 assert r.terms == want
     assert scaled > 16
+    # one variable is left after x, so every input takes the integer path
+    assert paths["poly"] == 0 and paths["int"] >= 32
+
+
+def test_resultant_matches_sympy_with_two_variables_left(monkeypatch):
+    # inputs in (b, x, y) eliminated in x keep the MultiPoly path
+    sympy = pytest.importorskip("sympy")
+    paths = count_paths(monkeypatch)
+    sb, sx, sy = sympy.symbols("b x y")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * sb**i * sx**j * sy**k
+                   for (i, j, k), c in p.terms.items())
+
+    rng = random.Random(73)
+    vs = ("b", "x", "y")
+    nonzero = 0
+    for _ in range(12):
+        f, g = (rand_poly(rng, vs, nterms=4, max_exp=2) + MultiPoly(vs, {(rng.randint(0, 1), d, 1): 1})
+                for d in (rng.randint(1, 3), rng.randint(1, 3)))
+        r = resultant(f, g, "x")
+        assert all(type(c) is Fraction for c in r.terms.values())
+        # higher degree first; see test_resultant_matches_sympy
+        df, dg, sf, sg = f.degree("x"), g.degree("x"), to_sympy(f), to_sympy(g)
+        expected = sympy.resultant(sf, sg, sx) if df >= dg else (-1) ** (df * dg) * sympy.resultant(sg, sf, sx)
+        assert sympy.expand(to_sympy(r) - expected) == 0
+        nonzero += bool(r)
+    assert paths == {"int": 0, "poly": 12}
+    assert nonzero >= 9
+
+
+def test_resultant_matches_sympy_over_q_eps(monkeypatch):
+    # Q(eps) inputs keep the MultiPoly path; sympy's result is reduced mod eps^2 + eps + 1
+    sympy = pytest.importorskip("sympy")
+    paths = count_paths(monkeypatch)
+    se, sx, sy = sympy.symbols("e x y")
+
+    def rat(q):
+        return sympy.Rational(q.numerator, q.denominator)
+
+    def to_sympy(f):
+        return sum((rat(c.a) + rat(c.b) * se) * sx**i * sy**j for (i, j), c in f.terms.items())
+
+    rng = random.Random(79)
+    nonzero = 0
+    for _ in range(10):
+        f, g = (rand_poly(rng, ("x", "y"), "Q(eps)", nterms=3, max_exp=2)
+                + MultiPoly(("x", "y"), {(d, rng.randint(0, 1)): QEps(1, rng.randint(-1, 1))}, "Q(eps)")
+                for d in (rng.randint(1, 3), rng.randint(1, 3)))
+        df, dg, sf, sg = f.degree("x"), g.degree("x"), to_sympy(f), to_sympy(g)
+        expected = sympy.resultant(sf, sg, sx) if df >= dg else (-1) ** (df * dg) * sympy.resultant(sg, sf, sx)
+        r = resultant(f, g, "x")
+        difference = sympy.Poly(sympy.expand(to_sympy(r) - expected), se)
+        assert difference.rem(sympy.Poly(se**2 + se + 1, se)).is_zero
+        nonzero += bool(r)
+    assert paths == {"int": 0, "poly": 10}
+    assert nonzero >= 8
+
+
+_x, _t = poly_ring(("x", "t"))
+
+
+@pytest.mark.parametrize(
+    "f, g, dets, degree",
+    [
+        (_x - _t, _x - _t * _t, 3, 2),  # reaches the bound D = 2
+        (_x - _t, _x - _t - 1, 2, 0),  # D = 1, the t terms cancel
+        ((_x - _t) * (_x + 1), (_x - _t) * (_x - 2), 4, -1),  # D = 3, common factor x - t
+        (_x * _x + 1, 2 * _x - 3, 1, 0),  # no variable left, D = 0
+    ],
+    ids=["reaches-bound", "cancels-below-bound", "common-factor", "no-variable-left"],
+)
+def test_integer_path_edge_cases(monkeypatch, f, g, dets, degree):
+    paths = count_paths(monkeypatch)
+    r = resultant(f, g, "x")
+    assert paths == {"int": dets, "poly": 0}
+    assert r.degree("t") == degree
+    assert r.terms == multipoly_path(f, g, "x").terms
+    assert all(type(c) is Fraction for c in r.terms.values())
 
 
 def test_resultant_of_constants():
@@ -301,6 +400,7 @@ def test_singular_parameter_polynomial():
 
 
 def test_singular_parameters_work_counters(monkeypatch):
+    paths = count_paths(monkeypatch)
     calls = {"exact_div": 0, "init": 0}
     div, init = curves.exact_div, MultiPoly.__init__
 
@@ -317,8 +417,11 @@ def test_singular_parameters_work_counters(monkeypatch):
     p = singular_parameters()
     assert str(p) == "108*b^7 - 733*b^4 + 27*b"
     assert all(type(c) is Fraction for c in p.terms.values())
-    # Bareiss divides through the module-level name, which the benchmark's spans wrap
-    assert calls["exact_div"] == 429
+    # the three x-resultants run MultiPoly Bareiss, dividing through the module-level
+    # name that the benchmark's spans wrap, and the squarefree part divides once
+    assert calls["exact_div"] == 21
+    # each y-resultant has degree bound 34 in b: 35 integer determinants
+    assert paths == {"int": 2 * 35, "poly": 3}
     # ring results skip the validating constructor
     assert calls["init"] <= 50
 

@@ -20,7 +20,8 @@ from vankampen.alexander import (
 )
 from vankampen.curves import MultiPoly, exact_div
 from vankampen.presentation import Presentation
-from vankampen.ring import bareiss_det, qpoly_gcd, zpoly_gcd
+from vankampen.errors import InternalCheckError
+from vankampen.ring import bareiss_det, qpoly_gcd, zpoly_gcd, zpoly_interpolate
 from vankampen.words import Word
 
 
@@ -119,13 +120,34 @@ def test_qpoly_gcd_examples():
     assert all(type(c) is Fraction for c in qpoly_gcd([Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]))
 
 
+def test_zpoly_interpolate_round_trips():
+    rng = random.Random("interpolate")
+    for degree in range(41):
+        p = [rng.randint(-10**12, 10**12) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, 10**12)]
+        for bound in (degree, degree + 1, degree + 5):
+            values = [sum(c * t**k for k, c in enumerate(p)) for t in range(bound + 1)]
+            assert zpoly_interpolate(values) == p
+    assert zpoly_interpolate([0, 0, 0]) == []
+    assert zpoly_interpolate([]) == []
+    # [0, 1, 0] is 2t - t^2, an integer polynomial
+    assert zpoly_interpolate([0, 1, 0]) == [0, 2, -1]
+
+
+def test_zpoly_interpolate_rejects_values_of_no_integer_polynomial():
+    # t(t - 1)/2 is integer-valued but has no integer coefficients
+    with pytest.raises(InternalCheckError, match="fit no polynomial over Z"):
+        zpoly_interpolate([0, 0, 1])
+    with pytest.raises(InternalCheckError):
+        zpoly_interpolate([0, 1, 3, 6, 10])
+
+
 # -- structure -----------------------------------------------------------------
 
 
 KERNELS = {
     abelian: {"bareiss_det"},
     alexander: {"bareiss_det", "zpoly_gcd"},
-    curves: {"bareiss_det", "qpoly_gcd"},
+    curves: {"bareiss_det", "qpoly_gcd", "zpoly_interpolate"},
 }
 PRIVATE_COPIES = {"_det", "_bareiss_det", "_uni_gcd", "_uni_rem", "_zpoly_gcd", "_pseudo_rem"}
 
@@ -146,8 +168,14 @@ def test_layers_use_the_shared_core(module):
 
 
 def test_ring_is_a_leaf_module():
+    # of the package, ring imports only the exception its interpolation raises
     tree = ast.parse(Path(ring.__file__).read_text(encoding="utf-8"))
-    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    imported = [
+        (node.module, [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert imported == [("errors", ["InternalCheckError"])]
 
 
 # -- independent oracle ----------------------------------------------------------
