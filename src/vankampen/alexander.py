@@ -5,10 +5,10 @@ sends g to t^w(g).  Fox derivatives satisfy d(uv) = du + phi(u) dv and
 d(g^-1) = -phi(g^-1), evaluated here directly through the weight map, so
 derivatives land in Z[t, t^-1].  The Alexander polynomial is the gcd of
 the (n-1)x(n-1) minors of the Alexander matrix, normalized so the lowest
-exponent is 0 and the constant term is positive.  Each minor is a
-fraction-free Bareiss determinant over Z[t, t^-1], divided exactly by
-``LaurentPoly.__floordiv__``; the gcd is the primitive remainder sequence
-in Z[t].  Both come from ``ring``.
+exponent is 0 and the constant term is positive.  Each row is shifted
+into Z[t] by a unit, its lowest power of t, so every minor is one
+``zpoly_det`` up to a unit; the gcd is the primitive remainder sequence in
+Z[t], which normalizes units away.  Both come from ``ring``.
 
 Fox's fundamental formula (Fox 1953, "Free differential calculus I",
 Ann. Math. 57; Crowell & Fox, *Introduction to Knot Theory*, ch. VII)
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import floordiv
 from typing import Iterable, Mapping
 
 from .errors import InternalCheckError
 from .presentation import Presentation
-from .ring import bareiss_det, zpoly_gcd
+from .ring import zpoly_det, zpoly_gcd
 from .words import Word
 
 
@@ -84,30 +83,6 @@ class LaurentPoly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
-
-    def __floordiv__(self, other: LaurentPoly) -> LaurentPoly:
-        """The exact quotient; raises ValueError unless ``other`` divides self.
-
-        Both sides are shifted into Z[t] and divided by long division with
-        integer quotients of the leading coefficients; a nonzero remainder
-        means the division is not exact.  The shifts are units, so they
-        only move the result.
-        """
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero Laurent polynomial")
-        f, low_f = _poly_coeff_list(self)
-        g, low_g = _poly_coeff_list(other)
-        dg, lead = len(g) - 1, g[-1]
-        quotient: dict[int, int] = {}
-        for k in range(len(f) - 1 - dg, -1, -1):
-            c = f[k + dg] // lead
-            if c:
-                quotient[k + low_f - low_g] = c
-                for i, gc in enumerate(g):
-                    f[k + i] -= c * gc
-        if any(f):
-            raise ValueError("not an exact division")
-        return LaurentPoly(quotient)
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
@@ -280,11 +255,15 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
         column_sets = [tuple(j for j in range(n) if j != units[0])]
     else:
         column_sets = list(combinations(range(n), size))
+    shifted = []  # each row times the unit t^-(its lowest exponent), so in Z[t]
+    for row in matrix:
+        low = min((e for p in row for e in p.coeffs), default=0)
+        shifted.append([{(e - low,): c for e, c in p.coeffs.items()} for p in row])
     acc = LaurentPoly.zero()
     for rows in combinations(range(m), size):
         for cols in column_sets:
-            sub = [[matrix[i][j] for j in cols] for i in rows]
-            acc = laurent_gcd(acc, bareiss_det(sub, floordiv))
+            det = zpoly_det([[shifted[i][j] for j in cols] for i in rows])
+            acc = laurent_gcd(acc, LaurentPoly({e: c for (e,), c in det.items()}))
             if acc == LaurentPoly.one():
                 return acc
     return acc.normalized()

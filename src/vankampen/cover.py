@@ -134,15 +134,14 @@ def lift_monodromy(m: FreeEndo) -> FreeEndo:
 
     ``m`` must be an endomorphism of F(a1, a2, a3) whose images are
     involutions in W, as braid actions' are.  When ``m`` carries a verified
-    inverse, its lift L carries the lift K of that inverse, and K carries L:
-    m and m^-1 descend to m_W and n_W with m_W n_W = id = n_W m_W; the round
-    trips give E L = m_W E and E K = n_W E on p and q, hence on every word;
-    so E L K = E = E K L, and E is injective.
+    inverse, its lift L carries the lift K of that inverse: m and m^-1
+    descend to m_W and n_W with m_W n_W = id = n_W m_W; the round trips give
+    E L = m_W E and E K = n_W E on p and q, hence on every word; so
+    E L K = E = E K L, and E is injective.
     """
     if m.domain != FIBER_GENS:
         raise ValueError(f"monodromy domain must be {FIBER_GENS}")
     lifted = FreeEndo(KERNEL_GENS, _lift_images(m))
     if m.inverse is not None:
-        back = FreeEndo(KERNEL_GENS, _lift_images(m.inverse))
-        lifted.inverse, back.inverse = back, lifted
+        lifted.inverse = FreeEndo(KERNEL_GENS, _lift_images(m.inverse))
     return lifted

@@ -9,12 +9,11 @@ the torus-structure identity of the sextic
 (y^3 + y^2 + x^2)(y^3 + y^2 + x^2 - 4/27), and the local intersection
 multiplicity of its two cubic factors in the far chart.
 
-Resultants are Sylvester determinants by the shared fraction-free
-Bareiss elimination of ``ring``, over Q on inputs scaled to integer
-coefficients.  With one variable left (the y-eliminations, the chart
-multiplicity) they are integer determinants at D + 1 points, interpolated
-exactly; otherwise (the x-eliminations, Q(eps)) Bareiss divides
-polynomial entries by this module's exact multivariate division.
+Resultants are Sylvester determinants.  Over Q, on inputs scaled to
+integer coefficients, each is one ``ring.zpoly_det``: a single integer
+Bareiss determinant of the entries packed by Kronecker substitution.
+Over Q(eps) the shared Bareiss elimination divides polynomial entries by
+this module's exact multivariate division.
 Univariate gcds over Q (squarefree parts, intersecting eliminants) are
 the monic gcd of ``ring``.  Results of ring operations are built without
 re-validating their terms.
@@ -26,11 +25,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, floordiv, sub
+from operator import add, sub
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ParseError
-from .ring import bareiss_det, qpoly_gcd, zpoly_interpolate
+from .ring import bareiss_det, qpoly_gcd, zpoly_det
 
 
 def _power(base: Any, n: int, one: Any) -> Any:
@@ -502,13 +501,6 @@ def divides(g: MultiPoly, f: MultiPoly) -> bool:
         return False
 
 
-def _integer_scaled(f: MultiPoly) -> tuple[MultiPoly, int]:
-    """(a f with int coefficients, a) for a the lcm of f's denominators."""
-    a = lcm(*(c.denominator for c in f.terms.values()))
-    terms = {e: c.numerator * (a // c.denominator) for e, c in f.terms.items()}
-    return MultiPoly._new(f.variables, terms, f.field), a
-
-
 def _sylvester(fc: list[Any], gc: list[Any], zero: Any) -> list[list[Any]]:
     """Sylvester matrix of ascending coefficient lists of degrees df, dg >= 1."""
     df, dg = len(fc) - 1, len(gc) - 1
@@ -516,26 +508,14 @@ def _sylvester(fc: list[Any], gc: list[Any], zero: Any) -> list[list[Any]]:
             + [[zero] * i + gc[::-1] + [zero] * (df - 1 - i) for i in range(df)])
 
 
-def _horner(p: list[int], x: int) -> int:
-    v = 0
-    for c in reversed(p):
-        v = v * x + c
-    return v
-
-
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Resultant of f and g with respect to ``var`` (Sylvester/Bareiss).
+    """Resultant of f and g with respect to ``var`` (Sylvester determinant).
 
     Constants in ``var`` follow res(f, c) = c^deg(f); if both are
-    constant in ``var`` the resultant is 1.  Over Q the determinant is
-    taken of a f and b g with int coefficients (a, b the lcms of their
-    denominators) and divided by a^deg(g) b^deg(f) at the end.
-
-    Over Q with one variable t left at most, each term of the determinant
-    takes one entry from every row and every column, so its degree in t is
-    at most D, the smaller of the sums over rows and over columns of the
-    largest entry degree (Collins 1971).  Integer determinants at
-    t = 0..D then fix it, and ``zpoly_interpolate`` recovers it exactly.
+    constant in ``var`` the resultant is 1.  Over Q the determinant is one
+    ``zpoly_det`` of a f and b g with int coefficients (a, b the lcms of
+    their denominators), divided by a^deg(g) b^deg(f) at the end.  Over
+    Q(eps) Bareiss divides the polynomial entries by ``exact_div``.
     """
     f._check_compatible(g)
     zero = MultiPoly(f.variables, (), f.field)
@@ -550,22 +530,10 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return g ** df
     if f.field != FIELD_Q:
         return bareiss_det(_sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div)
-    (f, a), (g, b) = _integer_scaled(f), _integer_scaled(g)
-    i = f.variables.index(var)
-    left = {j for e in (*f.terms, *g.terms) for j, k in enumerate(e) if k and j != i}
-    if len(left) > 1:
-        det = bareiss_det(_sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div).terms
-    else:
-        (t,) = left or {i}  # with no variable left, only t^0 occurs
-        def mono(k: int) -> tuple[int, ...]:
-            return tuple(k if j == t else 0 for j in range(len(f.variables)))
-        fc, gc = ([[p.terms.get(mono(k), 0) for k in range(p.total_degree() + 1)] for p in h.coeffs_in(var)]
-                  for h in (f, g))
-        degrees = _sylvester([len(c) - 1 for c in fc], [len(c) - 1 for c in gc], 0)
-        bound = min(sum(map(max, degrees)), sum(map(max, zip(*degrees))))
-        values = [bareiss_det(_sylvester([_horner(c, x) for c in fc], [_horner(c, x) for c in gc], 0), floordiv)
-                  for x in range(bound + 1)]
-        det = {mono(k): c for k, c in enumerate(zpoly_interpolate(values)) if c}
+    a, b = (lcm(*(c.denominator for c in h.terms.values())) for h in (f, g))
+    fc, gc = ([{e: c.numerator * (s // c.denominator) for e, c in p.terms.items()} for p in h.coeffs_in(var)]
+              for h, s in ((f, a), (g, b)))
+    det = zpoly_det(_sylvester(fc, gc, {}))
     scale = a ** dg * b ** df
     return MultiPoly._new(f.variables, {e: Fraction(c, scale) for e, c in det.items()}, FIELD_Q)
 

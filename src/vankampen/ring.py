@@ -11,19 +11,20 @@ One implementation per algorithm:
   sequence (Knuth, TAOCP vol. 2, 4.6.1), on ascending coefficient lists.
 - ``qpoly_gcd``: the monic gcd in Q[t], by clearing denominators and
   running ``zpoly_gcd``.
-- ``zpoly_interpolate``: the polynomial in Z[t] of degree at most D through
-  its values at t = 0..D, by Newton's forward differences scaled by D!.
+- ``zpoly_det``: the determinant over Z[t_1..t_k] as one integer
+  ``bareiss_det``, by Kronecker substitution (von zur Gathen & Gerhard,
+  *Modern Computer Algebra*, 8.4) with per-variable degree bounds from the
+  rows and columns (Collins 1971).
 
-Of the rest of the package this module imports only an exception type.
+This module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import floordiv, mul
 from typing import Any, Callable
-
-from .errors import InternalCheckError
 
 
 def bareiss_det(m: list[list[Any]], div: Callable[[Any, Any], Any]) -> Any:
@@ -54,6 +55,40 @@ def bareiss_det(m: list[list[Any]], div: Callable[[Any, Any], Any]) -> Any:
         prev = pk
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...], int]:
+    """Determinant of a nonempty square matrix over Z[t_1..t_k] by one
+    integer ``bareiss_det``.  Entries and result map exponent tuples to ints.
+
+    Each term of the determinant takes one entry from every row and every
+    column, so its degree in t_j is at most D_j, the smaller of the sums over
+    rows and over columns of the largest entry degree in t_j, and each of its
+    coefficients is at most H, the smaller of the products over rows and over
+    columns of the entries' coefficient 1-norms.  So at t_j =
+    B^((D_1 + 1) ... (D_(j-1) + 1)), with B = 2^bits > 2H, every coefficient
+    is one balanced base-B digit of the integer determinant.
+    """
+    norms = [[sum(map(abs, p.values())) for p in row] for row in m]
+    bound = min(prod(map(sum, norms)), prod(map(sum, zip(*norms))))
+    if not bound:  # a zero row or column
+        return {}
+    strides, radices = [], []
+    for j in range(len(next(e for row in m for p in row for e in p))):
+        degrees = [[max((e[j] for e in p), default=0) for p in row] for row in m]
+        strides.append(prod(radices))
+        radices.append(1 + min(sum(map(max, degrees)), sum(map(max, zip(*degrees)))))
+    bits = bound.bit_length() + 1
+    det = bareiss_det([[sum(c << bits * sum(map(mul, e, strides)) for e, c in p.items()) for p in row]
+                       for row in m], floordiv)
+    out, k, half, mask = {}, 0, 1 << bits - 1, (1 << bits) - 1
+    while det:
+        digit = ((det + half) & mask) - half
+        if digit:
+            out[tuple(k // s % r for s, r in zip(strides, radices))] = digit
+        det = (det - digit) >> bits
+        k += 1
+    return out
 
 
 def _primitive(f: list[int]) -> list[int]:
@@ -107,24 +142,3 @@ def qpoly_gcd(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
     """Monic gcd in Q[t] of ascending coefficient lists; [] if both are zero."""
     h = zpoly_gcd(_cleared(f), _cleared(g))
     return [Fraction(c, h[-1]) for c in h]
-
-
-def zpoly_interpolate(values: list[int]) -> list[int]:
-    """Trimmed ascending coefficients of the p in Z[t] of degree at most
-    D = len(values) - 1 with p(k) = values[k] for k = 0..D.  D! p(t) is the
-    sum of d_k (D!/k!) t (t-1) ... (t-k+1), d_k the k-th forward difference
-    at 0, by Horner's scheme over the falling factorials; then divide by D!.
-    """
-    d = list(values)  # d[k] becomes the k-th forward difference at 0
-    for k in range(1, len(d)):
-        d[k:] = [b - a for a, b in zip(d[k - 1:], d[k:])]
-    acc, weight = [], 1  # weight = D!/k!
-    for k in range(len(d) - 1, -1, -1):
-        acc = [lo - k * hi for lo, hi in zip([0] + acc, acc + [0])]  # acc * (t - k)
-        acc[0] += d[k] * weight
-        weight *= k or 1
-    if any(c % weight for c in acc):
-        raise InternalCheckError(f"values at t = 0..{len(d) - 1} fit no polynomial over Z")
-    while acc and not acc[-1]:
-        acc.pop()
-    return [c // weight for c in acc]

@@ -183,7 +183,8 @@ class FreeEndo:
     so the endomorphism is a genuine automorphism exactly when
     ``is_automorphism`` is true.  Only ``identity``, ``braid_action`` and
     ``cover.lift_monodromy`` set it, each with a certificate built
-    together with the images.
+    together with the images.  The last two link one way: the inverse
+    they attach carries none, so no reference cycle outlives a call.
     """
 
     __slots__ = ("domain", "images", "inverse")
@@ -340,6 +341,5 @@ def braid_action(braid: BraidWord) -> FreeEndo:
         if _artin_images(images, peel) != identity:
             raise InternalCheckError(f"{side} images of braid {braid} fail the peel check")
     out = FreeEndo(names, dict(zip(names, forward)))
-    back = FreeEndo(names, dict(zip(names, backward)))
-    out.inverse, back.inverse = back, out
+    out.inverse = FreeEndo(names, dict(zip(names, backward)))
     return out

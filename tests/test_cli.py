@@ -1,6 +1,7 @@
 """Command-line interface and the end-to-end replay pipeline."""
 
 import ast
+import gc
 import json
 from collections import Counter
 from pathlib import Path
@@ -43,6 +44,26 @@ def test_reproduce_paper_text_and_json_are_stable():
     doc = json.loads(r1.to_json())
     assert doc["overall"] is True
     assert [s["name"] for s in doc["stages"]] == list(STAGE_NAMES)
+
+
+def test_reproduce_paper_leaves_nothing_for_the_cyclic_collector():
+    # braid actions and lifts link to their inverses one way, so reference
+    # counting frees a whole replay; DEBUG_SAVEALL keeps whatever a collection finds
+    reproduce_paper()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        reproduce_paper()
+        gc.collect()
+        found = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert found == 0
 
 
 def test_flipped_braid_convention_breaks_cover_lifts(monkeypatch):

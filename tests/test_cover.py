@@ -150,7 +150,7 @@ def test_lift_functoriality_on_random_braids():
 def test_lift_attaches_verified_inverse():
     lifted = lift_monodromy(braid_action(parse_braid("s1^-3 s2 s1^3", 3)))
     assert lifted.is_automorphism
-    assert lifted.inverse.inverse is lifted
+    assert lifted.inverse.inverse is None  # one-way link, no reference cycle
     w = parse_word("p q^-1 p^2")
     assert lifted.inverse(lifted(w)) == w
 

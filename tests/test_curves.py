@@ -181,20 +181,22 @@ def rand_q_poly_in_x(rng, degx):
 
 
 def count_paths(monkeypatch):
-    """Count ``bareiss_det`` calls in ``curves`` by path: integer entries or ``MultiPoly`` entries."""
+    """Count determinants in ``curves`` by path: ``zpoly_det`` (integer) or ``bareiss_det`` (``MultiPoly``)."""
     calls = {"int": 0, "poly": 0}
-    det = curves.bareiss_det
 
-    def counted(m, div):
-        calls["int" if type(m[0][0]) is int else "poly"] += 1
-        return det(m, div)
+    def counter(det, path):
+        def counted(*args):
+            calls[path] += 1
+            return det(*args)
+        return counted
 
-    monkeypatch.setattr(curves, "bareiss_det", counted)
+    monkeypatch.setattr(curves, "zpoly_det", counter(curves.zpoly_det, "int"))
+    monkeypatch.setattr(curves, "bareiss_det", counter(curves.bareiss_det, "poly"))
     return calls
 
 
 def multipoly_path(f, g, var):
-    """Oracle for the integer path: Bareiss on the MultiPoly Sylvester matrix, Fraction coefficients."""
+    """Oracle for ``zpoly_det``: Bareiss on the MultiPoly Sylvester matrix, Fraction coefficients."""
     zero = MultiPoly(f.variables, (), f.field)
     return ring.bareiss_det(curves._sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div)
 
@@ -229,12 +231,12 @@ def test_resultant_matches_sympy(monkeypatch):
                 want = {e: Fraction(int(c.p), int(c.q)) for e, c in expected.terms() if c}
                 assert r.terms == want
     assert scaled > 16
-    # one variable is left after x, so every input takes the integer path
-    assert paths["poly"] == 0 and paths["int"] >= 32
+    # one integer determinant per resultant
+    assert paths == {"int": 32, "poly": 0}
 
 
 def test_resultant_matches_sympy_with_two_variables_left(monkeypatch):
-    # inputs in (b, x, y) eliminated in x keep the MultiPoly path
+    # inputs in (b, x, y) eliminated in x leave two variables: still one integer determinant each
     sympy = pytest.importorskip("sympy")
     paths = count_paths(monkeypatch)
     sb, sx, sy = sympy.symbols("b x y")
@@ -256,7 +258,7 @@ def test_resultant_matches_sympy_with_two_variables_left(monkeypatch):
         expected = sympy.resultant(sf, sg, sx) if df >= dg else (-1) ** (df * dg) * sympy.resultant(sg, sf, sx)
         assert sympy.expand(to_sympy(r) - expected) == 0
         nonzero += bool(r)
-    assert paths == {"int": 0, "poly": 12}
+    assert paths == {"int": 12, "poly": 0}
     assert nonzero >= 9
 
 
@@ -292,19 +294,19 @@ _x, _t = poly_ring(("x", "t"))
 
 
 @pytest.mark.parametrize(
-    "f, g, dets, degree",
+    "f, g, degree",
     [
-        (_x - _t, _x - _t * _t, 3, 2),  # reaches the bound D = 2
-        (_x - _t, _x - _t - 1, 2, 0),  # D = 1, the t terms cancel
-        ((_x - _t) * (_x + 1), (_x - _t) * (_x - 2), 4, -1),  # D = 3, common factor x - t
-        (_x * _x + 1, 2 * _x - 3, 1, 0),  # no variable left, D = 0
+        (_x - _t, _x - _t * _t, 2),  # reaches the bound D = 2
+        (_x - _t, _x - _t - 1, 0),  # D = 1, the t terms cancel
+        ((_x - _t) * (_x + 1), (_x - _t) * (_x - 2), -1),  # D = 3, common factor x - t
+        (_x * _x + 1, 2 * _x - 3, 0),  # no variable left, D = 0
     ],
     ids=["reaches-bound", "cancels-below-bound", "common-factor", "no-variable-left"],
 )
-def test_integer_path_edge_cases(monkeypatch, f, g, dets, degree):
+def test_integer_path_edge_cases(monkeypatch, f, g, degree):
     paths = count_paths(monkeypatch)
     r = resultant(f, g, "x")
-    assert paths == {"int": dets, "poly": 0}
+    assert paths == {"int": 1, "poly": 0}
     assert r.degree("t") == degree
     assert r.terms == multipoly_path(f, g, "x").terms
     assert all(type(c) is Fraction for c in r.terms.values())
@@ -417,11 +419,11 @@ def test_singular_parameters_work_counters(monkeypatch):
     p = singular_parameters()
     assert str(p) == "108*b^7 - 733*b^4 + 27*b"
     assert all(type(c) is Fraction for c in p.terms.values())
-    # the three x-resultants run MultiPoly Bareiss, dividing through the module-level
-    # name that the benchmark's spans wrap, and the squarefree part divides once
-    assert calls["exact_div"] == 21
-    # each y-resultant has degree bound 34 in b: 35 integer determinants
-    assert paths == {"int": 2 * 35, "poly": 3}
+    # only the squarefree part divides, through the module-level name that the
+    # benchmark's spans wrap; the three x- and two y-resultants are one integer
+    # determinant each
+    assert calls["exact_div"] == 1
+    assert paths == {"int": 5, "poly": 0}
     # ring results skip the validating constructor
     assert calls["init"] <= 50
 

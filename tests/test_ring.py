@@ -1,10 +1,11 @@
-"""The shared exact-algebra core: Bareiss determinants and univariate gcds."""
+"""The shared exact-algebra core: Bareiss determinants, polynomial determinants and univariate gcds."""
 
 import ast
 import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import prod
 from operator import floordiv
 from pathlib import Path
 
@@ -20,8 +21,7 @@ from vankampen.alexander import (
 )
 from vankampen.curves import MultiPoly, exact_div
 from vankampen.presentation import Presentation
-from vankampen.errors import InternalCheckError
-from vankampen.ring import bareiss_det, qpoly_gcd, zpoly_gcd, zpoly_interpolate
+from vankampen.ring import bareiss_det, qpoly_gcd, zpoly_det, zpoly_gcd
 from vankampen.words import Word
 
 
@@ -48,7 +48,6 @@ def rand_multipoly(rng):
 
 RINGS = {
     "int": (lambda rng: rng.randint(-4, 4), 0, floordiv),
-    "laurent": (rand_laurent, LaurentPoly.zero(), floordiv),
     "multipoly": (rand_multipoly, MultiPoly(("x", "y")), exact_div),
 }
 
@@ -101,6 +100,58 @@ def test_bareiss_divides_exactly_and_not_at_the_first_step():
     assert len(calls) == 14
 
 
+def as_zpoly(m):
+    """``m`` over Z[t..] and the map from its determinant back to ``m``'s.
+
+    Laurent rows are shifted by their lowest exponents, which multiplies the
+    determinant by a unit; ``rand_multipoly``'s denominators 1 and 2 are
+    cleared by doubling every entry, which multiplies it by 2^n.
+    """
+    if isinstance(m[0][0], LaurentPoly):
+        lows = [min((e for p in row for e in p.coeffs), default=0) for row in m]
+        rows = [[{(e - low,): c for e, c in p.coeffs.items()} for p in row] for row, low in zip(m, lows)]
+        return rows, lambda det: LaurentPoly({e + sum(lows): c for (e,), c in det.items()})
+    rows = [[{e: int(2 * c) for e, c in p.terms.items()} for p in row] for row in m]
+    return rows, lambda det: MultiPoly(("x", "y"), {e: Fraction(c, 2 ** len(m)) for e, c in det.items()})
+
+
+ZPOLY_RINGS = {"laurent": (rand_laurent, LaurentPoly.zero()), "multipoly": (rand_multipoly, MultiPoly(("x", "y")))}
+
+
+@pytest.mark.parametrize("name", sorted(ZPOLY_RINGS))
+def test_zpoly_det_matches_cofactor_oracle(name):
+    # the seeded matrices Bareiss was checked on over these rings, as shifted or integer-scaled inputs
+    entry, zero = ZPOLY_RINGS[name]
+    rng = random.Random(f"bareiss/{name}")
+    matrices = []
+    for _ in range(12):
+        matrices += special_matrices(entry, zero, rng, rng.randint(2, 4))
+    matrices += [[[entry(rng)]] for _ in range(5)]
+    for m in matrices:
+        rows, back = as_zpoly(m)
+        assert back(zpoly_det(rows)) == cofactor_det(m, zero)
+
+
+def test_zpoly_det_of_zero_entries_is_zero():
+    assert zpoly_det([[{}]]) == {}
+    assert zpoly_det([[{}, {}, {}] for _ in range(3)]) == {}
+
+
+@pytest.mark.parametrize("coeffs", [(-2**7, 2**6, 2**7), (3 * 25, 11 * 31, 41), (3**4, -3**4, 3**5)],
+                         ids=["H=2^20", "H=2^20-1", "H=3^13"])
+def test_zpoly_det_reads_the_extreme_balanced_digit(coeffs):
+    # one term in each row and column: the determinant's one coefficient is
+    # +-H, the bound itself, the largest digit the packing must read back
+    exps = [(1, 0), (0, 2), (3, 1)]
+    for first in (coeffs[0], -coeffs[0]):
+        cs = (first, *coeffs[1:])
+        h = prod(cs)
+        diagonal = [[{exps[i]: cs[i]} if j == i else {} for j in range(3)] for i in range(3)]
+        anti_diagonal = [[{exps[i]: cs[i]} if j == 2 - i else {} for j in range(3)] for i in range(3)]
+        assert zpoly_det(diagonal) == {(4, 3): h}
+        assert zpoly_det(anti_diagonal) == {(4, 3): -h}
+
+
 def test_zpoly_gcd_examples():
     # (t - 1)(t + 2) and 3 (t - 1)(t - 5): gcd t - 1 up to sign
     assert zpoly_gcd([-2, 1, 1], [15, -18, 3]) == [-1, 1]
@@ -120,34 +171,13 @@ def test_qpoly_gcd_examples():
     assert all(type(c) is Fraction for c in qpoly_gcd([Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]))
 
 
-def test_zpoly_interpolate_round_trips():
-    rng = random.Random("interpolate")
-    for degree in range(41):
-        p = [rng.randint(-10**12, 10**12) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, 10**12)]
-        for bound in (degree, degree + 1, degree + 5):
-            values = [sum(c * t**k for k, c in enumerate(p)) for t in range(bound + 1)]
-            assert zpoly_interpolate(values) == p
-    assert zpoly_interpolate([0, 0, 0]) == []
-    assert zpoly_interpolate([]) == []
-    # [0, 1, 0] is 2t - t^2, an integer polynomial
-    assert zpoly_interpolate([0, 1, 0]) == [0, 2, -1]
-
-
-def test_zpoly_interpolate_rejects_values_of_no_integer_polynomial():
-    # t(t - 1)/2 is integer-valued but has no integer coefficients
-    with pytest.raises(InternalCheckError, match="fit no polynomial over Z"):
-        zpoly_interpolate([0, 0, 1])
-    with pytest.raises(InternalCheckError):
-        zpoly_interpolate([0, 1, 3, 6, 10])
-
-
 # -- structure -----------------------------------------------------------------
 
 
 KERNELS = {
     abelian: {"bareiss_det"},
-    alexander: {"bareiss_det", "zpoly_gcd"},
-    curves: {"bareiss_det", "qpoly_gcd", "zpoly_interpolate"},
+    alexander: {"zpoly_det", "zpoly_gcd"},
+    curves: {"bareiss_det", "qpoly_gcd", "zpoly_det"},
 }
 PRIVATE_COPIES = {"_det", "_bareiss_det", "_uni_gcd", "_uni_rem", "_zpoly_gcd", "_pseudo_rem"}
 
@@ -168,14 +198,8 @@ def test_layers_use_the_shared_core(module):
 
 
 def test_ring_is_a_leaf_module():
-    # of the package, ring imports only the exception its interpolation raises
     tree = ast.parse(Path(ring.__file__).read_text(encoding="utf-8"))
-    imported = [
-        (node.module, [alias.name for alias in node.names])
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level
-    ]
-    assert imported == [("errors", ["InternalCheckError"])]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
 
 
 # -- independent oracle ----------------------------------------------------------
@@ -211,7 +235,8 @@ def test_core_matches_sympy(torus_knot):
         expected = [] if theirs.is_zero else fractions(theirs.monic())
         assert qpoly_gcd(fractions(lhs), fractions(rhs)) == expected
 
-    # Alexander polynomials: every minor against Matrix.det, the result against sympy's gcd
+    # Alexander polynomials: every minor, shifted into Z[t] and shifted back, against
+    # Matrix.det; the result against sympy's gcd
     cases = []
     for n, m in ((3, 4), (3, 5), (4, 5)):
         knot = torus_knot(n, m)
@@ -232,7 +257,8 @@ def test_core_matches_sympy(torus_knot):
             for cols in combinations(range(len(gens)), size):
                 sub = [[matrix[r][c] for c in cols] for r in rows]
                 det = from_sympy(sympy.Matrix([[to_sympy(x) for x in row] for row in sub]).det(), 40)
-                assert bareiss_det(sub, floordiv) == det
+                shifted, back = as_zpoly(sub)
+                assert back(zpoly_det(shifted)) == det
                 minors.append(to_sympy(det.normalized()))
         expected = reduce(sympy.gcd, minors, sympy.Integer(0))
         assert alexander_polynomial(wp) == from_sympy(expected, 0).normalized()
