@@ -3,16 +3,13 @@
 Everything is exact integer arithmetic.  ``smith_normal_form`` has one
 elimination routine, ``_echelon``, which brings a matrix to row echelon
 form by row operations with positive pivots, reducing the entries above
-each pivot modulo it, so the matrix and its transform stay within a small
-multiple of the determinant's size in bits (Kannan & Bachem 1979; Cohen,
-*A Course in Computational Algebraic Number Theory*, 2.4).  It runs on the
-rows and then on the columns, in turn, until the matrix is diagonal; where
-a diagonal entry does not divide the next, one column addition folds the
-next into it and the alternation resumes.  All quotients are rounded to
-the nearest integer.  The result comes with the unimodular row and column
-transforms, and the certificate (U M V = D, det U, det V = +-1, D
-diagonal, divisibility chain) is re-verified before returning; the
-determinants come from the shared Bareiss elimination in ``ring``.
+each pivot modulo it to keep them small (Kannan & Bachem 1979; Cohen, *A
+Course in Computational Algebraic Number Theory*, 2.4).  It runs on rows
+and columns in turn until the matrix is diagonal; where a diagonal entry
+does not divide the next, one column addition folds the next into it.
+Every operation is logged, and ``_replay`` certifies D = U M V by applying
+the log to a copy of M: each operation must be elementary, so U and V are
+unimodular, and the copy must end at D, a diagonal divisibility chain.
 """
 
 from __future__ import annotations
@@ -50,10 +47,6 @@ class IntMatrix:
                 raise ValueError("ragged rows")
             flat.extend(int(x) for x in row)
         return cls(nrows, ncols, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.ncols + j]
@@ -94,19 +87,14 @@ def _nearest(x: int, p: int) -> int:
     return q + 1 if 2 * rem > p else q
 
 
-def _echelon(a: list[list[int]], u: list[list[int]]) -> None:
-    """Bring a to row echelon form in place, repeating each row operation on u.
+def _echelon(a: list[list[int]], log: list[tuple]) -> None:
+    """Bring a to row echelon form in place, appending each row operation to log.
 
     Row operations clear each column below its positive pivot, then reduce
     the entries above the pivot modulo it; without that reduction the
-    entries of a and u grow far beyond those of the Smith form.
+    entries grow far beyond those of the Smith form.
     """
     r, c = len(a), len(a[0]) if a else 0
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
     t = 0
     for j in range(c):
         if t == r:
@@ -118,40 +106,45 @@ def _echelon(a: list[list[int]], u: list[list[int]]) -> None:
             p = min(rows, key=lambda i: abs(a[i][j]))
             if p != t:
                 a[t], a[p] = a[p], a[t]
-                u[t], u[p] = u[p], u[t]
+                log.append(("swap", t, p))
             if a[t][j] < 0:
                 a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
-            if len(rows) == 1:
+                log.append(("neg", t))
+            # clear below the pivot or, once it is alone, reduce above it;
+            # row t is zero left of column j, so the rows change from j on
+            done = len(rows) == 1
+            others = range(t) if done else range(t + 1, r)
+            subs = [(i, q) for i in others if (q := _nearest(a[i][j], a[t][j]))]
+            pivot = a[t][j:]
+            for i, q in subs:
+                a[i][j:] = [x - q * y for x, y in zip(a[i][j:], pivot)]
+            if subs:
+                log.append(("sub", t, j, subs))
+            if done:
+                t += 1
                 break
-            for i in range(t + 1, r):
-                if a[i][j]:
-                    row_sub(i, t, _nearest(a[i][j], a[t][j]))
-        if a[t][j]:
-            for i in range(t):
-                q = _nearest(a[i][j], a[t][j])
-                if q:
-                    row_sub(i, t, q)
-            t += 1
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U M V = D in Smith normal form.
+def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, list[list[tuple]]]:
+    """Return (D, log): D = U M V in Smith normal form, U and V unimodular.
 
-    D is diagonal with nonnegative entries satisfying d1 | d2 | ...;
-    U and V are unimodular.  The certificate is re-checked on return.
+    D is diagonal with nonnegative entries satisfying d1 | d2 | ....  The
+    log's passes act on the rows of M at even positions and on its columns
+    (rows of the transpose) at odd ones; U and V are their products.  A
+    pass lists ("swap", i, p), ("neg", i) and ("sub", t, j, [(i, q), ...]):
+    row i -= q row t for each pair, row t zero left of column j; a "fix" is
+    a "sub" that mends the divisibility chain.
     """
     r, c = M.nrows, M.ncols
     a = M.rows()
-    u = IntMatrix.identity(r).rows()
-    # V transposed, so that a column operation on V is a row operation here
-    vt = IntMatrix.identity(c).rows()
+    log: list[list[tuple]] = []
     while True:
         # echelon on the rows, then on the columns, until a is diagonal;
         # its pivots are then positive, with the zeros last
-        _echelon(a, u)
+        log += [[], []]
+        _echelon(a, log[-2])
         at = [[row[j] for row in a] for j in range(c)]
-        _echelon(at, vt)
+        _echelon(at, log[-1])
         a = [[col[i] for col in at] for i in range(r)]
         if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
             continue
@@ -163,29 +156,48 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         t = bad[0]
         for row in a:
             row[t] += row[t + 1]
-        vt[t] = [x + y for x, y in zip(vt[t], vt[t + 1])]
+        log[-1].append(("fix", t + 1, t + 1, [(t, -1)]))
 
     D = IntMatrix.from_rows(a) if a else IntMatrix(0, c, ())
-    U = IntMatrix.from_rows(u) if u else IntMatrix(0, 0, ())
-    V = IntMatrix.from_rows(list(zip(*vt)))
-
-    _check_certificate(M, D, U, V)
-    return D, U, V
+    _replay(M, log, D)
+    return D, log
 
 
-def _check_certificate(M: IntMatrix, D: IntMatrix, U: IntMatrix, V: IntMatrix) -> None:
-    if (U * M) * V != D:
-        raise InternalCheckError("SNF certificate failed: U M V != D")
-    if abs(U.determinant()) != 1 or abs(V.determinant()) != 1:
-        raise InternalCheckError("SNF certificate failed: transform not unimodular")
+def _replay(M: IntMatrix, log: list[list[tuple]], D: IntMatrix) -> None:
+    """Certify D by applying the log to a copy of M: every operation must be
+    elementary, the copy must end at D, and D must be a Smith normal form."""
+
+    def fail(why: str) -> None:
+        raise InternalCheckError(f"SNF certificate failed: {why}")
+
+    a, rows, m = M.rows(), range(M.nrows), M.ncols
+    for steps in log:
+        for kind, t, *args in steps:
+            if t not in rows or kind == "swap" and args[0] not in rows:
+                fail("row index out of range")
+            if kind == "swap":
+                a[t], a[args[0]] = a[args[0]], a[t]
+            elif kind == "neg":
+                a[t] = [-x for x in a[t]]
+            else:
+                j, subs = args
+                if j not in range(m) or any(a[t][:j]):
+                    fail("pivot column out of range or row nonzero left of it")
+                pivot = a[t][j:]
+                for i, q in subs:
+                    if i == t or i not in rows:
+                        fail("row reduced by itself or out of range")
+                    a[i][j:] = [x - q * y for x, y in zip(a[i][j:], pivot)]
+        a, rows, m = [[row[j] for row in a] for j in range(m)], range(m), len(rows)
+    if len(log) % 2:
+        a = [[row[j] for row in a] for j in range(m)]
+    if a != D.rows():
+        fail("U M V != D")
     diag = [D.entry(i, i) for i in range(min(D.nrows, D.ncols))]
-    for i in range(D.nrows):
-        for j in range(D.ncols):
-            if i != j and D.entry(i, j) != 0:
-                raise InternalCheckError("SNF certificate failed: not diagonal")
-    for x, y in zip(diag, diag[1:]):
-        if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
-            raise InternalCheckError("SNF certificate failed: divisibility chain broken")
+    if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        fail("not diagonal")
+    if any(x < 0 or y < 0 or (y % x if x else y) for x, y in zip(diag, diag[1:])):
+        fail("divisibility chain broken")
 
 
 @dataclass(frozen=True)
@@ -204,10 +216,7 @@ class AbelianInvariants:
 
 def abelian_invariants(P: Presentation) -> AbelianInvariants:
     """Invariant factors of the abelianization of a presented group."""
-    M = relator_matrix(P)
-    if M.nrows == 0:
-        return AbelianInvariants((), len(P.generators))
-    D, _, _ = smith_normal_form(M)
+    D, _ = smith_normal_form(relator_matrix(P))
     diag = [D.entry(i, i) for i in range(min(D.nrows, D.ncols))]
     torsion = tuple(d for d in diag if d > 1)
     nonzero = sum(1 for d in diag if d != 0)

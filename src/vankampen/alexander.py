@@ -25,12 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING
 
 from .errors import InternalCheckError
 from .presentation import Presentation
 from .ring import zpoly_det, zpoly_gcd
 from .words import Word
+
+if TYPE_CHECKING:
+    from typing import Iterable, Mapping
 
 
 class LaurentPoly:
@@ -39,7 +42,7 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         acc: dict[int, int] = {}
         for e, c in items:
             acc[e] = acc.get(e, 0) + c

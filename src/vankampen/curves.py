@@ -26,10 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, sub
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import InternalCheckError, ParseError
 from .ring import bareiss_det, qpoly_gcd, zpoly_det
+
+if TYPE_CHECKING:
+    from typing import Any, Iterable, Mapping, Sequence
 
 
 def _power(base: Any, n: int, one: Any) -> Any:
@@ -212,7 +215,7 @@ class MultiPoly:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable name")
         self.field = field
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[tuple[int, ...], Any] = {}
         for exps, c in items:
             exps = tuple(int(e) for e in exps)

@@ -6,6 +6,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest  # noqa: E402
 
+from vankampen.abelian import IntMatrix, smith_normal_form  # noqa: E402
 from vankampen.presentation import Presentation  # noqa: E402
 from vankampen.words import BraidWord, Word, braid_action  # noqa: E402
 
@@ -20,3 +21,28 @@ def torus_knot():
         return Presentation(gens, tuple(action.images[g] * Word.gen(g, -1) for g in gens))
 
     return build
+
+
+@pytest.fixture
+def snf_transforms():
+    """``smith_normal_form`` as (D, U, V): U and V are rebuilt here, apart
+    from the library's replay, by applying the logged passes to identity
+    matrices, rows at even positions and columns at odd ones (V as its
+    transpose, whose rows are V's columns)."""
+
+    def run(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+        d, log = smith_normal_form(m)
+        u, vt = ([[int(i == j) for j in range(n)] for i in range(n)] for n in (m.nrows, m.ncols))
+        for k, steps in enumerate(log):
+            x = vt if k % 2 else u
+            for kind, t, *args in steps:
+                if kind == "swap":
+                    x[t], x[args[0]] = x[args[0]], x[t]
+                elif kind == "neg":
+                    x[t] = [-e for e in x[t]]
+                else:
+                    for i, q in args[1]:
+                        x[i] = [e - q * f for e, f in zip(x[i], x[t])]
+        return d, IntMatrix.from_rows(u), IntMatrix.from_rows([list(col) for col in zip(*vt)])
+
+    return run

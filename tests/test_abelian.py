@@ -16,6 +16,7 @@ from vankampen.abelian import (
     relator_matrix,
     smith_normal_form,
 )
+from vankampen.errors import InternalCheckError
 from vankampen.presentation import Presentation, parse_presentation
 from vankampen.words import parse_word
 
@@ -65,7 +66,7 @@ def test_matrix_multiplication():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert (a * b).rows() == [[2, 1], [4, 3]]
-    assert (IntMatrix.identity(2) * a).rows() == a.rows()
+    assert (IntMatrix.from_rows([[1, 0], [0, 1]]) * a).rows() == a.rows()
 
 
 def test_determinant_matches_cofactor_oracle():
@@ -88,7 +89,7 @@ def test_relator_matrix_no_relators():
     assert m.nrows == 0 and m.ncols == 2
 
 
-def test_smith_normal_form_known_matrix():
+def test_smith_normal_form_known_matrix(snf_transforms):
     cases = [
         ([[2, 4], [6, 8]], (2, 4)),
         # the chain-enforcing pass used to leave -6 on the diagonal here
@@ -96,7 +97,7 @@ def test_smith_normal_form_known_matrix():
     ]
     for rows, diagonal in cases:
         m = IntMatrix.from_rows(rows)
-        d, u, v = smith_normal_form(m)
+        d, u, v = snf_transforms(m)
         n = len(diagonal)
         assert d.rows() == [[x if i == j else 0 for j in range(n)] for i, x in enumerate(diagonal)]
         assert (u * m * v).rows() == d.rows()
@@ -118,11 +119,11 @@ def assert_certificate(m, d, u, v):
     assert diag[len(nonzero):] == [0] * (len(diag) - len(nonzero))
 
 
-def test_smith_normal_form_certificates_random():
+def test_smith_normal_form_certificates_random(snf_transforms):
     rng = random.Random(8)
     for _ in range(30):
         m = rand_matrix(rng)
-        assert_certificate(m, *smith_normal_form(m))
+        assert_certificate(m, *snf_transforms(m))
 
 
 def harder_shapes():
@@ -143,11 +144,11 @@ def harder_shapes():
     return out
 
 
-def test_smith_certificate_on_harder_shapes():
+def test_smith_certificate_on_harder_shapes(snf_transforms):
     matrices = [IntMatrix.from_rows(rows) for rows in harder_shapes()]
     matrices += [IntMatrix(0, 3, ()), IntMatrix(3, 0, ()), IntMatrix(0, 0, ())]
     for m in matrices:
-        assert_certificate(m, *smith_normal_form(m))
+        assert_certificate(m, *snf_transforms(m))
 
 
 def test_smith_diagonal_matches_sympy():
@@ -155,12 +156,12 @@ def test_smith_diagonal_matches_sympy():
     from sympy.matrices.normalforms import invariant_factors
 
     for rows in harder_shapes():
-        d, _, _ = smith_normal_form(IntMatrix.from_rows(rows))
+        d, _ = smith_normal_form(IntMatrix.from_rows(rows))
         diag = tuple(d.entry(i, i) for i in range(min(d.nrows, d.ncols)))
         assert diag == tuple(invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ))
 
 
-def test_smith_transforms_stay_small():
+def test_smith_transforms_stay_small(snf_transforms):
     # without the reduction above the Hermite pivots, U reaches 886 to
     # 1 094 bits on these 24 x 24 inputs and 5 127 at 40 x 40, while D
     # needs at most 179
@@ -171,7 +172,7 @@ def test_smith_transforms_stay_small():
         rng = random.Random(f"snf/{k}")
         for _ in range(count):
             m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
-            _, u, v = smith_normal_form(m)
+            _, u, v = snf_transforms(m)
             assert bits(u) <= limit and bits(v) <= limit
 
 
@@ -187,7 +188,7 @@ def test_smith_diagonal_matches_determinantal_divisors():
     rng = random.Random(92)
     for _ in range(12):
         m = rand_matrix(rng, max_dim=3, span=5)
-        d, _, _ = smith_normal_form(m)
+        d, _ = smith_normal_form(m)
         rows = m.rows()
         prev = 1
         for k in range(1, min(m.nrows, m.ncols) + 1):
@@ -227,3 +228,75 @@ def test_abelian_invariants_drop_unit_factors():
     pres = parse_presentation("gens: a, b; rels: a b, b^6")
     # a = b^-1 forces one unit invariant factor that must not be reported
     assert abelian_invariants(pres) == AbelianInvariants((6,), 0)
+
+
+def _corrupt(log, k, n, op):
+    """A copy of the log with operation n of pass k replaced by op, or dropped if op is None."""
+    steps = log[k][:n] + ([op] if op else []) + log[k][n + 1:]
+    return log[:k] + [steps] + log[k + 1:]
+
+
+def _nonsingular_log():
+    # det M != 0, so U M V = D fixes U and V, and every operation that is
+    # not the identity changes them
+    m = IntMatrix.from_rows([[4, -7, 2, 9, 1], [3, 5, -8, 6, 2], [-6, 1, 7, 3, 5], [8, 2, 4, -9, 7], [1, 9, -3, 2, -4]])
+    assert m.determinant() != 0
+    d, log = smith_normal_form(m)
+    return m, d, log
+
+
+def test_snf_replay_rejects_every_dropped_operation():
+    m, d, log = _nonsingular_log()
+    dropped = 0
+    for k, steps in enumerate(log):
+        for n in range(len(steps)):
+            with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: \w"):
+                abelian._replay(m, _corrupt(log, k, n, None), d)
+            dropped += 1
+    assert dropped > 10
+
+
+def test_snf_replay_rejects_a_row_reduced_by_itself():
+    m, d, log = _nonsingular_log()
+    k, n = next((k, n) for k, steps in enumerate(log) for n, op in enumerate(steps) if op[0] == "sub")
+    _, t, j, subs = log[k][n]
+    op = ("sub", t, j, [(t, subs[0][1])] + subs[1:])
+    with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: row reduced by itself"):
+        abelian._replay(m, _corrupt(log, k, n, op), d)
+
+
+def test_snf_replay_rejects_a_pivot_row_nonzero_left_of_its_column():
+    m, d, log = _nonsingular_log()
+    k, n = next((k, n) for k, steps in enumerate(log) for n, op in enumerate(steps) if op[0] == "sub")
+    _, t, j, subs = log[k][n]
+    # row t holds its pivot at column j, so it is nonzero left of j + 1
+    op = ("sub", t, j + 1, subs)
+    with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: pivot column .* nonzero left"):
+        abelian._replay(m, _corrupt(log, k, n, op), d)
+
+
+@pytest.mark.parametrize("op", [("swap", 0, 5), ("neg", -1), ("sub", 0, 5, [(1, 1)]), ("sub", 0, 0, [(7, 1)])])
+def test_snf_replay_rejects_indices_out_of_range(op):
+    m, d, log = _nonsingular_log()
+    with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: .*out of range"):
+        abelian._replay(m, [[op] + log[0]] + log[1:], d)
+
+
+def test_snf_replay_of_a_log_ending_on_a_row_pass():
+    # the copy is compared in the orientation of M, not of its transpose
+    m, d = IntMatrix.from_rows([[0, 2, 0], [1, 0, 0]]), IntMatrix.from_rows([[1, 0, 0], [0, 2, 0]])
+    abelian._replay(m, [[("swap", 0, 1)]], d)
+
+
+def test_snf_work_is_pinned():
+    # passes, logged row updates and divisibility fixes, read off the log;
+    # an elimination that takes extra rounds moves the first number
+    def work(m):
+        _, log = smith_normal_form(m)
+        ops = [op for steps in log for op in steps]
+        return len(log), sum(len(op[3]) for op in ops if op[0] == "sub"), sum(op[0] == "fix" for op in ops)
+
+    rng = random.Random("snf/24")
+    m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)])
+    assert work(m) == (2, 1412, 0)
+    assert work(IntMatrix.from_rows([[2, 0], [0, 3]])) == (4, 3, 1)

@@ -1,7 +1,9 @@
 """Laurent polynomials, Fox derivatives, Alexander polynomials."""
 
 import random
+from collections import Counter
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 
@@ -45,6 +47,14 @@ def test_laurent_arithmetic_and_normal_form():
     assert LaurentPoly({-3: 2, -1: 4}).shift(3) == LaurentPoly({0: 2, 2: 4})
     assert LaurentPoly({-1: -1, 0: 1}).normalized() == LaurentPoly({1: 1, 0: -1}).normalized()
     assert LaurentPoly({0: -5}).normalized() == LaurentPoly({0: 5})
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{1: 2, -1: 3}, MappingProxyType({1: 2, -1: 3}), Counter({1: 2, -1: 3}), [(1, 2), (-1, 1), (-1, 2)]],
+)
+def test_laurent_accepts_mappings_and_pairs(coeffs):
+    assert LaurentPoly(coeffs).coeffs == {1: 2, -1: 3}
 
 
 def test_laurent_str_forms():

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vankampen import cli, curves, pipeline
-from vankampen.abelian import IntMatrix
+from vankampen import abelian, cli, curves, pipeline
 from vankampen.cli import main
 from vankampen.errors import InternalCheckError
 from vankampen.pipeline import STAGE_NAMES, Replay, expected_stage_texts, reproduce_paper
@@ -283,10 +282,13 @@ def test_cli_degenerate_elimination_is_an_internal_failure(monkeypatch, capsys):
 
 
 def test_cli_certificate_failure_exits_one(monkeypatch, capsys):
-    def doubled(cls, n):  # as the starting transform, breaks U M V = D
-        return cls(n, n, tuple(2 * (i == j) for i in range(n) for j in range(n)))
+    replay = abelian._replay
 
-    monkeypatch.setattr(IntMatrix, "identity", classmethod(doubled))
+    def short(M, log, D):  # the log without its last operation breaks U M V = D
+        k = max(k for k, steps in enumerate(log) if steps)
+        replay(M, log[:k] + [log[k][:-1]] + log[k + 1:], D)
+
+    monkeypatch.setattr(abelian, "_replay", short)
     rc, out, err = run(capsys, "abelianize", "gens: a, b; rels: a^2, b^3")
     assert rc == 1
     assert not out

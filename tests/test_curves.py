@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 import pytest
 
@@ -101,6 +102,13 @@ def test_eps_str_forms():
 
 
 # -- polynomial ring basics --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "terms", [{(1, 0): 2, (0, 2): -1}, MappingProxyType({(1, 0): 2, (0, 2): -1}), [((1, 0), 2), ((0, 2), -1)]]
+)
+def test_multipoly_accepts_mappings_and_pairs(terms):
+    assert MultiPoly(("x", "y"), terms).terms == {(1, 0): 2, (0, 2): -1}
 
 
 def test_poly_arithmetic_is_a_ring_hom_under_evaluation():
