@@ -15,6 +15,8 @@ from vankampen.pipeline import STAGE_NAMES, Replay, expected_stage_texts, reprod
 from vankampen.presentation import MetacyclicForm, metacyclic_instances, parse_presentation
 from vankampen.words import parse_braid
 
+from make_cli_goldens import GOLDENS
+
 LEMMA = "gens: p, g+; rels: p^4 g+^-1 p^-1 g+, p^9"
 
 
@@ -147,6 +149,20 @@ def test_commutant_form_is_read_from_the_patched_group(monkeypatch):
 
 
 # -- subcommands ---------------------------------------------------------------
+
+
+_GOLDENS = json.loads(GOLDENS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("golden", _GOLDENS, ids=[f"{i:02d}-{g['argv'][0]}" for i, g in enumerate(_GOLDENS)])
+def test_cli_golden(golden, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    try:
+        code = main(list(golden["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (golden["exit"], golden["stdout"], golden["stderr"])
 
 
 def test_cli_lift_monodromy(capsys):
