@@ -130,13 +130,10 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
-def _poly_coeff_list(p: LaurentPoly) -> tuple[list[int], int]:
-    """Shift to an ordinary polynomial; return (ascending coeffs, shift)."""
-    if p.is_zero:
-        return [], 0
-    low = min(p.coeffs)
-    high = max(p.coeffs)
-    return [p.coeffs.get(e, 0) for e in range(low, high + 1)], low
+def _poly_coeff_list(p: LaurentPoly) -> list[int]:
+    """Ascending coefficients of a nonzero ``p`` shifted to an ordinary polynomial."""
+    low, high = min(p.coeffs), max(p.coeffs)
+    return [p.coeffs.get(e, 0) for e in range(low, high + 1)]
 
 
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -145,9 +142,7 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return q.normalized()
     if q.is_zero:
         return p.normalized()
-    fp, _ = _poly_coeff_list(p)
-    fq, _ = _poly_coeff_list(q)
-    g = zpoly_gcd(fp, fq)
+    g = zpoly_gcd(_poly_coeff_list(p), _poly_coeff_list(q))
     return LaurentPoly(dict(enumerate(g))).normalized()
 
 

@@ -20,6 +20,7 @@ from .cover import lift_monodromy
 from .errors import BudgetExhausted, CoverError, InternalCheckError, ParseError
 from . import pipeline
 from .presentation import (
+    Presentation,
     canonicalize,
     format_presentation,
     parse_presentation,
@@ -50,30 +51,36 @@ def _parse_budget(text: str) -> int:
     return value
 
 
-def _parse_weights(text: str) -> dict[str, int]:
+def _parse_weights(text: str, pres: Presentation) -> WeightedPresentation:
+    """``pres`` weighted by ``name=integer`` pairs, exactly one for each generator."""
     weights: dict[str, int] = {}
-    for piece in text.split(","):
-        piece = piece.strip()
+    column = 1
+    for raw in text.split(","):
+        piece, at = raw.strip(), column + len(raw) - len(raw.lstrip())
+        column += len(raw) + 1
         if not piece:
             continue
         name, sep, value = piece.partition("=")
         if not sep or not re.fullmatch(r"\s*[+-]?\d+\s*", value):
-            raise ValueError(f"weight {piece!r} is not of the form name=integer")
+            raise ParseError(f"weight {piece!r} is not of the form name=integer", column=at)
         name = name.strip()
         if name in weights:
-            raise ValueError(f"duplicate weight for {name!r}")
+            raise ParseError(f"duplicate weight for {name!r}", column=at)
         weights[name] = int(value)
     if not weights:
-        raise ValueError("empty weight list")
-    return weights
+        raise ParseError("empty weight list")
+    try:
+        return WeightedPresentation(pres, weights)
+    except ValueError as exc:  # a missing weight or one for a non-generator
+        raise ParseError(str(exc)) from exc
 
 
-def _parse_subgroup(text: str) -> tuple:
-    words = []
+def _parse_subgroup(text: str, generators: tuple[str, ...]) -> tuple:
+    words, column = [], 0
     for piece in text.split(","):
-        piece = piece.strip()
-        if piece:
-            words.append(parse_word(piece))
+        if piece.strip():
+            words.append(parse_word(piece, generators, column_offset=column))
+        column += len(piece) + 1
     return tuple(words)
 
 
@@ -156,15 +163,15 @@ def _cmd_abelianize(args) -> int:
 
 def _cmd_coset_enum(args) -> int:
     pres = parse_presentation(args.presentation)
-    table = enumerate_cosets(pres, subgroup=_parse_subgroup(args.subgroup), max_cosets=args.max_cosets)
+    subgroup = _parse_subgroup(args.subgroup, pres.generators)
+    table = enumerate_cosets(pres, subgroup=subgroup, max_cosets=args.max_cosets)
     print(f"index: {table.count}")
     return 0
 
 
 def _cmd_alexander(args) -> int:
     pres = parse_presentation(args.presentation)
-    weighted = WeightedPresentation(pres, _parse_weights(args.weights))
-    print(alexander_polynomial(weighted))
+    print(alexander_polynomial(_parse_weights(args.weights, pres)))
     return 0
 
 
@@ -194,7 +201,8 @@ def _cmd_reproduce_paper(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            raise ValueError(f"cannot write {args.out!r}: {exc.strerror}") from exc
+            print(f"error: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     print(rendered, end="")
     if report.overall:
         return 0
@@ -219,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, CoverError, ValueError) as exc:
+    except (ParseError, CoverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
@@ -229,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
         # an undecided search is an outcome, reported on stdout like a result
         print(exc)
         return 3
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -70,8 +70,6 @@ class QEps:
             return NotImplemented
         return QEps(self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "QEps":
         return QEps(-self.a, -self.b)
 
@@ -80,12 +78,6 @@ class QEps:
         if o is NotImplemented:
             return NotImplemented
         return QEps(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other: Any) -> "QEps":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QEps(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other: Any) -> "QEps":
         o = self._coerce(other)
@@ -115,12 +107,6 @@ class QEps:
         if o is NotImplemented:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other: Any) -> "QEps":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, n: int) -> "QEps":
         return _power(self if n >= 0 else self.inverse(), abs(n), QEps(1))
@@ -168,14 +154,6 @@ def _coerce_coeff(value: Any, field: str) -> Any:
             raise ValueError("field mismatch: Q(eps) coefficient in a Q polynomial")
         return Fraction(value)
     return value if isinstance(value, QEps) else QEps(value)
-
-
-def _div_coeff(a: Any, b: Any) -> Any:
-    """a / b, kept an int when both are ints and b divides a."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return q if not r else Fraction(a, b)
-    return a / b
 
 
 def _combine(a: Mapping[tuple[int, ...], Any], b: Mapping[tuple[int, ...], Any], sign: int) -> dict:
@@ -268,8 +246,6 @@ class MultiPoly:
         self._check_compatible(other)
         return MultiPoly._new(self.variables, _combine(self.terms, other.terms, 1), self.field)
 
-    __radd__ = __add__
-
     def __neg__(self) -> MultiPoly:
         return MultiPoly._new(self.variables, {e: -c for e, c in self.terms.items()}, self.field)
 
@@ -278,9 +254,6 @@ class MultiPoly:
             other = self._scalar(other)
         self._check_compatible(other)
         return MultiPoly._new(self.variables, _combine(self.terms, other.terms, -1), self.field)
-
-    def __rsub__(self, other: Any) -> MultiPoly:
-        return (-self) + self._scalar(other)
 
     def __mul__(self, other: Any) -> MultiPoly:
         if not isinstance(other, MultiPoly):
@@ -335,9 +308,6 @@ class MultiPoly:
         """Degree in one variable; -1 for the zero polynomial."""
         i = self.variables.index(var)
         return max((e[i] for e in self.terms), default=-1)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     def valuation(self, var: str) -> int:
         """Lowest exponent of ``var``; -1 for the zero polynomial."""
@@ -411,14 +381,6 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def homogenize(self, newvar: str) -> MultiPoly:
-        """Pad every term with a power of ``newvar`` up to the total degree."""
-        if newvar in self.variables:
-            raise ValueError(f"variable {newvar!r} already present")
-        d = self.total_degree()
-        out = {e + (d - sum(e),): c for e, c in self.terms.items()}
-        return MultiPoly(self.variables + (newvar,), out, self.field)
-
     # -- printing ----------------------------------------------------------
 
     def _sorted_terms(self) -> list[tuple[tuple[int, ...], Any]]:
@@ -482,7 +444,7 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         diff = tuple(map(sub, r_lead, g_lead))
         if any(d < 0 for d in diff):
             raise ValueError("not an exact division")
-        qc = _div_coeff(rem.pop(r_lead), g_lc)
+        qc = rem.pop(r_lead) / g_lc
         quotient[diff] = qc
         # rem -= qc * diff * g; the leading term cancels exactly and was popped
         for e, c in g_rest:
@@ -611,22 +573,19 @@ def torus_sextic_factors() -> tuple[MultiPoly, MultiPoly]:
     return u, u - Fraction(4, 27)
 
 
-def torus_sextic() -> MultiPoly:
-    u, v = torus_sextic_factors()
-    return u * v
-
 def chart_cubic_factors() -> tuple[MultiPoly, MultiPoly]:
     """The sextic's factors in the chart ybar = y/x, zbar = 1/x.
 
-    Obtained from the affine factors by homogenizing to degree 3 and
-    substituting (1, ybar, zbar); both pass through the origin.
+    Homogenizing a factor of total degree d and setting x = 1 maps its
+    term x^i y^j to ybar^j zbar^(d - i - j); both pass through the origin.
     """
-    ybar, zbar = poly_ring(("ybar", "zbar"))
-    out = []
-    for factor in torus_sextic_factors():
-        h = factor.homogenize("w")
-        out.append(h.substitute({"x": 1, "y": ybar, "w": zbar}))
-    return out[0], out[1]
+
+    def chart(u: MultiPoly) -> MultiPoly:
+        d = max(map(sum, u.terms))
+        return MultiPoly(("ybar", "zbar"), {(j, d - i - j): c for (i, j), c in u.terms.items()})
+
+    u, v = torus_sextic_factors()
+    return chart(u), chart(v)
 
 
 @dataclass(frozen=True)

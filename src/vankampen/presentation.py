@@ -59,8 +59,9 @@ def parse_presentation(text: str) -> Presentation:
         raise ParseError("expected 'gens:' section", 1, 1)
     if not sep:
         raise ParseError("expected ';' before 'rels:' section", 1, len(text) + 1)
-    gen_part = head.strip()[len("gens:"):]
-    generators = tuple(g.strip() for g in gen_part.split(",") if g.strip())
+    generators = tuple(g.strip() for g in head.strip()[len("gens:"):].split(",") if g.strip())
+    if len(set(generators)) != len(generators):
+        raise ParseError("duplicate generator name", 1, head.index("gens:") + 1)
     rel_head = tail.lstrip()
     rel_col = len(text) - len(tail) + (len(tail) - len(rel_head)) + 1
     if not rel_head.startswith("rels:"):
@@ -70,9 +71,7 @@ def parse_presentation(text: str) -> Presentation:
     relators: list[Word] = []
     start = 0
     for chunk in rel_part.split(","):
-        w = parse_word(chunk, generators=generators, column_offset=offset + start)
-        if w:
-            relators.append(w)
+        relators.append(parse_word(chunk, generators=generators, column_offset=offset + start))
         start += len(chunk) + 1
     return Presentation(generators, tuple(relators))
 
@@ -107,23 +106,6 @@ def zvk_assemble(
 # canonical forms
 
 
-def cyclic_reduce(w: Word) -> Word:
-    """Strip opposite-signed end syllables until the word is cyclically reduced.
-
-    Ends of equal length cancel outright; otherwise the longer end keeps
-    the difference in its place, and the ends then differ in generator.
-    """
-    syl = w.syllables
-    i, j = 0, len(syl) - 1
-    while i < j and syl[i][0] == syl[j][0] and (syl[i][1] > 0) != (syl[j][1] > 0):
-        (g, a), (_, b) = syl[i], syl[j]
-        if a + b:
-            rest = syl[i + 1:j]
-            return Word(((g, a + b),) + rest if abs(a) > abs(b) else rest + ((g, a + b),))
-        i, j = i + 1, j - 1
-    return Word(syl[i:j + 1])
-
-
 def _keys(syllables: Sequence[Syllable], order: Mapping[str, int]) -> list[tuple]:
     """Order keys, one per syllable, that compare as the letters do.
 
@@ -144,15 +126,22 @@ def _keys(syllables: Sequence[Syllable], order: Mapping[str, int]) -> list[tuple
 def canonical_relator(w: Word, order: Mapping[str, int]) -> Word:
     """Least rotation of ``w`` or its inverse under the generator order.
 
-    The input is cyclically reduced first, so the result represents the
-    same cyclic word (up to inversion) for any rotation of the input.
-    Only syllable starts are tried: a least rotation starts a run of the
-    least letter, as the letter after that run is larger.
+    The cycle is normalized first: while the end syllables share a
+    generator they cancel, or merge into one syllable, which ends it.  So
+    the result represents the same cyclic word (up to inversion) for any
+    rotation of the input.  Only syllable starts are tried: a least
+    rotation starts a run of the least letter, as the letter after that
+    run is larger.
     """
-    syl = cyclic_reduce(w).syllables
-    if len(syl) > 1 and syl[0][0] == syl[-1][0]:
-        # after cyclic reduction equal end generators share a sign: one cyclic run
-        syl = ((syl[0][0], syl[0][1] + syl[-1][1]),) + syl[1:-1]
+    syl = w.syllables
+    i, j = 0, len(syl) - 1
+    while i < j and syl[i][0] == syl[j][0]:
+        if e := syl[i][1] + syl[j][1]:
+            syl = ((syl[i][0], e),) + syl[i + 1:j]
+            break
+        i, j = i + 1, j - 1
+    else:
+        syl = syl[i:j + 1]
     best: tuple[list[tuple], tuple[Syllable, ...]] | None = None
     for seq in (syl, tuple((g, -e) for g, e in reversed(syl))):
         keys = _keys(seq, order)
@@ -164,13 +153,13 @@ def canonical_relator(w: Word, order: Mapping[str, int]) -> Word:
 
 
 def canonicalize(P: Presentation) -> Presentation:
-    """Cyclically reduce, canonicalize, deduplicate, and sort relators."""
+    """Canonicalize, deduplicate, and sort relators."""
     order = {g: i for i, g in enumerate(P.generators)}
     seen: set[Word] = set()
     canon: list[Word] = []
     for r in P.relators:
         c = canonical_relator(r, order)
-        if c and c not in seen:
+        if c not in seen:
             seen.add(c)
             canon.append(c)
     canon.sort(key=lambda w: (w.length, _keys(w.syllables, order)))

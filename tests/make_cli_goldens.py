@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,9 +20,11 @@ PAPER_BRAIDS = ("s2", "s1^-3 s2 s1^3", "s1^-1 s2^2 s1 s2^-2 s1")
 LEMMA = "gens: p, g+; rels: p^4 g+^-1 p^-1 g+, p^9"
 BRAID_QUOTIENT = "gens: s1, s2; rels: s1 s2 s1 s2^-1 s1^-1 s2^-1, s1 s2 s1 s2 s1 s2"
 ZVK_RAW = (
-    "gens: p, q, g+, g-; rels: q, g+^-1 p g+ p^-3 q^-1 p^-1, g+^-1 q g+ p q p^4 q p^4, g-^-1 p g- p^-1 q^-1 p^-2 q^-1 p^-2 q^-1 p^-1 q^-1 p^-1, g-^-1 q g- p q p q p^2 q p^2 q p^2 q p"
+    "gens: p, q, g+, g-; rels: q, g+^-1 p g+ p^-3 q^-1 p^-1, g+^-1 q g+ p q p^4 q p^4, "
+    "g-^-1 p g- p^-1 q^-1 p^-2 q^-1 p^-2 q^-1 p^-1 q^-1 p^-1, "
+    "g-^-1 q g- p q p q p^2 q p^2 q p^2 q p"
 )
-# relators whose ends cancel, merge, or both, and one that reduces to nothing
+# relators whose ends cancel or merge; two of them have one canonical form
 CYCLIC = "gens: p, q; rels: p q p^-1, p^3 q p^-5, p^2 q^3 p q^-3 p^-2, q p q^-1, p^2 q p^-2 q^-1"
 
 INVOCATIONS = [
@@ -72,7 +73,4 @@ def run(argv: list[str]) -> dict:
 
 if __name__ == "__main__":
     records = [run(argv) for argv in INVOCATIONS]
-    GOLDENS.parent.mkdir(exist_ok=True)
     GOLDENS.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    for r in records:
-        print(r["exit"], " ".join(r["argv"])[:100], file=sys.stderr)

@@ -282,6 +282,16 @@ def test_snf_replay_rejects_indices_out_of_range(op):
         abelian._replay(m, [[op] + log[0]] + log[1:], d)
 
 
+@pytest.mark.parametrize(
+    "rows, why", [([[1, 1], [0, 1]], "not diagonal"), ([[2, 0], [0, 3]], "divisibility chain broken")]
+)
+def test_snf_replay_rejects_a_d_that_is_no_smith_form(rows, why):
+    # with an empty log the copy of M ends at D itself, so only the form of D is checked
+    d = IntMatrix.from_rows(rows)
+    with pytest.raises(InternalCheckError, match=f"^SNF certificate failed: {why}$"):
+        abelian._replay(d, [], d)
+
+
 def test_snf_replay_of_a_log_ending_on_a_row_pass():
     # the copy is compared in the orientation of M, not of its transpose
     m, d = IntMatrix.from_rows([[0, 2, 0], [1, 0, 0]]), IntMatrix.from_rows([[1, 0, 0], [0, 2, 0]])

@@ -312,6 +312,44 @@ def test_cli_certificate_failure_exits_one(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_internal_value_error_exits_one_without_traceback(monkeypatch, capsys):
+    replay = abelian._replay
+
+    def malformed(M, log, D):  # a row update that lost its column and subtrahends
+        replay(M, [[("sub", 0)] + log[0]] + log[1:], D)
+
+    monkeypatch.setattr(abelian, "_replay", malformed)
+    rc, out, err = run(capsys, "abelianize", "gens: a, b; rels: a^2, b^3")
+    assert (rc, out) == (1, "")
+    assert err == "error: ValueError: not enough values to unpack (expected 2, got 0)\n"
+
+
+def test_cli_verify_curves_reports_a_wrong_expected_line(monkeypatch, capsys):
+    texts = expected_stage_texts()
+    wrong = texts["curve-checks"].replace("multiplicity at origin: 9", "multiplicity at origin: 8")
+    monkeypatch.setattr(pipeline, "expected_stage_texts", lambda: {**texts, "curve-checks": wrong})
+    rc, out, _ = run(capsys, "verify-curves")
+    assert rc == 1
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("ok    ")] == [
+        "FAIL  chart intersection multiplicity at origin: 9"
+        "    (expected: chart intersection multiplicity at origin: 8)",
+        "curve checks FAILED",
+    ]
+
+
+def test_cli_k_all_sweeps_every_patch_exponent(capsys):
+    assert run(capsys, "patch", "--k", "all") == (0, LEMMA + "\n", "")
+    rc, out, _ = run(capsys, "reproduce-paper", "--k", "all")
+    assert rc == 0
+    assert out == reproduce_paper().to_text()
+
+
+def test_cli_coset_enum_defines_cosets_for_a_subgroup_of_index_three(capsys):
+    rc, out, err = run(capsys, "coset-enum", "gens: a, b; rels: a^2, b^3, a b a b", "--subgroup", "a b")
+    assert (rc, out, err) == (0, "index: 3\n", "")
+
+
 def test_cli_uses_only_public_pipeline_names():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     used = {
