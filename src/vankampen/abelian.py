@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import floordiv, mul
-from typing import Sequence
 
 from .errors import InternalCheckError
 from .presentation import Presentation
 from .ring import bareiss_det
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
 
 
 @dataclass(frozen=True)

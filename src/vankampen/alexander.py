@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 from .errors import InternalCheckError
 from .presentation import Presentation
 from .ring import zpoly_det, zpoly_gcd
 from .words import Word
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Iterable, Mapping
 

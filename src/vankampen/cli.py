@@ -52,9 +52,8 @@ def _parse_budget(text: str) -> int:
 
 
 def _parse_weights(text: str, pres: Presentation) -> WeightedPresentation:
-    """``pres`` weighted by ``name=integer`` pairs, exactly one for each generator."""
-    weights: dict[str, int] = {}
-    column = 1
+    """``pres`` weighted by ``name=integer`` pairs, one per generator; errors point into ``--weights``."""
+    weights, columns, column = {}, {}, 1
     for raw in text.split(","):
         piece, at = raw.strip(), column + len(raw) - len(raw.lstrip())
         column += len(raw) + 1
@@ -62,24 +61,26 @@ def _parse_weights(text: str, pres: Presentation) -> WeightedPresentation:
             continue
         name, sep, value = piece.partition("=")
         if not sep or not re.fullmatch(r"\s*[+-]?\d+\s*", value):
-            raise ParseError(f"weight {piece!r} is not of the form name=integer", column=at)
+            raise ParseError(f"weight {piece!r} is not of the form name=integer",
+                             column=at, argument="--weights")
         name = name.strip()
         if name in weights:
-            raise ParseError(f"duplicate weight for {name!r}", column=at)
-        weights[name] = int(value)
+            raise ParseError(f"duplicate weight for {name!r}", column=at, argument="--weights")
+        weights[name], columns[name] = int(value), at
     if not weights:
-        raise ParseError("empty weight list")
+        raise ParseError("empty weight list", argument="--weights")
     try:
         return WeightedPresentation(pres, weights)
-    except ValueError as exc:  # a missing weight or one for a non-generator
-        raise ParseError(str(exc)) from exc
+    except ValueError as exc:  # at the first weight for a non-generator, else just past the end
+        at = min((columns[g] for g in weights if g not in pres.generators), default=len(text) + 1)
+        raise ParseError(str(exc), column=at, argument="--weights") from exc
 
 
 def _parse_subgroup(text: str, generators: tuple[str, ...]) -> tuple:
     words, column = [], 0
     for piece in text.split(","):
         if piece.strip():
-            words.append(parse_word(piece, generators, column_offset=column))
+            words.append(parse_word(piece, generators, column_offset=column, argument="--subgroup"))
         column += len(piece) + 1
     return tuple(words)
 

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import BudgetExhausted, InternalCheckError
 from .presentation import Presentation
 from .words import Word
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
 
 
 @dataclass(frozen=True)

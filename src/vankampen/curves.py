@@ -10,8 +10,9 @@ the torus-structure identity of the sextic
 multiplicity of its two cubic factors in the far chart.
 
 Resultants are Sylvester determinants.  Over Q, on inputs scaled to
-integer coefficients, each is one ``ring.zpoly_det``: a single integer
-Bareiss determinant of the entries packed by Kronecker substitution.
+integer coefficients in one pass over their terms, each is one
+``ring.zpoly_det``: a single integer Bareiss determinant of the entries
+packed by Kronecker substitution, each distinct coefficient packed once.
 Over Q(eps) the shared Bareiss elimination divides polynomial entries by
 this module's exact multivariate division.
 Univariate gcds over Q (squarefree parts, intersecting eliminants) are
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, sub
-from typing import TYPE_CHECKING
 
 from .errors import InternalCheckError, ParseError
 from .ring import bareiss_det, qpoly_gcd, zpoly_det
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any, Iterable, Mapping, Sequence
 
@@ -335,37 +336,6 @@ class MultiPoly:
             buckets[e[i]][ne] = c
         return [MultiPoly._new(self.variables, b, self.field) for b in buckets]
 
-    def substitute(self, images: Mapping[str, Any]) -> MultiPoly:
-        """Map every variable to a polynomial (or scalar) and expand.
-
-        All polynomial images must share one ring; scalars are coerced
-        into it.  Every variable of self must be assigned.
-        """
-        missing = [v for v in self.variables if v not in images]
-        if missing:
-            raise ValueError(f"no image for variable(s) {missing}")
-        target: MultiPoly | None = None
-        for v in self.variables:
-            img = images[v]
-            if isinstance(img, MultiPoly):
-                if target is not None:
-                    img._check_compatible(target)
-                target = img
-        if target is None:
-            raise ValueError("use evaluate() for all-scalar substitution")
-        polys = {
-            v: images[v] if isinstance(images[v], MultiPoly) else target._scalar(images[v])
-            for v in self.variables
-        }
-        out = target._scalar(0)
-        for e, c in self.terms.items():
-            term = target._scalar(_coerce_coeff(c, target.field))
-            for v, k in zip(self.variables, e):
-                if k:
-                    term = term * polys[v] ** k
-            out = out + term
-        return out
-
     def evaluate(self, point: Mapping[str, Any]) -> Any:
         """Exact value at a point given as variable -> field element."""
         missing = [v for v in self.variables if v not in point]
@@ -496,8 +466,11 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     if f.field != FIELD_Q:
         return bareiss_det(_sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div)
     a, b = (lcm(*(c.denominator for c in h.terms.values())) for h in (f, g))
-    fc, gc = ([{e: c.numerator * (s // c.denominator) for e, c in p.terms.items()} for p in h.coeffs_in(var)]
-              for h, s in ((f, a), (g, b)))
+    i = f.variables.index(var)
+    fc, gc = ([{} for _ in range(d + 1)] for d in (df, dg))
+    for h, s, coeffs in ((f, a, fc), (g, b, gc)):
+        for e, c in h.terms.items():
+            coeffs[e[i]][e[:i] + (0,) + e[i + 1:]] = c.numerator * (s // c.denominator)
     det = zpoly_det(_sylvester(fc, gc, {}))
     scale = a ** dg * b ** df
     return MultiPoly._new(f.variables, {e: Fraction(c, scale) for e, c in det.items()}, FIELD_Q)

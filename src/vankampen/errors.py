@@ -6,13 +6,12 @@ from __future__ import annotations
 class ParseError(ValueError):
     """Syntax error in one of the small text grammars.
 
-    Carries the 1-based line and column of the offending token.
+    Carries the 1-based line (or command-line ``argument``) and column of the offending token.
     """
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+    def __init__(self, message: str, line: int = 1, column: int = 1, argument: str = ""):
+        super().__init__(f"{argument or f'line {line}'}, column {column}: {message}")
+        self.line, self.column = line, column
 
 
 class CoverError(ValueError):

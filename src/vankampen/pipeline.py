@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 from .abelian import AbelianInvariants, abelian_invariants
 from .alexander import LaurentPoly, WeightedPresentation, alexander_polynomial
@@ -54,6 +53,10 @@ from .presentation import (
     zvk_assemble,
 )
 from .words import FreeEndo, Word, braid_action, parse_braid, parse_word
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable
 
 MONODROMY_BRAIDS = {
     "m1": "s2",

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .cover import KERNEL_GENS
 from .errors import InternalCheckError, ParseError
 from .words import FreeEndo, Syllable, Word, parse_word, substitute
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ One implementation per algorithm:
 - ``zpoly_det``: the determinant over Z[t_1..t_k] as one integer
   ``bareiss_det``, by Kronecker substitution (von zur Gathen & Gerhard,
   *Modern Computer Algebra*, 8.4) with per-variable degree bounds from the
-  rows and columns (Collins 1971).
+  rows and columns (Collins 1971), each distinct entry object measured and
+  packed once.
 
 This module imports nothing from the rest of the package.
 """
@@ -24,7 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import floordiv, mul
-from typing import Any, Callable
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Callable
 
 
 def bareiss_det(m: list[list[Any]], div: Callable[[Any, Any], Any]) -> Any:
@@ -68,19 +72,26 @@ def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...]
     columns of the entries' coefficient 1-norms.  So at t_j =
     B^((D_1 + 1) ... (D_(j-1) + 1)), with B = 2^bits > 2H, every coefficient
     is one balanced base-B digit of the integer determinant.
+
+    Each distinct entry object is measured and packed once per call, indexed
+    by ``id``: a Sylvester matrix repeats a few coefficients and one zero.
     """
-    norms = [[sum(map(abs, p.values())) for p in row] for row in m]
+    ids = [[id(p) for p in row] for row in m]
+    entries = {id(p): p for row in m for p in row}
+    norm = {i: sum(map(abs, p.values())) for i, p in entries.items()}
+    norms = [[norm[i] for i in row] for row in ids]
     bound = min(prod(map(sum, norms)), prod(map(sum, zip(*norms))))
     if not bound:  # a zero row or column
         return {}
-    strides, radices = [], []
-    for j in range(len(next(e for row in m for p in row for e in p))):
-        degrees = [[max((e[j] for e in p), default=0) for p in row] for row in m]
-        strides.append(prod(radices))
-        radices.append(1 + min(sum(map(max, degrees)), sum(map(max, zip(*degrees)))))
+    zeros = (0,) * len(next(e for p in entries.values() for e in p))
+    top = {i: tuple(map(max, zip(*p))) or zeros for i, p in entries.items()}
+    tops = [[top[i] for i in row] for row in ids]
+    by_rows, by_columns = ([tuple(map(max, zip(*line))) for line in lines] for lines in (tops, zip(*tops)))
+    radices = [1 + min(r, c) for r, c in zip(map(sum, zip(*by_rows)), map(sum, zip(*by_columns)))]
+    strides = [prod(radices[:j]) for j in range(len(radices))]
     bits = bound.bit_length() + 1
-    det = bareiss_det([[sum(c << bits * sum(map(mul, e, strides)) for e, c in p.items()) for p in row]
-                       for row in m], floordiv)
+    packed = {i: sum(c << bits * sum(map(mul, e, strides)) for e, c in p.items()) for i, p in entries.items()}
+    det = bareiss_det([[packed[i] for i in row] for row in ids], floordiv)
     out, k, half, mask = {}, 0, 1 << bits - 1, (1 << bits) - 1
     while det:
         digit = ((det + half) & mask) - half

@@ -27,9 +27,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError, ParseError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator, Mapping
 
 Syllable = tuple[str, int]
 
@@ -119,12 +122,12 @@ class Word:
 
 
 def parse_word(
-    text: str, generators: Iterable[str] | None = None, column_offset: int = 0
+    text: str, generators: Iterable[str] | None = None, column_offset: int = 0, argument: str = ""
 ) -> Word:
     """Parse the word grammar, e.g. ``p q^-1 p^3``; ``1`` is the identity.
 
     If ``generators`` is given, names outside it are rejected.  Exponents
-    must be nonzero integers.  Errors carry line/column positions.
+    must be nonzero integers.  Errors carry line/column positions (columns in ``argument`` if given).
     """
     known = set(generators) if generators is not None else None
     syllables: list[Syllable] = []
@@ -135,13 +138,13 @@ def parse_word(
             continue
         m = _WORD_TOKEN_RE.match(piece)
         if m is None:
-            raise ParseError(f"bad word token {piece!r}", column=col)
+            raise ParseError(f"bad word token {piece!r}", column=col, argument=argument)
         name = m.group("name")
         exp = int(m.group("exp")) if m.group("exp") is not None else 1
         if exp == 0:
-            raise ParseError(f"zero exponent on {name!r}", column=col)
+            raise ParseError(f"zero exponent on {name!r}", column=col, argument=argument)
         if known is not None and name not in known:
-            raise ParseError(f"unknown generator {name!r}", column=col)
+            raise ParseError(f"unknown generator {name!r}", column=col, argument=argument)
         syllables.append((name, exp))
     return Word(syllables)
 

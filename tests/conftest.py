@@ -7,6 +7,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest  # noqa: E402
 
 from vankampen.abelian import IntMatrix, smith_normal_form  # noqa: E402
+from vankampen.curves import MultiPoly  # noqa: E402
 from vankampen.presentation import Presentation  # noqa: E402
 from vankampen.words import BraidWord, Word, braid_action  # noqa: E402
 
@@ -44,5 +45,24 @@ def snf_transforms():
                     for i, q in args[1]:
                         x[i] = [e - q * f for e, f in zip(x[i], x[t])]
         return d, IntMatrix.from_rows(u), IntMatrix.from_rows([list(col) for col in zip(*vt)])
+
+    return run
+
+
+@pytest.fixture
+def poly_substitute():
+    """Substitution into a ``MultiPoly``: each variable maps to a polynomial of
+    one target ring, or to a scalar, and each term is expanded by that ring's
+    own + and *."""
+
+    def run(f: MultiPoly, images: dict) -> MultiPoly:
+        target = next(img for img in images.values() if isinstance(img, MultiPoly))
+        zero = out = MultiPoly(target.variables, (), target.field)
+        for e, c in f.terms.items():
+            term = zero + c
+            for v, k in zip(f.variables, e):
+                term = term * images[v] ** k
+            out = out + term
+        return out
 
     return run

@@ -3,6 +3,9 @@
 import ast
 import gc
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -444,8 +447,37 @@ def test_cli_rejects_ambiguous_or_foreign_weights(capsys, weights, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "command, err",
+    [
+        (["alexander", "gens: a, b; rels: a b^-1", "--weights", "a=1"],
+         "--weights, column 4: missing weight for generator(s) ['b']"),
+        (["alexander", "gens: a, b; rels: a b^-1", "--weights", "a=1, c=2,b=1"],
+         "--weights, column 6: weight for non-generator(s) ['c']"),
+        (["alexander", "gens: a, b; rels: a b^-1", "--weights", "a=1,  b=1.5"],
+         "--weights, column 7: weight 'b=1.5' is not of the form name=integer"),
+        (["alexander", "gens: a, b; rels: a b^-1", "--weights", " , "],
+         "--weights, column 1: empty weight list"),
+        (["coset-enum", LEMMA, "--subgroup", "g+, p x"], "--subgroup, column 7: unknown generator 'x'"),
+        (["coset-enum", LEMMA, "--subgroup", "p^0"], "--subgroup, column 1: zero exponent on 'p'"),
+    ],
+)
+def test_cli_argument_errors_name_the_argument_and_its_column(capsys, command, err):
+    # the column counts within the named argument, not within the presentation
+    assert run(capsys, *command) == (2, "", f"error: {err}\n")
+
+
 def test_cli_bad_k_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["patch", "--k", "11"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_typing():
+    # annotations are strings and typing names are imported only for type checkers
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, vankampen.cli; print('typing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -19,7 +19,7 @@ from vankampen.alexander import (
     alexander_polynomial,
     laurent_gcd,
 )
-from vankampen.curves import MultiPoly, exact_div
+from vankampen.curves import MultiPoly, exact_div, resultant
 from vankampen.presentation import Presentation
 from vankampen.ring import bareiss_det, qpoly_gcd, zpoly_det, zpoly_gcd
 from vankampen.words import Word
@@ -135,6 +135,78 @@ def test_zpoly_det_matches_cofactor_oracle(name):
 def test_zpoly_det_of_zero_entries_is_zero():
     assert zpoly_det([[{}]]) == {}
     assert zpoly_det([[{}, {}, {}] for _ in range(3)]) == {}
+
+
+def unshared(m):
+    """``m`` with every position holding its own equal dict."""
+    return [[dict(p) for p in row] for row in m]
+
+
+def zpoly_cofactor_det(m):
+    """Oracle for ``zpoly_det`` on entries in two variables: ``cofactor_det`` over ``MultiPoly``."""
+    return cofactor_det([[MultiPoly(("x", "y"), p) for p in row] for row in m], MultiPoly(("x", "y"))).terms
+
+
+def rand_zpoly(rng):
+    return {(rng.randint(0, 2), rng.randint(0, 2)): rng.choice((-1, 1)) * rng.randint(1, 9)
+            for _ in range(rng.randint(1, 3))}
+
+
+def test_zpoly_det_of_a_sylvester_matrix_of_shared_entries():
+    # each coefficient object sits at deg g (or deg f) positions and one zero fills the rest
+    rng = random.Random("zpoly/sylvester")
+    for _ in range(40):
+        df, dg = rng.randint(1, 3), rng.randint(1, 3)
+        m = curves._sylvester([rand_zpoly(rng) for _ in range(df + 1)], [rand_zpoly(rng) for _ in range(dg + 1)], {})
+        assert len({id(p) for row in m for p in row}) == df + dg + 2 + (df + dg > 2)
+        det = zpoly_det(m)
+        assert list(det.items()) == list(zpoly_det(unshared(m)).items())
+        assert det == zpoly_cofactor_det(m)
+
+
+def test_zpoly_det_of_one_object_everywhere_and_of_mixed_zeros():
+    rng = random.Random("zpoly/aliases")
+    for n in range(1, 5):
+        p = rand_zpoly(rng)
+        same = [[p] * n for _ in range(n)]
+        assert zpoly_det(same) == zpoly_det(unshared(same)) == zpoly_cofactor_det(same) == (p if n == 1 else {})
+    for _ in range(40):
+        df, dg = rng.randint(2, 3), rng.randint(1, 3)
+        zero = {}
+        m = curves._sylvester([rand_zpoly(rng) for _ in range(df + 1)], [rand_zpoly(rng) for _ in range(dg + 1)], zero)
+        # every other zero position, in reading order, gets a distinct empty dict
+        zeros = [(i, j) for i, row in enumerate(m) for j, p in enumerate(row) if p is zero]
+        for i, j in zeros[1::2]:
+            m[i][j] = {}
+        assert any(p is zero for row in m for p in row)
+        assert any(p == {} and p is not zero for row in m for p in row)
+        det = zpoly_det(m)
+        assert list(det.items()) == list(zpoly_det(unshared(m)).items())
+        assert det == zpoly_cofactor_det(m)
+
+
+def test_q_resultants_shaped_like_the_elimination_workload_match_sympy():
+    # dense f, g in Q[x, y]: every x^i y^j with a nonzero coefficient of denominator 1 or 2
+    sympy = pytest.importorskip("sympy")
+    sx, sy = sympy.symbols("x y")
+    rng = random.Random("zpoly/elimination")
+
+    def dense(dx, dy):
+        return MultiPoly(("x", "y"), {(i, j): Fraction(rng.choice([c for c in range(-5, 6) if c]), rng.choice((1, 2)))
+                                      for i in range(dx + 1) for j in range(dy + 1)})
+
+    def to_sympy(f):
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
+        return sympy.Poly.from_dict(terms, sx, sy, domain="QQ")
+
+    for _ in range(200):
+        df, dg, dy = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+        f, g = dense(df, dy), dense(dg, dy)
+        # higher degree first, res(f, g) = (-1)^(deg f deg g) res(g, f); see test_resultant_matches_sympy
+        sign, first, second = (1, f, g) if df >= dg else ((-1) ** (df * dg), g, f)
+        expected = sympy.resultant(to_sympy(first), to_sympy(second))  # eliminates x, leaves a Poly in y
+        want = {(0, j): sign * Fraction(int(c.p), int(c.q)) for (j,), c in expected.terms() if c}
+        assert resultant(f, g, "x").terms == want
 
 
 @pytest.mark.parametrize("coeffs", [(-2**7, 2**6, 2**7), (3 * 25, 11 * 31, 41), (3**4, -3**4, 3**5)],
