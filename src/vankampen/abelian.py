@@ -14,31 +14,25 @@ unimodular, and the copy must end at D, a diagonal divisibility chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import floordiv, mul
-
 from .errors import InternalCheckError
 from .presentation import Presentation
-from .ring import bareiss_det
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Sequence
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """An immutable integer matrix, stored row-major."""
+    """An integer matrix, stored row-major in a tuple."""
 
-    nrows: int
-    ncols: int
-    entries: tuple[int, ...]
+    __slots__ = ("nrows", "ncols", "entries")
 
-    def __post_init__(self):
-        if self.nrows < 0 or self.ncols < 0:
+    def __init__(self, nrows: int, ncols: int, entries: tuple[int, ...]):
+        if nrows < 0 or ncols < 0:
             raise ValueError("negative dimension")
-        if len(self.entries) != self.nrows * self.ncols:
+        if len(entries) != nrows * ncols:
             raise ValueError("entry count does not match dimensions")
+        self.nrows, self.ncols, self.entries = nrows, ncols, entries
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -59,22 +53,6 @@ class IntMatrix:
             list(self.entries[i * self.ncols:(i + 1) * self.ncols])
             for i in range(self.nrows)
         ]
-
-    def __mul__(self, other: IntMatrix) -> IntMatrix:
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        cols = [other.entries[j::other.ncols] for j in range(other.ncols)]
-        return IntMatrix(
-            self.nrows,
-            other.ncols,
-            tuple(sum(map(mul, row, col)) for row in self.rows() for col in cols),
-        )
-
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        return bareiss_det(self.rows(), floordiv) if self.nrows else 1
 
 
 def relator_matrix(P: Presentation) -> IntMatrix:
@@ -203,12 +181,17 @@ def _replay(M: IntMatrix, log: list[list[tuple]], D: IntMatrix) -> None:
         fail("divisibility chain broken")
 
 
-@dataclass(frozen=True)
 class AbelianInvariants:
     """Torsion coefficients (divisibility chain, each > 1) and free rank."""
 
-    torsion: tuple[int, ...]
-    free_rank: int
+    __slots__ = ("torsion", "free_rank")
+
+    def __init__(self, torsion: tuple[int, ...], free_rank: int):
+        self.torsion, self.free_rank = torsion, free_rank
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, AbelianInvariants)
+        return same and (self.torsion, self.free_rank) == (other.torsion, other.free_rank)
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion]

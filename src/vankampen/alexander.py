@@ -23,7 +23,6 @@ alone have the gcd of all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InternalCheckError
@@ -78,14 +77,6 @@ class LaurentPoly:
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
-
-    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by t^k."""
@@ -146,7 +137,6 @@ def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(dict(enumerate(g))).normalized()
 
 
-@dataclass(frozen=True)
 class WeightedPresentation:
     """A presentation with an integer weight for every generator.
 
@@ -156,21 +146,14 @@ class WeightedPresentation:
     the Fox matrix is still formally defined and is computed as given).
     """
 
-    presentation: Presentation
-    weights: Mapping[str, int]
+    __slots__ = ("presentation", "weights")
 
-    def __post_init__(self):
-        missing = [g for g in self.presentation.generators if g not in self.weights]
-        if missing:
+    def __init__(self, presentation: Presentation, weights: Mapping[str, int]):
+        if missing := [g for g in presentation.generators if g not in weights]:
             raise ValueError(f"missing weight for generator(s) {missing}")
-        extra = [g for g in self.weights if g not in self.presentation.generators]
-        if extra:
+        if extra := [g for g in weights if g not in presentation.generators]:
             raise ValueError(f"weight for non-generator(s) {extra}")
-        object.__setattr__(
-            self,
-            "weights",
-            {g: int(self.weights[g]) for g in self.presentation.generators},
-        )
+        self.presentation, self.weights = presentation, {g: int(weights[g]) for g in presentation.generators}
 
     def weight_defect(self) -> list[tuple[str, int]]:
         out = []

@@ -18,7 +18,6 @@ standardized, so it does not depend on the order of definitions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import BudgetExhausted, InternalCheckError
 from .presentation import Presentation
@@ -29,7 +28,6 @@ if TYPE_CHECKING:
     from typing import Sequence
 
 
-@dataclass(frozen=True)
 class CosetTable:
     """A closed, standardized coset table.
 
@@ -37,8 +35,10 @@ class CosetTable:
     ``rows[c][2*i + 1]`` the image under its inverse.
     """
 
-    generators: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("generators", "rows")
+
+    def __init__(self, generators: tuple[str, ...], rows: tuple[tuple[int, ...], ...]):
+        self.generators, self.rows = generators, rows
 
     @property
     def count(self) -> int:

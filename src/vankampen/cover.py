@@ -11,8 +11,6 @@ of a verified inverse with one pass over each image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CoverError, InternalCheckError
 from .words import FreeEndo, Word, substitute
 
@@ -26,7 +24,6 @@ KERNEL_BASIS: dict[str, Word] = {
 }
 
 
-@dataclass(frozen=True)
 class InvolutionWord:
     """A word in a1, a2, a3 with each generator an involution.
 
@@ -34,15 +31,19 @@ class InvolutionWord:
     equal adjacent letters.
     """
 
-    letters: tuple[str, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for g in self.letters:
+    def __init__(self, letters: tuple[str, ...] = ()):
+        for g in letters:
             if g not in FIBER_GENS:
                 raise ValueError(f"foreign generator {g!r}")
-        for x, y in zip(self.letters, self.letters[1:]):
+        for x, y in zip(letters, letters[1:]):
             if x == y:
                 raise ValueError("equal adjacent letters are not reduced")
+        self.letters = letters
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, InvolutionWord) and self.letters == other.letters
 
     def __str__(self) -> str:
         return " ".join(self.letters) if self.letters else "1"

@@ -23,7 +23,6 @@ re-validating their terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, sub
@@ -561,24 +560,20 @@ def chart_cubic_factors() -> tuple[MultiPoly, MultiPoly]:
     return chart(u), chart(v)
 
 
-@dataclass(frozen=True)
 class SingularPointReport:
     """Exact vanishing data of f and its gradient at a point."""
 
-    point: tuple[Any, Any]
-    f_vanishes: bool
-    fx_vanishes: bool
-    fy_vanishes: bool
-    hessian_det: Any
+    __slots__ = ("point", "f_vanishes", "fx_vanishes", "fy_vanishes", "hessian_det")
+
+    def __init__(
+        self, point: tuple[Any, Any], f_vanishes: bool, fx_vanishes: bool, fy_vanishes: bool, hessian_det: Any
+    ):
+        self.point, self.hessian_det = point, hessian_det
+        self.f_vanishes, self.fx_vanishes, self.fy_vanishes = f_vanishes, fx_vanishes, fy_vanishes
 
     @property
     def is_node(self) -> bool:
-        return (
-            self.f_vanishes
-            and self.fx_vanishes
-            and self.fy_vanishes
-            and bool(self.hessian_det)
-        )
+        return self.f_vanishes and self.fx_vanishes and self.fy_vanishes and bool(self.hessian_det)
 
 
 def verify_node(f: MultiPoly, pt: Sequence[Any]) -> SingularPointReport:
@@ -599,10 +594,11 @@ def verify_node(f: MultiPoly, pt: Sequence[Any]) -> SingularPointReport:
     )
 
 
-@dataclass(frozen=True)
 class TorusStructureReport:
-    holds: bool
-    constant: Fraction | None
+    __slots__ = ("holds", "constant")
+
+    def __init__(self, holds: bool, constant: Fraction | None):
+        self.holds, self.constant = holds, constant
 
 
 def verify_torus_structure(outer_shift: Fraction = Fraction(4, 27)) -> TorusStructureReport:

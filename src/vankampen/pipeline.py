@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -67,21 +66,22 @@ MONODROMY_BRAIDS = {
 BRAID_QUOTIENT = "gens: s1, s2; rels: s1 s2 s1 s2^-1 s1^-1 s2^-1, s1 s2 s1 s2 s1 s2"
 
 
-@dataclass(frozen=True)
 class StageResult:
-    name: str
-    expected: str
-    computed: str
-    exhausted: bool = False  # the stage stopped at its search budget
+    __slots__ = ("name", "expected", "computed", "exhausted")  # exhausted: stopped at its search budget
+
+    def __init__(self, name: str, expected: str, computed: str, exhausted: bool = False):
+        self.name, self.expected, self.computed, self.exhausted = name, expected, computed, exhausted
 
     @property
     def match(self) -> bool:
         return self.expected == self.computed
 
 
-@dataclass(frozen=True)
 class PipelineReport:
-    stages: tuple[StageResult, ...]
+    __slots__ = ("stages",)
+
+    def __init__(self, stages: tuple[StageResult, ...]):
+        self.stages = stages
 
     @property
     def overall(self) -> bool:

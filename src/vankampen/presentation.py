@@ -15,7 +15,6 @@ are computed on syllables: no exponent is ever expanded into letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .cover import KERNEL_GENS
@@ -27,23 +26,26 @@ if TYPE_CHECKING:
     from typing import Any, Callable, Iterable, Mapping, Sequence
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Generators plus freely reduced, nonempty relator words."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        gens = set(generators)
+        if len(gens) != len(generators):
             raise ValueError("duplicate generator name")
-        kept = tuple(r for r in self.relators if r)
-        object.__setattr__(self, "relators", kept)
-        gens = set(self.generators)
-        for r in kept:
-            foreign = r.generators() - gens
-            if foreign:
+        self.generators, self.relators = generators, tuple(r for r in relators if r)
+        for r in self.relators:
+            if foreign := r.generators() - gens:
                 raise ValueError(f"relator {r} uses undeclared generators {sorted(foreign)}")
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, Presentation)
+        return same and (self.generators, self.relators) == (other.generators, other.relators)
+
+    def __hash__(self) -> int:
+        return hash((self.generators, self.relators))
 
     def __str__(self) -> str:
         return format_presentation(self)
@@ -196,19 +198,20 @@ def _eliminate(P: Presentation, relator: Word, name: str) -> Presentation:
     return Presentation(gens, tuple(substitute(r, images) for r in P.relators if r is not relator))
 
 
-@dataclass(frozen=True)
 class MetacyclicForm:
     """Data (n, s) of the presentation <p, c | p^n, c^-1 p c p^-s>."""
 
-    n: int
-    s: int
+    __slots__ = ("n", "s")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, s: int):
+        if n < 1:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "s", self.s % self.n)
-        if gcd(self.s, self.n) != 1:
-            raise ValueError(f"s = {self.s} is not invertible mod {self.n}")
+        self.n, self.s = n, s % n
+        if gcd(self.s, n) != 1:
+            raise ValueError(f"s = {self.s} is not invertible mod {n}")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MetacyclicForm) and (self.n, self.s) == (other.n, other.s)
 
 
 def metacyclic_normal_form(
@@ -330,13 +333,13 @@ def patch_fiber(P: Presentation, g1: str, g2: str, k: int) -> Presentation:
 # homomorphism checks and the commutant report
 
 
-@dataclass(frozen=True)
 class GroupOps:
     """A concrete group given by identity, multiplication, and inverse."""
 
-    identity: Any
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
+    __slots__ = ("identity", "mul", "inv")
+
+    def __init__(self, identity: Any, mul: Callable[[Any, Any], Any], inv: Callable[[Any], Any]):
+        self.identity, self.mul, self.inv = identity, mul, inv
 
 
 def semidirect_metacyclic(n: int, m: int, s: int) -> GroupOps:
@@ -398,13 +401,17 @@ def multiplicative_order(s: int, n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
 class CommutantReport:
     """The commutator subgroup of a metacyclic group, certified."""
 
-    generator: Word
-    order: int
-    central: bool
+    __slots__ = ("generator", "order", "central")
+
+    def __init__(self, generator: Word, order: int, central: bool):
+        self.generator, self.order, self.central = generator, order, central
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, CommutantReport) and self.generator == other.generator
+        return same and (self.order, self.central) == (other.order, other.central)
 
 
 def commutant_report(form: MetacyclicForm) -> CommutantReport:

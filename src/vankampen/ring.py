@@ -1,4 +1,4 @@
-"""Exact algebra shared by the abelian, alexander and curves layers.
+"""Exact algebra shared by the alexander and curves layers.
 
 One implementation per algorithm:
 

@@ -26,7 +26,6 @@ lengths that substituting one side into the other would.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import InternalCheckError, ParseError
 
@@ -183,11 +182,10 @@ class FreeEndo:
     """An endomorphism of a free group, given by generator images.
 
     The ``inverse`` attribute, when set, is a verified two-sided inverse,
-    so the endomorphism is a genuine automorphism exactly when
-    ``is_automorphism`` is true.  Only ``identity``, ``braid_action`` and
-    ``cover.lift_monodromy`` set it, each with a certificate built
-    together with the images.  The last two link one way: the inverse
-    they attach carries none, so no reference cycle outlives a call.
+    so the endomorphism is then a genuine automorphism.  Only
+    ``braid_action`` and ``cover.lift_monodromy`` set it, each with a
+    certificate built together with the images.  Both link one way: the
+    inverse they attach carries none, so no reference cycle outlives a call.
     """
 
     __slots__ = ("domain", "images", "inverse")
@@ -206,22 +204,9 @@ class FreeEndo:
         self.images: dict[str, Word] = {g: images[g] for g in self.domain}
         self.inverse: FreeEndo | None = None
 
-    @classmethod
-    def identity(cls, domain: Iterable[str]) -> FreeEndo:
-        e = cls(domain, {g: Word.gen(g) for g in domain})
-        e.inverse = e
-        return e
-
-    @property
-    def is_automorphism(self) -> bool:
-        return self.inverse is not None
-
     def apply(self, w: Word) -> Word:
         """Image of a word: substitute generator images and reduce."""
         return substitute(w, self.images)
-
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -240,17 +225,6 @@ class FreeEndo:
         return f"FreeEndo({str(self)!r})"
 
 
-def compose(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:
-    """Composite ``e1 o e2``: ``compose(e1, e2)(w) == e1(e2(w))``.
-
-    The composite carries no inverse.
-    """
-    if e1.domain != e2.domain:
-        raise ValueError("domain mismatch in composition")
-    return FreeEndo(e1.domain, {g: e1.apply(e2.images[g]) for g in e1.domain})
-
-
-@dataclass(frozen=True)
 class BraidWord:
     """A braid word on ``strands`` strands, stored letter by letter.
 
@@ -258,22 +232,20 @@ class BraidWord:
     ``+1`` or ``-1``; the word is stored exactly as given (no reduction).
     """
 
-    strands: int
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 2:
+    def __init__(self, strands: int, letters: tuple[tuple[int, int], ...] = ()):
+        if strands < 2:
             raise ValueError("need at least two strands")
-        for idx, sign in self.letters:
-            if not 1 <= idx < self.strands:
-                raise ValueError(f"braid letter index {idx} out of range for {self.strands} strands")
+        for idx, sign in letters:
+            if not 1 <= idx < strands:
+                raise ValueError(f"braid letter index {idx} out of range for {strands} strands")
             if sign not in (1, -1):
                 raise ValueError(f"braid letter sign must be +1 or -1, got {sign}")
+        self.strands, self.letters = strands, letters
 
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        if self.strands != other.strands:
-            raise ValueError("strand count mismatch")
-        return BraidWord(self.strands, self.letters + other.letters)
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BraidWord) and (self.strands, self.letters) == (other.strands, other.letters)
 
     def inverse(self) -> BraidWord:
         return BraidWord(self.strands, tuple((i, -s) for i, s in reversed(self.letters)))

@@ -1,5 +1,6 @@
 import os
 import sys
+from fractions import Fraction
 
 # allow running the tests from a checkout without installing the package
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -7,9 +8,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import pytest  # noqa: E402
 
 from vankampen.abelian import IntMatrix, smith_normal_form  # noqa: E402
+from vankampen.alexander import LaurentPoly  # noqa: E402
 from vankampen.curves import MultiPoly  # noqa: E402
 from vankampen.presentation import Presentation  # noqa: E402
-from vankampen.words import BraidWord, Word, braid_action  # noqa: E402
+from vankampen.words import BraidWord, FreeEndo, Word, braid_action  # noqa: E402
 
 
 @pytest.fixture
@@ -64,5 +66,65 @@ def poly_substitute():
                 term = term * images[v] ** k
             out = out + term
         return out
+
+    return run
+
+
+@pytest.fixture
+def int_product():
+    """Rows of the product of ``IntMatrix`` factors, left to right."""
+
+    def run(*factors: IntMatrix) -> list[list[int]]:
+        rows = factors[0].rows()
+        for f in factors[1:]:
+            cols = [f.entries[j::f.ncols] for j in range(f.ncols)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
+        return rows
+
+    return run
+
+
+@pytest.fixture
+def int_det():
+    """Determinant of a square ``IntMatrix`` by Gaussian elimination over Q."""
+
+    def run(m: IntMatrix) -> int:
+        a = [[Fraction(x) for x in row] for row in m.rows()]
+        det = Fraction(1)
+        for k in range(len(a)):
+            p = next((i for i in range(k, len(a)) if a[i][k]), None)
+            if p is None:
+                return 0
+            if p != k:
+                a[k], a[p], det = a[p], a[k], -det
+            det *= a[k][k]
+            for i in range(k + 1, len(a)):
+                q = a[i][k] / a[k][k]
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+        return int(det)
+
+    return run
+
+
+@pytest.fixture
+def laurent_product():
+    """The product of ``LaurentPoly`` factors, term by term."""
+
+    def run(*factors: LaurentPoly) -> LaurentPoly:
+        out = LaurentPoly.one()
+        for f in factors:
+            out = LaurentPoly([(e + k, c * d) for e, c in out.coeffs.items() for k, d in f.coeffs.items()])
+        return out
+
+    return run
+
+
+@pytest.fixture
+def compose():
+    """The composite ``e1 o e2`` of two ``FreeEndo`` on one domain, with no inverse."""
+
+    def run(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:
+        assert e1.domain == e2.domain
+        return FreeEndo(e1.domain, {g: e1.apply(e2.images[g]) for g in e1.domain})
 
     return run

@@ -203,7 +203,7 @@ def test_zvk_assembles_displayed_presentation():
 
 
 def test_zvk_identity_cases():
-    ident = FreeEndo.identity(("p", "q"))
+    ident = FreeEndo(("p", "q"), {"p": Word.gen("p"), "q": Word.gen("q")})
     assert format_presentation(zvk_assemble(kept=[ident], removed=[])) == "gens: p, q; rels:"
     commutators = zvk_assemble(kept=[], removed=[("g", ident)])
     assert format_presentation(commutators) == "gens: p, q, g; rels: g^-1 p g p^-1, g^-1 q g q^-1"
@@ -211,10 +211,10 @@ def test_zvk_identity_cases():
 
 
 def test_zvk_rejects_name_collisions():
-    ident = FreeEndo.identity(("p", "q"))
+    ident = FreeEndo(("p", "q"), {"p": Word.gen("p"), "q": Word.gen("q")})
     with pytest.raises(ValueError):
         zvk_assemble(kept=[], removed=[("p", ident)])
-    wrong = FreeEndo.identity(("x", "y"))
+    wrong = FreeEndo(("x", "y"), {"x": Word.gen("x"), "y": Word.gen("y")})
     with pytest.raises(ValueError):
         zvk_assemble(kept=[wrong], removed=[])
 

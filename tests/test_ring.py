@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import prod
-from operator import floordiv
+from operator import floordiv, mul
 from pathlib import Path
 
 import pytest
@@ -25,13 +25,13 @@ from vankampen.ring import bareiss_det, qpoly_gcd, zpoly_det, zpoly_gcd
 from vankampen.words import Word
 
 
-def cofactor_det(rows, zero):
+def cofactor_det(rows, zero, times=mul):
     """Oracle: Laplace expansion along the first row."""
     if len(rows) == 1:
         return rows[0][0]
     total = zero
     for j, x in enumerate(rows[0]):
-        term = x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]], zero)
+        term = times(x, cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]], zero, times))
         total = total + term if j % 2 == 0 else total - term
     return total
 
@@ -119,9 +119,10 @@ ZPOLY_RINGS = {"laurent": (rand_laurent, LaurentPoly.zero()), "multipoly": (rand
 
 
 @pytest.mark.parametrize("name", sorted(ZPOLY_RINGS))
-def test_zpoly_det_matches_cofactor_oracle(name):
+def test_zpoly_det_matches_cofactor_oracle(name, laurent_product):
     # the seeded matrices Bareiss was checked on over these rings, as shifted or integer-scaled inputs
     entry, zero = ZPOLY_RINGS[name]
+    times = laurent_product if name == "laurent" else mul
     rng = random.Random(f"bareiss/{name}")
     matrices = []
     for _ in range(12):
@@ -129,7 +130,7 @@ def test_zpoly_det_matches_cofactor_oracle(name):
     matrices += [[[entry(rng)]] for _ in range(5)]
     for m in matrices:
         rows, back = as_zpoly(m)
-        assert back(zpoly_det(rows)) == cofactor_det(m, zero)
+        assert back(zpoly_det(rows)) == cofactor_det(m, zero, times)
 
 
 def test_zpoly_det_of_zero_entries_is_zero():
@@ -247,7 +248,7 @@ def test_qpoly_gcd_examples():
 
 
 KERNELS = {
-    abelian: {"bareiss_det"},
+    abelian: set(),
     alexander: {"zpoly_det", "zpoly_gcd"},
     curves: {"bareiss_det", "qpoly_gcd", "zpoly_det"},
 }
@@ -277,7 +278,7 @@ def test_ring_is_a_leaf_module():
 # -- independent oracle ----------------------------------------------------------
 
 
-def test_core_matches_sympy(torus_knot):
+def test_core_matches_sympy(torus_knot, laurent_product):
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
 
@@ -295,7 +296,7 @@ def test_core_matches_sympy(torus_knot):
     for _ in range(30):
         # Z[t] gcd against sympy's, up to units
         m, a, b = (rand_laurent(rng) for _ in range(3))
-        p, q = a * m, b * m
+        p, q = laurent_product(a, m), laurent_product(b, m)
         expected = sympy.gcd(to_sympy(p.normalized()), to_sympy(q.normalized()))
         assert laurent_gcd(p, q) == from_sympy(expected, 0).normalized()
         # monic Q[t] gcd of two multiples of a common factor
