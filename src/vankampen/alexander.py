@@ -95,9 +95,6 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -116,9 +113,6 @@ class LaurentPoly:
             else:
                 parts.append(f"{sign} {body}")
         return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({str(self)!r})"
 
 
 def _poly_coeff_list(p: LaurentPoly) -> list[int]:

@@ -117,9 +117,6 @@ class QEps:
             return NotImplemented
         return self.a == o.a and self.b == o.b
 
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 
@@ -133,9 +130,6 @@ class QEps:
         mag = abs(self.b)
         body = "e" if mag == 1 else f"{mag}*e"
         return f"{self.a} {sign} {body}"
-
-    def __repr__(self) -> str:
-        return f"QEps({str(self)!r})"
 
 
 EPS = QEps(0, 1)
@@ -283,9 +277,6 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.variables, self.field, frozenset(self.terms.items())))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -383,9 +374,6 @@ class MultiPoly:
             else:
                 parts.append(f"- {body}" if neg else f"+ {body}")
         return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({str(self)!r})"
 
 
 def poly_ring(variables: Sequence[str], field: str = FIELD_Q) -> tuple[MultiPoly, ...]:

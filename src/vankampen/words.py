@@ -116,9 +116,6 @@ class Word:
             return "1"
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables)
 
-    def __repr__(self) -> str:
-        return f"Word({str(self)!r})"
-
 
 def parse_word(
     text: str, generators: Iterable[str] | None = None, column_offset: int = 0, argument: str = ""
@@ -215,14 +212,8 @@ class FreeEndo:
             and self.images == other.images
         )
 
-    def __hash__(self) -> int:
-        return hash((self.domain, tuple(self.images[g] for g in self.domain)))
-
     def __str__(self) -> str:
         return ", ".join(f"{g} -> {self.images[g]}" for g in self.domain)
-
-    def __repr__(self) -> str:
-        return f"FreeEndo({str(self)!r})"
 
 
 class BraidWord:

@@ -1,6 +1,7 @@
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 # allow running the tests from a checkout without installing the package
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -126,5 +127,34 @@ def compose():
     def run(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:
         assert e1.domain == e2.domain
         return FreeEndo(e1.domain, {g: e1.apply(e2.images[g]) for g in e1.domain})
+
+    return run
+
+
+@pytest.fixture
+def metacyclic_group():
+    """Z/n x| Z/m with b a b^-1 = a^s, by brute force and apart from the
+    library's ``metacyclic_normal_form``.  ``run(n, s)`` gives (m, mul,
+    elements): m the order of s mod n, the law on pairs (i, j) = a^i b^j,
+    and the pairs reached from (0, 0) by right multiplication by a and b."""
+
+    def run(n: int, s: int) -> tuple[int, Callable, set[tuple[int, int]]]:
+        m, power = 1, s % n
+        while power != 1 % n:
+            power = power * s % n
+            m += 1
+
+        def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+            return (x[0] + y[0] * pow(s, x[1], n)) % n, (x[1] + y[1]) % m
+
+        elements = {(0, 0)}
+        frontier = [(0, 0)]
+        while frontier:
+            x = frontier.pop()
+            for y in (mul(x, (1, 0)), mul(x, (0, 1))):
+                if y not in elements:
+                    elements.add(y)
+                    frontier.append(y)
+        return m, mul, elements
 
     return run

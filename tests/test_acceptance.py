@@ -29,14 +29,10 @@ from vankampen.presentation import (
     Presentation,
     canonicalize,
     commutant_report,
-    element_order,
-    evaluate_word,
     metacyclic_normal_form,
     parse_presentation,
     patch_fiber,
-    semidirect_metacyclic,
     tietze_simplify,
-    verify_homomorphism,
     zvk_assemble,
 )
 from vankampen.curves import (
@@ -109,7 +105,7 @@ def test_presentation_pipeline_and_patch_sweep():
 
 
 @criterion("commutant: p^3 central of order 3")
-def test_commutant_certificate():
+def test_commutant_certificate(metacyclic_group):
     form = MetacyclicForm(9, 4)
     assert metacyclic_normal_form(form, parse_word("p^-1 g+^-1 p g+")) == (3, 0)
     report = commutant_report(form)
@@ -117,23 +113,21 @@ def test_commutant_certificate():
     assert report.order == 3
     assert report.central
 
+    # b a b^-1 = a^7 is g+^-1 p g+ = p^4 for (a, b) = (p, g+), as 4 * 7 = 1 mod 9
+    m, mul, elements = metacyclic_group(9, 7)
+    images = {"p": ((1, 0), 9), "g+": ((0, 1), m)}  # image and its order
     lemma = parse_presentation(LEMMA_TEXT)
-    group = semidirect_metacyclic(9, 3, 4)
-    images = {"p": (1, 0), "g+": (0, 1)}
-    assert verify_homomorphism(lemma, images, group)
-    cube = evaluate_word(parse_word("p^3"), images, group)
-    assert element_order(group, cube) == 3
-    for g in images.values():
-        assert group.mul(cube, g) == group.mul(g, cube)
-    elements = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        x = frontier.pop()
-        for g in images.values():
-            y = group.mul(x, g)
-            if y not in elements:
-                elements.add(y)
-                frontier.append(y)
+    for r in lemma.relators:
+        image = (0, 0)
+        for g, e in r.syllables:
+            x, order = images[g]
+            for _ in range(e % order):
+                image = mul(image, x)
+        assert image == (0, 0)
+    cube = (3, 0)
+    assert cube != (0, 0) and mul(mul(cube, cube), cube) == (0, 0)  # order 3
+    for g, _ in images.values():
+        assert mul(cube, g) == mul(g, cube)
     assert len(elements) == 27
     assert quotient_order(lemma, extra_relators=(parse_word("g+^3"),), max_cosets=10_000) == 27
 
@@ -201,7 +195,9 @@ def test_curve_verification():
 
 
 @criterion("property suites")
-def test_property_suites(snf_transforms, compose, laurent_product, int_product, int_det):
+def test_property_suites(
+    snf_transforms, compose, laurent_product, int_product, int_det, metacyclic_group
+):
     rng = random.Random(101)
 
     # free reduction is idempotent
@@ -295,20 +291,6 @@ def test_property_suites(snf_transforms, compose, laurent_product, int_product, 
     ]
     rng.shuffle(cases)
     for n, s in cases[:4]:
-        m, power = 1, s % n
-        while power != 1 % n:
-            power = power * s % n
-            m += 1
+        m, _, elements = metacyclic_group(n, s)
         pres = parse_presentation(f"gens: a, b; rels: a^{n}, b a b^-1 a^-{s}, b^{m}")
-        group = semidirect_metacyclic(n, m, pow(s, -1, n))
-        seen = {group.identity}
-        frontier = [group.identity]
-        gens = ((1, 0), (0, 1))
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = group.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        assert quotient_order(pres) == len(seen) == n * m
+        assert quotient_order(pres) == len(elements) == n * m

@@ -75,30 +75,7 @@ def test_enumeration_is_deterministic():
     assert (t1.generators, t1.rows) == (t2.generators, t2.rows)
 
 
-def multiplicative_order_mod(s, n):
-    m, power = 1, s % n
-    while power != 1 % n:
-        power = power * s % n
-        m += 1
-    return m
-
-
-def brute_force_metacyclic_order(n, s, m):
-    """Count pairs reachable in Z/n x| Z/m where b a b^-1 = a^s."""
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        a, b = frontier.pop()
-        for da, db in ((1, 0), (0, 1)):
-            na = (a + da * pow(s, b, n)) % n
-            nb = (b + db) % m
-            if (na, nb) not in seen:
-                seen.add((na, nb))
-                frontier.append((na, nb))
-    return len(seen)
-
-
-def test_metacyclic_orders_match_brute_force():
+def test_metacyclic_orders_match_brute_force(metacyclic_group):
     rng = random.Random(27)
     cases = [
         (n, s)
@@ -108,10 +85,10 @@ def test_metacyclic_orders_match_brute_force():
     ]
     rng.shuffle(cases)
     for n, s in cases[:8]:
-        m = multiplicative_order_mod(s, n)
+        m, _, elements = metacyclic_group(n, s)
         text = f"gens: a, b; rels: a^{n}, b a b^-1 a^-{s}, b^{m}"
         pres = parse_presentation(text)
-        assert quotient_order(pres) == brute_force_metacyclic_order(n, s, m) == n * m
+        assert quotient_order(pres) == len(elements) == n * m
 
 
 def test_overflow_propagates_from_quotient_order():
@@ -184,7 +161,7 @@ def regular_action_rows(n):
 
 
 @pytest.mark.parametrize("n", [5, 7, 11, 13, 19])
-def test_metacyclic_table_equals_the_regular_action(n):
+def test_metacyclic_table_equals_the_regular_action(n, metacyclic_group):
     # 2 is a primitive root mod 5, 11, 13 and 19 but has order 3 mod 7
-    assert multiplicative_order_mod(2, 7) == 3
+    assert metacyclic_group(7, 2)[0] == 3
     assert enumerate_cosets(metacyclic_family(n)).rows == regular_action_rows(n)

@@ -8,25 +8,20 @@ import pytest
 
 from vankampen import presentation
 from vankampen.abelian import abelian_invariants
-from vankampen.errors import ParseError
+from vankampen.errors import InternalCheckError, ParseError
+from vankampen.pipeline import Replay
 from vankampen.presentation import (
     CommutantReport,
-    GroupOps,
     MetacyclicForm,
     Presentation,
     canonical_relator,
     canonicalize,
     commutant_report,
-    element_order,
-    evaluate_word,
     format_presentation,
     metacyclic_normal_form,
-    multiplicative_order,
     parse_presentation,
     patch_fiber,
-    semidirect_metacyclic,
     tietze_simplify,
-    verify_homomorphism,
     zvk_assemble,
 )
 from vankampen.words import FreeEndo, Word, parse_word
@@ -333,62 +328,6 @@ def test_p_cubed_quotient_is_abelian():
     assert str(abelian_invariants(simplified)) == "Z/3 + Z^1"
 
 
-def test_cyclic_group_ops():
-    z6 = GroupOps(0, lambda a, b: (a + b) % 6, lambda a: (-a) % 6)
-    assert z6.mul(4, 5) == 3
-    assert z6.inv(4) == 2
-    assert element_order(z6, 2) == 3
-    assert element_order(z6, z6.identity) == 1
-
-
-def test_semidirect_construction_validates():
-    with pytest.raises(ValueError):
-        semidirect_metacyclic(9, 3, 2)  # 2^3 = 8 != 1 mod 9
-    group = semidirect_metacyclic(9, 3, 4)
-    assert group.identity == (0, 0)
-    assert group.mul((1, 0), (0, 1)) == (1, 1)
-    # gamma^-1 p gamma = p^4
-    gamma, p = (0, 1), (1, 0)
-    lhs = group.mul(group.mul(group.inv(gamma), p), gamma)
-    assert lhs == group.mul(group.mul(p, p), group.mul(p, p))
-
-
-def test_semidirect_group_axioms_random():
-    rng = random.Random(5)
-    group = semidirect_metacyclic(9, 3, 4)
-    elements = [(rng.randrange(9), rng.randrange(3)) for _ in range(12)]
-    for x in elements:
-        assert group.mul(x, group.identity) == x
-        assert group.mul(x, group.inv(x)) == group.identity
-    for x, y, z in zip(elements, elements[1:], elements[2:]):
-        assert group.mul(group.mul(x, y), z) == group.mul(x, group.mul(y, z))
-
-
-def test_verify_homomorphism_examples():
-    lemma = parse_presentation(LEMMA)
-    group = semidirect_metacyclic(9, 3, 4)
-    images = {"p": (1, 0), "g+": (0, 1)}
-    assert verify_homomorphism(lemma, images, group)
-    assert element_order(group, (1, 0)) == 9
-    p_cubed = evaluate_word(parse_word("p^3"), images, group)
-    assert element_order(group, p_cubed) == 3
-    for a in range(9):
-        for b in range(3):
-            x = (a, b)
-            assert group.mul(p_cubed, x) == group.mul(x, p_cubed)
-
-    z6 = GroupOps(0, lambda a, b: (a + b) % 6, lambda a: (-a) % 6)
-    assert verify_homomorphism(lemma, {"p": 2, "g+": 1}, z6)
-    z9 = GroupOps(0, lambda a, b: (a + b) % 9, lambda a: (-a) % 9)
-    assert not verify_homomorphism(lemma, {"p": 1, "g+": 0}, z9)
-
-
-def test_multiplicative_order():
-    assert multiplicative_order(4, 9) == 3
-    assert multiplicative_order(7, 9) == 3
-    assert multiplicative_order(1, 9) == 1
-
-
 def test_commutant_report_examples():
     report = commutant_report(MetacyclicForm(9, 4))
     assert report == CommutantReport(parse_word("p^3"), 3, True)
@@ -401,3 +340,36 @@ def test_commutant_report_non_central_case():
     assert str(report.generator) == "p^2"
     assert report.order == 4
     assert not report.central
+
+
+def test_commutant_report_matches_the_oracle(metacyclic_group):
+    # <p, g+ | p^n, g+^-1 p g+ p^-s> mod g+^m is the oracle's group, where
+    # b a b^-1 = a^t for (a, b) = (p, g+) and t = s^-1 mod n
+    for n, s in [(9, 4), (9, 7), (9, 1), (8, 3), (7, 3), (12, 5)]:
+        report = commutant_report(MetacyclicForm(n, s))
+        _, mul, elements = metacyclic_group(n, pow(s, -1, n))
+        inverse = {x: y for x in elements for y in elements if mul(x, y) == (0, 0)}
+        commutators = {mul(mul(inverse[x], inverse[y]), mul(x, y)) for x in elements for y in elements}
+        subgroup, grown = set(), {(0, 0)}
+        while grown != subgroup:
+            subgroup, grown = grown, grown | {mul(x, c) for x in grown for c in commutators}
+        assert report.generator.generators() <= {"p"}
+        g = (report.generator.exponent_sum("p") % n, 0)
+        powers = [g]
+        while powers[-1] != (0, 0):
+            powers.append(mul(powers[-1], g))
+        assert set(powers) == subgroup and len(powers) == report.order
+        assert report.central == all(mul(g, x) == mul(x, g) for x in elements)
+
+
+def test_commutant_certificate_rejects_a_wrong_group_law(monkeypatch):
+    law = presentation.metacyclic_normal_form
+
+    def ignoring_s(form, w, p_gen="p", c_gen="g+"):
+        return law(MetacyclicForm(form.n, 1), w, p_gen, c_gen)
+
+    monkeypatch.setattr(presentation, "metacyclic_normal_form", ignoring_s)
+    with pytest.raises(InternalCheckError):
+        commutant_report(MetacyclicForm(9, 4))
+    computed = Replay(k=0).stage("commutant").computed
+    assert computed.startswith("error: InternalCheckError: internal certification failed")
