@@ -48,20 +48,12 @@ class LaurentPoly:
         self.coeffs: dict[int, int] = {e: c for e, c in acc.items() if c}
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls()
-
-    @classmethod
     def one(cls) -> LaurentPoly:
         return cls({0: 1})
 
     @classmethod
     def term(cls, coeff: int, exp: int) -> LaurentPoly:
         return cls({exp: coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -84,7 +76,7 @@ class LaurentPoly:
 
     def normalized(self) -> LaurentPoly:
         """Canonical unit form: lowest exponent 0, constant term positive."""
-        if self.is_zero:
+        if not self:
             return self
         low = min(self.coeffs)
         out = self.shift(-low)
@@ -96,7 +88,7 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self:
             return "0"
         parts: list[str] = []
         for e in sorted(self.coeffs, reverse=True):
@@ -123,9 +115,9 @@ def _poly_coeff_list(p: LaurentPoly) -> list[int]:
 
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Gcd up to units, in canonical normalized form."""
-    if p.is_zero:
+    if not p:
         return q.normalized()
-    if q.is_zero:
+    if not q:
         return p.normalized()
     g = zpoly_gcd(_poly_coeff_list(p), _poly_coeff_list(q))
     return LaurentPoly(dict(enumerate(g))).normalized()
@@ -197,7 +189,7 @@ def _certify_fox_matrix(wp: WeightedPresentation, matrix: list[list[LaurentPoly]
     """Check Fox's fundamental formula, with or without defect, on every row."""
     P = wp.presentation
     for r, row in zip(P.relators, matrix):
-        total = LaurentPoly.zero()
+        total = LaurentPoly()
         for g, entry in zip(P.generators, row):
             total = total + entry.shift(wp.weights[g]) - entry
         weight = sum(e * wp.weights[g] for g, e in r.syllables)
@@ -222,7 +214,7 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
         return LaurentPoly.one()
     size = n - 1
     if m < size:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     matrix = alexander_matrix(wp)
     _certify_fox_matrix(wp, matrix)
     units = [k for k, g in enumerate(P.generators) if abs(wp.weights[g]) == 1]
@@ -234,7 +226,7 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
     for row in matrix:
         low = min((e for p in row for e in p.coeffs), default=0)
         shifted.append([{(e - low,): c for e, c in p.coeffs.items()} for p in row])
-    acc = LaurentPoly.zero()
+    acc = LaurentPoly()
     for rows in combinations(range(m), size):
         for cols in column_sets:
             det = zpoly_det([[shifted[i][j] for j in cols] for i in rows])

@@ -120,17 +120,6 @@ class QEps:
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 
-    def __str__(self) -> str:
-        if not self.b:
-            return str(self.a)
-        eb = "e" if self.b == 1 else "-e" if self.b == -1 else f"{self.b}*e"
-        if not self.a:
-            return eb
-        sign = "+" if self.b > 0 else "-"
-        mag = abs(self.b)
-        body = "e" if mag == 1 else f"{mag}*e"
-        return f"{self.a} {sign} {body}"
-
 
 EPS = QEps(0, 1)
 
@@ -279,10 +268,6 @@ class MultiPoly:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -341,40 +326,6 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    # -- printing ----------------------------------------------------------
-
-    def _sorted_terms(self) -> list[tuple[tuple[int, ...], Any]]:
-        return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for e, c in self._sorted_terms():
-            factors = []
-            for v, k in zip(self.variables, e):
-                if k == 1:
-                    factors.append(v)
-                elif k > 1:
-                    factors.append(f"{v}^{k}")
-            monomial = "*".join(factors)
-            if isinstance(c, QEps):
-                cs = str(c)
-                coeff_body = cs if ("+" not in cs and "-" not in cs[1:] and " " not in cs) else f"({cs})"
-                neg = False
-            else:
-                neg = c < 0
-                coeff_body = str(abs(c))
-            if monomial:
-                body = monomial if coeff_body == "1" else f"{coeff_body}*{monomial}"
-            else:
-                body = coeff_body
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
-
 
 def poly_ring(variables: Sequence[str], field: str = FIELD_Q) -> tuple[MultiPoly, ...]:
     """Generator polynomials for each named variable."""
@@ -389,7 +340,7 @@ def poly_ring(variables: Sequence[str], field: str = FIELD_Q) -> tuple[MultiPoly
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Quotient f/g when g divides f exactly; raises ValueError otherwise."""
     f._check_compatible(g)
-    if g.is_zero:
+    if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     quotient: dict[tuple[int, ...], Any] = {}
     rem = dict(f.terms)
@@ -441,7 +392,7 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """
     f._check_compatible(g)
     zero = MultiPoly(f.variables, (), f.field)
-    if f.is_zero or g.is_zero:
+    if not f or not g:
         return zero
     df, dg = f.degree(var), g.degree(var)
     if df == 0 and dg == 0:
@@ -618,11 +569,11 @@ def singular_parameters() -> MultiPoly:
     a = resultant(f, fx, "x")
     bb = resultant(f, fy, "x")
     c = resultant(fx, fy, "x")
-    if a.is_zero or bb.is_zero or c.is_zero:
+    if not a or not bb or not c:
         raise InternalCheckError("degenerate elimination: vanishing resultant in x")
     r1 = resultant(a, c, "y")
     r2 = resultant(bb, c, "y")
-    if r1.is_zero or r2.is_zero:
+    if not r1 or not r2:
         raise InternalCheckError("degenerate elimination: vanishing resultant in y")
     # over Q[b], sqfree(gcd(r1, r2)) = gcd(sqfree r1, sqfree r2)
     g = qpoly_gcd(_as_univariate(r1, "b"), _as_univariate(r2, "b"))
@@ -643,14 +594,14 @@ def intersection_multiplicity_origin(g: MultiPoly, h: MultiPoly) -> int:
             raise ValueError("curve does not pass through the origin")
     # restriction to zbar = 0; the zero polynomial has no coefficients
     g_line, h_line = ((f.coeffs_in("zbar") or [f])[0] for f in (g, h))
-    if g_line.is_zero and h_line.is_zero:
+    if not g_line and not h_line:
         raise ValueError("both curves contain the line zbar = 0")
     for f, f_line in ((g, g_line), (h, h_line)):
-        if f_line.is_zero:
+        if not f_line:
             continue
         # common points on the line must be confined to the origin
         other = h_line if f is g else g_line
-        if other.is_zero:
+        if not other:
             if len(f_line.terms) != 1:
                 raise ValueError("degenerate direction: extra common points on zbar = 0")
         dy = f.degree("ybar")
@@ -658,12 +609,12 @@ def intersection_multiplicity_origin(g: MultiPoly, h: MultiPoly) -> int:
             lead = f.coeffs_in("ybar")[dy]
             if not lead.evaluate({"ybar": 0, "zbar": 0}):
                 raise ValueError("degenerate direction: leading coefficient vanishes at zbar = 0")
-    if not g_line.is_zero and not h_line.is_zero:
+    if g_line and h_line:
         common = qpoly_gcd(_as_univariate(g_line, "ybar"), _as_univariate(h_line, "ybar"))
         if sum(1 for c in common if c) > 1:
             raise ValueError("degenerate direction: extra common points on zbar = 0")
     r = resultant(g, h, "ybar")
-    if r.is_zero:
+    if not r:
         raise ValueError("common factor: resultant vanishes identically")
     return r.valuation("zbar")
 
@@ -690,14 +641,14 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Multi
     while pos < len(text):
         m = _POLY_TOKEN.match(text, pos)
         if m is None:
-            raise ParseError(f"bad character {text[pos]!r}", 1, pos + 1)
+            raise ParseError(f"bad character {text[pos]!r}", pos + 1)
         if m.group("var") is not None:
             exp = m.group("exp")
             if exp is not None:
                 if int(exp) < 0:
-                    raise ParseError("negative exponent", 1, pos + 1)
+                    raise ParseError("negative exponent", pos + 1)
                 if int(exp) == 0:
-                    raise ParseError("zero exponent", 1, pos + 1)
+                    raise ParseError("zero exponent", pos + 1)
                 tokens.append(("varpow", f"{m.group('var')}^{exp}", pos + 1))
             else:
                 tokens.append(("varpow", m.group("var"), pos + 1))
@@ -707,7 +658,7 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Multi
             tokens.append(("op", m.group("op"), pos + 1))
         pos = m.end()
     if not tokens:
-        raise ParseError("empty polynomial", 1, 1)
+        raise ParseError("empty polynomial")
 
     # split into signed terms
     terms: list[tuple[int, list[tuple[str, str, int]]]] = []
@@ -717,7 +668,7 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Multi
     for kind, val, col in tokens:
         if kind == "op" and val in "+-":
             if expecting_factor and factors:
-                raise ParseError("dangling operator", 1, col)
+                raise ParseError("dangling operator", col)
             if factors:
                 terms.append((sign, factors))
                 factors = []
@@ -727,13 +678,13 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Multi
             expecting_factor = True
         elif kind == "op" and val == "*":
             if expecting_factor:
-                raise ParseError("misplaced '*'", 1, col)
+                raise ParseError("misplaced '*'", col)
             expecting_factor = True
         else:
             factors.append((kind, val, col))
             expecting_factor = False
     if expecting_factor and not factors:
-        raise ParseError("dangling operator", 1, len(text))
+        raise ParseError("dangling operator", len(text))
     if factors:
         terms.append((sign, factors))
 
@@ -747,7 +698,7 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Multi
                 if "/" in val:
                     n, d = val.split("/")
                     if int(d) == 0:
-                        raise ParseError("zero denominator", 1, col)
+                        raise ParseError("zero denominator", col)
                     coeff *= Fraction(int(n), int(d))
                 else:
                     coeff *= int(val)
@@ -761,7 +712,7 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Multi
     var_tuple = tuple(variables) if variables is not None else tuple(sorted(seen))
     unknown = seen - set(var_tuple)
     if unknown:
-        raise ParseError(f"unknown variable(s) {sorted(unknown)}", 1, 1)
+        raise ParseError(f"unknown variable(s) {sorted(unknown)}")
     ring_terms: list[tuple[tuple[int, ...], Any]] = []
     for sgn, coeff, exps in parsed:
         e = tuple(exps.get(v, 0) for v in var_tuple)

@@ -6,12 +6,12 @@ from __future__ import annotations
 class ParseError(ValueError):
     """Syntax error in one of the small text grammars.
 
-    Carries the 1-based line (or command-line ``argument``) and column of the offending token.
+    Names the command-line ``argument`` (else line 1: each grammar is one line) and the 1-based column.
     """
 
-    def __init__(self, message: str, line: int = 1, column: int = 1, argument: str = ""):
-        super().__init__(f"{argument or f'line {line}'}, column {column}: {message}")
-        self.line, self.column = line, column
+    def __init__(self, message: str, column: int = 1, argument: str = ""):
+        super().__init__(f"{argument or 'line 1'}, column {column}: {message}")
+        self.column = column
 
 
 class CoverError(ValueError):

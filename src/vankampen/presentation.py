@@ -19,7 +19,7 @@ from math import gcd
 
 from .cover import KERNEL_GENS
 from .errors import InternalCheckError, ParseError
-from .words import FreeEndo, Syllable, Word, parse_word, substitute
+from .words import _WORD_TOKEN_RE, FreeEndo, Syllable, Word, parse_word, substitute
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -58,16 +58,22 @@ def parse_presentation(text: str) -> Presentation:
     """Parse ``gens: p, q; rels: p^9, q p q^-1`` (rels may be empty)."""
     head, sep, tail = text.partition(";")
     if not head.strip().startswith("gens:"):
-        raise ParseError("expected 'gens:' section", 1, 1)
+        raise ParseError("expected 'gens:' section")
     if not sep:
-        raise ParseError("expected ';' before 'rels:' section", 1, len(text) + 1)
+        raise ParseError("expected ';' before 'rels:' section", len(text) + 1)
     generators = tuple(g.strip() for g in head.strip()[len("gens:"):].split(",") if g.strip())
     if len(set(generators)) != len(generators):
-        raise ParseError("duplicate generator name", 1, head.index("gens:") + 1)
+        raise ParseError("duplicate generator name", head.index("gens:") + 1)
+    at = head.index("gens:") + len("gens:")
+    for name in generators:  # each must be one token of the word grammar, without exponent
+        at = head.index(name, at)
+        if not (m := _WORD_TOKEN_RE.match(name)) or m["exp"]:
+            raise ParseError(f"bad generator name {name!r}", at + 1)
+        at += len(name)
     rel_head = tail.lstrip()
     rel_col = len(text) - len(tail) + (len(tail) - len(rel_head)) + 1
     if not rel_head.startswith("rels:"):
-        raise ParseError("expected 'rels:' section", 1, rel_col)
+        raise ParseError("expected 'rels:' section", rel_col)
     rel_part = rel_head[len("rels:"):]
     offset = len(text) - len(rel_part)
     relators: list[Word] = []
@@ -356,7 +362,7 @@ def commutant_report(form: MetacyclicForm) -> CommutantReport:
     order = n // d
     central = (s * d) % n == d % n
     p, c = Word.gen("p"), Word.gen("g+")
-    relators = (p ** n, ~c * p * c * p ** -s)
+    relators = (p ** n, c.inverse() * p * c * p ** -s)
     if any(metacyclic_normal_form(form, r) != (0, 0) for r in relators):
         raise InternalCheckError("internal certification failed: map is not a homomorphism")
     generator = p ** d if d < n else Word()

@@ -85,9 +85,6 @@ class Word:
     def inverse(self) -> Word:
         return Word((g, -e) for g, e in reversed(self.syllables))
 
-    def __invert__(self) -> Word:
-        return self.inverse()
-
     def __pow__(self, n: int) -> Word:
         base = self if n >= 0 else self.inverse()
         return Word(base.syllables * abs(n))
@@ -123,7 +120,7 @@ def parse_word(
     """Parse the word grammar, e.g. ``p q^-1 p^3``; ``1`` is the identity.
 
     If ``generators`` is given, names outside it are rejected.  Exponents
-    must be nonzero integers.  Errors carry line/column positions (columns in ``argument`` if given).
+    must be nonzero integers.  Errors carry the column of the bad token (in ``argument`` if given).
     """
     known = set(generators) if generators is not None else None
     syllables: list[Syllable] = []

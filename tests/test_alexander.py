@@ -42,7 +42,7 @@ def rotate(w, k):
 def test_laurent_arithmetic_and_normal_form(laurent_product):
     p = LaurentPoly({2: 1, 0: 3, 5: 0})
     assert p.coeffs == {2: 1, 0: 3}
-    assert (p - p).is_zero
+    assert not p - p
     assert laurent_product(T.shift(1) - T + ONE, T + ONE) == LaurentPoly({3: 1, 0: 1})
     assert LaurentPoly({-3: 2, -1: 4}).shift(3) == LaurentPoly({0: 2, 2: 4})
     assert LaurentPoly({-1: -1, 0: 1}).normalized() == LaurentPoly({1: 1, 0: -1}).normalized()
@@ -58,7 +58,7 @@ def test_laurent_accepts_mappings_and_pairs(coeffs):
 
 
 def test_laurent_str_forms():
-    assert str(LaurentPoly.zero()) == "0"
+    assert str(LaurentPoly()) == "0"
     assert str(ONE) == "1"
     assert str(T.shift(1) - T + ONE) == "t^2 - t + 1"
     assert str(LaurentPoly({-1: 3, 1: -1})) == "-t + 3*t^-1"
@@ -66,7 +66,7 @@ def test_laurent_str_forms():
 
 def test_laurent_gcd_examples():
     assert laurent_gcd(T.shift(1) - ONE, T.shift(2) - ONE) == LaurentPoly({1: -1, 0: 1})
-    assert laurent_gcd(LaurentPoly.zero(), T.shift(1) - ONE) == (T.shift(1) - ONE).normalized()
+    assert laurent_gcd(LaurentPoly(), T.shift(1) - ONE) == (T.shift(1) - ONE).normalized()
     assert laurent_gcd(LaurentPoly({1: 2, 0: 2}), LaurentPoly({1: 4, 0: 4})) == LaurentPoly(
         {1: 2, 0: 2}
     )
@@ -81,17 +81,17 @@ def test_laurent_gcd_divides_both(laurent_product):
         m = LaurentPoly({rng.randint(0, 2): rng.randint(1, 2)})
         am, bm = laurent_product(a, m), laurent_product(b, m)
         g = laurent_gcd(am, bm)
-        if am.is_zero and bm.is_zero:
-            assert g.is_zero
+        if not am and not bm:
+            assert not g
             continue
         # the common factor m must survive into the gcd
-        assert not g.is_zero
+        assert g
         assert laurent_gcd(g, m) == m.normalized()
 
 
 def test_fox_derivative_basics():
     assert fox_derivative(parse_word("a"), "a", {"a": 1}) == ONE
-    assert fox_derivative(parse_word("a"), "b", {"a": 1, "b": 1}).is_zero
+    assert not fox_derivative(parse_word("a"), "b", {"a": 1, "b": 1})
     assert fox_derivative(parse_word("a^-1"), "a", {"a": 2}) == LaurentPoly.term(-1, -2)
     assert fox_derivative(parse_word("a^3"), "a", {"a": 1}) == LaurentPoly({0: 1, 1: 1, 2: 1})
 
@@ -117,7 +117,7 @@ def test_fox_fundamental_identity(laurent_product):
     weights = {"a": 1, "b": 3, "c": -2}
     for _ in range(40):
         w = rand_word(rng, gens, rng.randint(1, 6))
-        total = LaurentPoly.zero()
+        total = LaurentPoly()
         for g in gens:
             total = total + laurent_product(
                 fox_derivative(w, g, weights), LaurentPoly.term(1, weights[g]) - ONE
@@ -279,7 +279,7 @@ def sympy_alexander(sympy, pres, weights):
         for cs in combinations(range(len(pres.generators)), size):
             acc = sympy.gcd(acc, sympy.expand(matrix.extract(list(rs), list(cs)).det()))
     if acc == 0:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     coeffs = {e: int(c) for (e,), c in sympy.Poly(acc, t).terms()}
     return LaurentPoly(coeffs).normalized()
 

@@ -218,6 +218,16 @@ def test_cli_abelianize(capsys):
     assert out.strip() == "Z/3 + Z^1"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("simplify", "gens: p^2, q; rels: q"), ("abelianize", "gens: a b; rels:"), ("abelianize", "gens: 1, a; rels: a^2")],
+)
+def test_cli_rejects_generator_names_the_word_grammar_cannot_spell(capsys, args):
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: line 1, column 7: bad generator name ")
+
+
 def test_cli_coset_enum_index_and_overflow(capsys):
     rc, out, _ = run(capsys, "coset-enum", LEMMA, "--subgroup", "g+")
     assert rc == 0

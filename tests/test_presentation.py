@@ -54,7 +54,7 @@ def test_presentation_validation():
 
 
 def test_parse_format_round_trip():
-    for text in (EQ_G1, LEMMA, "gens: a; rels:", RAW_G1):
+    for text in (EQ_G1, LEMMA, "gens: a; rels:", "gens: ; rels:", RAW_G1):
         pres = parse_presentation(text)
         assert format_presentation(pres) == text
         assert parse_presentation(format_presentation(pres)) == pres
@@ -72,6 +72,18 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError, match="duplicate generator name") as err:
         parse_presentation("  gens: p, q, p; rels: q")
     assert err.value.column == 3
+
+
+@pytest.mark.parametrize(
+    "text, name, column",
+    [("gens: p^2, q; rels: q", "p^2", 7), ("gens: a b; rels:", "a b", 7), ("gens: 1, a; rels: a^2", "1", 7),
+     ("gens: p, q-, g+ ,  r^-1; rels:", "r^-1", 20), ("gens: a1, 1; rels:", "1", 11)],
+)
+def test_parse_rejects_names_the_word_grammar_cannot_spell(text, name, column):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert err.value.column == column
+    assert str(err.value) == f"line 1, column {column}: bad generator name {name!r}"
 
 
 def cyclic_reduce_by_letters(w):

@@ -115,7 +115,7 @@ def as_zpoly(m):
     return rows, lambda det: MultiPoly(("x", "y"), {e: Fraction(c, 2 ** len(m)) for e, c in det.items()})
 
 
-ZPOLY_RINGS = {"laurent": (rand_laurent, LaurentPoly.zero()), "multipoly": (rand_multipoly, MultiPoly(("x", "y")))}
+ZPOLY_RINGS = {"laurent": (rand_laurent, LaurentPoly()), "multipoly": (rand_multipoly, MultiPoly(("x", "y")))}
 
 
 @pytest.mark.parametrize("name", sorted(ZPOLY_RINGS))
