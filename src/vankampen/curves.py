@@ -533,24 +533,15 @@ def verify_node(f: MultiPoly, pt: Sequence[Any]) -> SingularPointReport:
     )
 
 
-class TorusStructureReport:
-    __slots__ = ("holds", "constant")
+def verify_torus_structure() -> Fraction | None:
+    """The constant u v - ((u + v)/2)^2 of the sextic's factors (u, v), or None.
 
-    def __init__(self, holds: bool, constant: Fraction | None):
-        self.holds, self.constant = holds, constant
-
-
-def verify_torus_structure(outer_shift: Fraction = Fraction(4, 27)) -> TorusStructureReport:
-    """Check u(u - outer_shift) - (u - 2/27)^2 is constant, u = y^3+y^2+x^2.
-
-    With the true shift 4/27 the difference is the constant -4/729; any
-    other shift leaves a non-constant difference and the check fails.
+    The difference is -((u - v)/2)^2, so it is constant exactly when u - v
+    is; for the factors u and u - 4/27 it is -4/729.
     """
-    u, _ = torus_sextic_factors()
-    diff = u * (u - outer_shift) - (u - Fraction(2, 27)) ** 2
-    if not diff.is_constant():
-        return TorusStructureReport(False, None)
-    return TorusStructureReport(True, diff.constant_value())
+    u, v = torus_sextic_factors()
+    diff = u * v - ((u + v) * Fraction(1, 2)) ** 2
+    return diff.constant_value() if diff.is_constant() else None
 
 
 def singular_parameters() -> MultiPoly:

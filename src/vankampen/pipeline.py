@@ -27,7 +27,6 @@ from .cover import lift_monodromy
 from .coset import quotient_order
 from .curves import (
     EPS,
-    TorusStructureReport,
     chart_cubic_factors,
     cubic_pencil,
     intersection_multiplicity_origin,
@@ -202,7 +201,7 @@ class Replay:
         return alexander_polynomial(braids), alexander_polynomial(cyclic)
 
     @cached_property
-    def curves(self) -> tuple[bool, bool, bool, bool, bool, bool, TorusStructureReport, int]:
+    def curves(self) -> tuple[bool, bool, bool, bool, bool, bool, Fraction | None, int]:
         """The curve-checks claims, in the order that stage prints them."""
         third = Fraction(1, 3)
         node_q = verify_node(cubic_pencil(third), (Fraction(2, 5), Fraction(1, 5))).is_node
@@ -261,7 +260,7 @@ def _render_curves(r: Replay) -> str:
             f"on f at b = eps^-1/3 {_yes(on_conjugate)}, on f at b = eps/3 {_yes(on_direct)}",
             f"node of f_0 at (0, 0): {_yes(node_origin)}",
             f"singular parameters divisible by 27 b^3 - 1: {_yes(divisible)}",
-            f"torus identity constant: {torus.constant if torus.holds else 'none'}",
+            f"torus identity constant: {'none' if torus is None else torus}",
             f"chart intersection multiplicity at origin: {multiplicity}",
         ]
     )

@@ -114,11 +114,13 @@ def _primitive(f: list[int]) -> list[int]:
 
 
 def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder of f by g over Z (both trimmed, g nonzero)."""
+    """Pseudo-remainder of f by g over Z (both trimmed, g nonzero); f is left as it is."""
     dg, lg = len(g) - 1, g[-1]
+    f = f[:]
     while len(f) - 1 >= dg:
         df, lead = len(f) - 1, f[-1]
-        f = [lg * c for c in f]
+        if lg != 1:  # a monic divisor would rescale all of f per step for nothing
+            f = [lg * c for c in f]
         for i, gc in enumerate(g):
             f[df - dg + i] -= lead * gc
         while f and f[-1] == 0:

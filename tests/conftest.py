@@ -108,13 +108,29 @@ def int_det():
 
 
 @pytest.fixture
-def laurent_product():
+def laurent_sum():
+    """The sum of ``LaurentPoly`` terms, coefficient by coefficient."""
+
+    def run(*terms: LaurentPoly) -> LaurentPoly:
+        out: dict[int, int] = {}
+        for p in terms:
+            for e, c in p.coeffs.items():
+                out[e] = out.get(e, 0) + c
+        return LaurentPoly(out)
+
+    return run
+
+
+@pytest.fixture
+def laurent_product(laurent_sum):
     """The product of ``LaurentPoly`` factors, term by term."""
 
     def run(*factors: LaurentPoly) -> LaurentPoly:
         out = LaurentPoly.one()
         for f in factors:
-            out = LaurentPoly([(e + k, c * d) for e, c in out.coeffs.items() for k, d in f.coeffs.items()])
+            out = laurent_sum(
+                *(LaurentPoly({e + k: c * d}) for e, c in out.coeffs.items() for k, d in f.coeffs.items())
+            )
         return out
 
     return run

@@ -474,14 +474,17 @@ def test_sextic_is_product_of_its_cubic_factors():
 
 
 def test_torus_structure_identity():
-    report = verify_torus_structure()
-    assert report.holds
-    assert report.constant == Fraction(-4, 729)
+    assert verify_torus_structure() == Fraction(-4, 729)
 
 
-def test_torus_structure_fails_when_perturbed():
-    report = verify_torus_structure(outer_shift=Fraction(5, 27))
-    assert not report.holds
+def test_torus_structure_fails_when_perturbed(monkeypatch):
+    u, v = torus_sextic_factors()
+    x, _ = poly_ring(("x", "y"))
+    # u v - ((u + v)/2)^2 = -((u - v)/2)^2: a constant shift of v keeps it constant
+    monkeypatch.setattr(curves, "torus_sextic_factors", lambda: (u, v - Fraction(1, 27)))
+    assert verify_torus_structure() == -Fraction(5, 54) ** 2
+    monkeypatch.setattr(curves, "torus_sextic_factors", lambda: (u, v + x))
+    assert verify_torus_structure() is None
 
 
 def test_chart_factors_and_sextic_agree():

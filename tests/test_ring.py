@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import prod
-from operator import floordiv, mul
+from operator import add, floordiv, mul, neg
 from pathlib import Path
 
 import pytest
@@ -25,14 +25,14 @@ from vankampen.ring import bareiss_det, qpoly_gcd, zpoly_det, zpoly_gcd
 from vankampen.words import Word
 
 
-def cofactor_det(rows, zero, times=mul):
-    """Oracle: Laplace expansion along the first row."""
+def cofactor_det(rows, zero, times=mul, plus=add, negate=neg):
+    """Oracle: Laplace expansion along the first row, in the ring of ``times``, ``plus`` and ``negate``."""
     if len(rows) == 1:
         return rows[0][0]
     total = zero
     for j, x in enumerate(rows[0]):
-        term = times(x, cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]], zero, times))
-        total = total + term if j % 2 == 0 else total - term
+        minor = cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]], zero, times, plus, negate)
+        total = plus(total, times(x if j % 2 == 0 else negate(x), minor))
     return total
 
 
@@ -52,7 +52,7 @@ RINGS = {
 }
 
 
-def special_matrices(entry, zero, rng, n):
+def special_matrices(entry, zero, rng, n, plus=add):
     """A random matrix, one with a zero leading pivot, and two singular ones."""
     def rand():
         return [[entry(rng) for _ in range(n)] for _ in range(n)]
@@ -60,7 +60,7 @@ def special_matrices(entry, zero, rng, n):
     pivot_zero = rand()
     pivot_zero[0][0] = zero
     dependent = rand()
-    dependent[-1] = [a + b for a, b in zip(dependent[0], dependent[1])]
+    dependent[-1] = [plus(a, b) for a, b in zip(dependent[0], dependent[1])]
     zero_column = rand()
     for row in zero_column:
         row[1] = zero
@@ -119,18 +119,21 @@ ZPOLY_RINGS = {"laurent": (rand_laurent, LaurentPoly()), "multipoly": (rand_mult
 
 
 @pytest.mark.parametrize("name", sorted(ZPOLY_RINGS))
-def test_zpoly_det_matches_cofactor_oracle(name, laurent_product):
+def test_zpoly_det_matches_cofactor_oracle(name, laurent_product, laurent_sum):
     # the seeded matrices Bareiss was checked on over these rings, as shifted or integer-scaled inputs
     entry, zero = ZPOLY_RINGS[name]
-    times = laurent_product if name == "laurent" else mul
+    ring_ops = {}
+    if name == "laurent":
+        ring_ops = {"times": laurent_product, "plus": laurent_sum,
+                    "negate": lambda p: laurent_product(p, LaurentPoly({0: -1}))}
     rng = random.Random(f"bareiss/{name}")
     matrices = []
     for _ in range(12):
-        matrices += special_matrices(entry, zero, rng, rng.randint(2, 4))
+        matrices += special_matrices(entry, zero, rng, rng.randint(2, 4), ring_ops.get("plus", add))
     matrices += [[[entry(rng)]] for _ in range(5)]
     for m in matrices:
         rows, back = as_zpoly(m)
-        assert back(zpoly_det(rows)) == cofactor_det(m, zero, times)
+        assert back(zpoly_det(rows)) == cofactor_det(m, zero, **ring_ops)
 
 
 def test_zpoly_det_of_zero_entries_is_zero():
