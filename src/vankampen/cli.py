@@ -182,16 +182,13 @@ def _cmd_verify_curves(args) -> int:
         print(stage.computed, file=sys.stderr)
         return 1
     expected, computed = stage.expected.split("\n"), stage.computed.split("\n")
-    ok = True
-    for i, want in enumerate(expected):
-        got = computed[i] if i < len(computed) else "<missing>"
-        if got == want:
-            print(f"ok    {got}")
-        else:
-            ok = False
-            print(f"FAIL  {got}    (expected: {want})")
-    print("all curve checks passed" if ok else "curve checks FAILED")
-    return 0 if ok else 1
+    n = max(len(expected), len(computed))
+    expected += ["<none>"] * (n - len(expected))
+    computed += ["<missing>"] * (n - len(computed))
+    for want, got in zip(expected, computed):
+        print(f"ok    {got}" if got == want else f"FAIL  {got}    (expected: {want})")
+    print("all curve checks passed" if stage.match else "curve checks FAILED")
+    return 0 if stage.match else 1
 
 
 def _cmd_reproduce_paper(args) -> int:

@@ -1,12 +1,14 @@
 """Descent of fiber monodromies to an index-2 free subgroup.
 
 Imposing ai^2 = 1 on the free fiber group F(a1, a2, a3) gives
-W = Z/2 * Z/2 * Z/2, whose even words are free on p = a1 a2 and
-q = a3 a2 (Reidemeister-Schreier; Magnus, Karrass & Solitar,
-*Combinatorial Group Theory*, section 2.3), so E: F(p, q) -> W is injective.
-A monodromy m whose images are involutions in W descends to m_W on W;
-``lift_monodromy`` computes its lift L = E^-1 m_W E and certifies the lift
-of a verified inverse with one pass over each image.
+W = Z/2 * Z/2 * Z/2.  An element of W is its reduced letter tuple: no two
+equal letters adjacent, ``()`` the identity.  The even elements are free on
+p = a1 a2 and q = a3 a2, by the Reidemeister-Schreier rewriting process with
+transversal {1, a2} (Magnus, Karrass & Solitar, *Combinatorial Group
+Theory*, section 2.3), so E: F(p, q) -> W is injective.  A monodromy m whose
+images are involutions in W descends to m_W on W; ``lift_monodromy``
+computes its lift L = E^-1 m_W E and certifies the lift of a verified
+inverse with one pass over each image.
 """
 
 from __future__ import annotations
@@ -23,39 +25,12 @@ KERNEL_BASIS: dict[str, Word] = {
     "q": Word((("a3", 1), ("a2", 1))),
 }
 
-
-class InvolutionWord:
-    """A word in a1, a2, a3 with each generator an involution.
-
-    Normal form: a plain letter sequence (all exponents +1) with no two
-    equal adjacent letters.
-    """
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: tuple[str, ...] = ()):
-        for g in letters:
-            if g not in FIBER_GENS:
-                raise ValueError(f"foreign generator {g!r}")
-        for x, y in zip(letters, letters[1:]):
-            if x == y:
-                raise ValueError("equal adjacent letters are not reduced")
-        self.letters = letters
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InvolutionWord) and self.letters == other.letters
-
-    def __str__(self) -> str:
-        return " ".join(self.letters) if self.letters else "1"
-
-    def __mul__(self, other: InvolutionWord) -> InvolutionWord:
-        """The product in W: equal letters cancel where the two words meet."""
-        u, v = self.letters, other.letters
-        k = next((k for k, (x, y) in enumerate(zip(reversed(u), v)) if x != y), min(len(u), len(v)))
-        return InvolutionWord(u[:len(u) - k] + v[k:])
+# Each basis word is a letter followed by the transversal's a2; that letter
+# names its Schreier generator.
+SCHREIER_GEN: dict[str, str] = {rep.syllables[0][0]: name for name, rep in KERNEL_BASIS.items()}
 
 
-def involution_reduce(w: Word) -> InvolutionWord:
+def involution_reduce(w: Word) -> tuple[str, ...]:
     """Fold all exponents mod 2 and cancel equal adjacent letters.
 
     A syllable with an even exponent is trivial; one with an odd exponent
@@ -71,47 +46,29 @@ def involution_reduce(w: Word) -> InvolutionWord:
             stack.pop()
         else:
             stack.append(g)
-    return InvolutionWord(tuple(stack))
+    return tuple(stack)
 
 
-def grade(w: InvolutionWord) -> int:
-    """Z/2 grading: word length mod 2."""
-    return len(w.letters) % 2
-
-
-_P = Word.gen("p")
-_Q = Word.gen("q")
-
-# Adjacent pairs of involution letters rewritten into the kernel basis.
-PAIR_TABLE: dict[tuple[str, str], Word] = {
-    ("a1", "a2"): _P,
-    ("a2", "a1"): _P ** -1,
-    ("a3", "a2"): _Q,
-    ("a2", "a3"): _Q ** -1,
-    ("a1", "a3"): _P * _Q ** -1,
-    ("a3", "a1"): _Q * _P ** -1,
-}
-
-
-def expand_kernel(w: Word) -> InvolutionWord:
-    """Expand a word in p, q back to an even involution word."""
+def expand_kernel(w: Word) -> tuple[str, ...]:
+    """Expand a word in p, q back to an even element of W."""
     return involution_reduce(substitute(w, KERNEL_BASIS))
 
 
-def rewrite_to_pq(w: InvolutionWord) -> Word:
-    """Rewrite an even involution word into the kernel basis p, q.
+def rewrite_to_pq(letters: tuple[str, ...]) -> Word:
+    """Rewrite an even element of W into the kernel basis p, q.
 
-    Consumes letters two at a time through ``PAIR_TABLE``.  Raises
-    ``CoverError`` on odd-length input.  The expansion of the result is
-    checked to recover ``w`` before returning; a failure is an
-    ``InternalCheckError``, since the pair table itself is then wrong.
+    Schreier rewriting with transversal {1, a2}: the letter at position k
+    is its Schreier generator to the power +1 at even k and -1 at odd k,
+    and a2 contributes nothing.  Raises ``CoverError`` on odd-length input.
+    The expansion of the result is checked to recover ``letters`` before
+    returning; a failure is an ``InternalCheckError``, since the rewriting
+    itself is then wrong.
     """
-    if grade(w) != 0:
-        raise CoverError(f"odd-length word {w} is not in the kernel")
-    pairs = zip(w.letters[::2], w.letters[1::2])
-    out = Word(s for pair in pairs for s in PAIR_TABLE[pair].syllables)
-    if expand_kernel(out) != w:
-        raise InternalCheckError(f"rewriting of {w} failed its round-trip check")
+    if len(letters) % 2:
+        raise CoverError(f"odd-length word {' '.join(letters)} is not in the kernel")
+    out = Word((SCHREIER_GEN[g], 1 - 2 * (k % 2)) for k, g in enumerate(letters) if g in SCHREIER_GEN)
+    if expand_kernel(out) != letters:
+        raise InternalCheckError(f"rewriting of {' '.join(letters)} failed its round-trip check")
     return out
 
 
@@ -120,14 +77,19 @@ def _lift_images(m: FreeEndo) -> dict[str, Word]:
 
     Each ``m(ai)`` must reduce to a nonempty palindrome, an involution of W;
     its odd length keeps even words even.  Kernel generators x y map to
-    m_W(x) m_W(y), multiplied in W; ``rewrite_to_pq`` proves E L = m_W E.
+    m_W(x) m_W(y), multiplied in W: equal letters cancel where the two
+    images meet.  ``rewrite_to_pq`` proves E L = m_W E.
     """
     w = {g: involution_reduce(m.images[g]) for g in FIBER_GENS}
     for g, image in w.items():
-        if not image.letters or image.letters != image.letters[::-1]:
+        if not image or image != image[::-1]:
             raise CoverError(f"image of {g} is not an involution in W; the monodromy does not descend")
-    return {name: rewrite_to_pq(w[rep.syllables[0][0]] * w[rep.syllables[1][0]])
-            for name, rep in KERNEL_BASIS.items()}
+    lifts = {}
+    for name, rep in KERNEL_BASIS.items():
+        u, v = w[rep.syllables[0][0]], w[rep.syllables[1][0]]
+        k = next((k for k, (x, y) in enumerate(zip(reversed(u), v)) if x != y), min(len(u), len(v)))
+        lifts[name] = rewrite_to_pq(u[:len(u) - k] + v[k:])
+    return lifts
 
 
 def lift_monodromy(m: FreeEndo) -> FreeEndo:

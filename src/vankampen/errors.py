@@ -18,7 +18,7 @@ class CoverError(ValueError):
     """A monodromy or word does not descend to the even part of the cover.
 
     Raised when a fiber image is not an involution modulo squares, or a
-    word to rewrite has odd grade; braid actions never reach either case.
+    word to rewrite has odd length; braid actions never reach either case.
     """
 
 

@@ -102,11 +102,11 @@ def zvk_assemble(
     relators: list[Word] = []
     for m in kept:
         for x in KERNEL_GENS:
-            relators.append(Word.gen(x, -1) * m.apply(Word.gen(x)))
+            relators.append(Word.gen(x, -1) * m.images[x])
     for name, m in removed:
         g = Word.gen(name)
         for x in KERNEL_GENS:
-            relators.append(g.inverse() * Word.gen(x) * g * m.apply(Word.gen(x)).inverse())
+            relators.append(g.inverse() * Word.gen(x) * g * m.images[x].inverse())
     return Presentation(tuple(all_gens), tuple(relators))
 
 

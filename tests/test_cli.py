@@ -351,6 +351,20 @@ def test_cli_verify_curves_reports_a_wrong_expected_line(monkeypatch, capsys):
     ]
 
 
+def test_cli_verify_curves_fails_on_an_extra_computed_line(monkeypatch, capsys):
+    render = pipeline._RENDER["curve-checks"]
+    monkeypatch.setitem(pipeline._RENDER, "curve-checks", lambda r: render(r) + "\nan extra check")
+    rc, out, _ = run(capsys, "reproduce-paper")
+    assert rc == 1
+    assert ["curve-checks", "MISMATCH"] in [line.split() for line in out.splitlines()]
+    rc, out, _ = run(capsys, "verify-curves")
+    assert rc == 1
+    assert [line for line in out.splitlines() if not line.startswith("ok    ")] == [
+        "FAIL  an extra check    (expected: <none>)",
+        "curve checks FAILED",
+    ]
+
+
 def test_cli_k_all_sweeps_every_patch_exponent(capsys):
     assert run(capsys, "patch", "--k", "all") == (0, LEMMA + "\n", "")
     rc, out, _ = run(capsys, "reproduce-paper", "--k", "all")

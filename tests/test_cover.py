@@ -1,4 +1,4 @@
-"""Involution words, the pair rewriting into p and q, and monodromy lifts."""
+"""Reduced letter tuples of W, the Schreier rewriting into p and q, and monodromy lifts."""
 
 import random
 
@@ -9,9 +9,7 @@ from vankampen.cli import main
 from vankampen.cover import (
     FIBER_GENS,
     KERNEL_GENS,
-    InvolutionWord,
     expand_kernel,
-    grade,
     involution_reduce,
     lift_monodromy,
     rewrite_to_pq,
@@ -26,11 +24,11 @@ def rand_involution_word(rng, max_len=10):
 
 
 def test_involution_reduce_cancels_doubles():
-    assert involution_reduce(parse_word("a1^2 a2")) == InvolutionWord(("a2",))
-    assert involution_reduce(parse_word("a1 a2^2 a1")) == InvolutionWord(())
-    assert involution_reduce(Word(())) == InvolutionWord(())
+    assert involution_reduce(parse_word("a1^2 a2")) == ("a2",)
+    assert involution_reduce(parse_word("a1 a2^2 a1")) == ()
+    assert involution_reduce(Word(())) == ()
     # exponents fold mod 2, signs are irrelevant under the involution
-    assert involution_reduce(parse_word("a1^-3 a2")) == InvolutionWord(("a1", "a2"))
+    assert involution_reduce(parse_word("a1^-3 a2")) == ("a1", "a2")
 
 
 def involution_reduce_by_letters(w):
@@ -41,7 +39,7 @@ def involution_reduce_by_letters(w):
             stack.pop()
         else:
             stack.append(g)
-    return InvolutionWord(tuple(stack))
+    return tuple(stack)
 
 
 def test_involution_reduce_matches_letter_level_reference():
@@ -51,7 +49,7 @@ def test_involution_reduce_matches_letter_level_reference():
         w = Word(syllables)
         assert involution_reduce(w) == involution_reduce_by_letters(w)
     # a syllable costs one step whatever its exponent
-    assert involution_reduce(parse_word("a1^100000001 a2^-4 a1")) == InvolutionWord(())
+    assert involution_reduce(parse_word("a1^100000001 a2^-4 a1")) == ()
     with pytest.raises(ValueError, match="foreign generator"):
         involution_reduce(parse_word("a1 x^2"))
 
@@ -60,31 +58,49 @@ def test_involution_reduce_idempotent():
     rng = random.Random(5)
     for _ in range(200):
         w = rand_involution_word(rng)
-        again = involution_reduce(Word(tuple((g, 1) for g in w.letters)))
+        again = involution_reduce(Word(tuple((g, 1) for g in w)))
         assert again == w
 
 
-def test_grade_is_length_parity():
-    assert grade(InvolutionWord(())) == 0
-    assert grade(InvolutionWord(("a1",))) == 1
-    assert grade(InvolutionWord(("a1", "a2"))) == 0
+# Reference: adjacent pairs of letters rewritten into the kernel basis.
+PAIR_TABLE = {
+    ("a1", "a2"): parse_word("p"),
+    ("a2", "a1"): parse_word("p^-1"),
+    ("a3", "a2"): parse_word("q"),
+    ("a2", "a3"): parse_word("q^-1"),
+    ("a1", "a3"): parse_word("p q^-1"),
+    ("a3", "a1"): parse_word("q p^-1"),
+}
+
+
+def rewrite_by_pairs(letters):
+    """Pair-table reference: consume the letters two at a time."""
+    pairs = zip(letters[::2], letters[1::2])
+    return Word(s for pair in pairs for s in PAIR_TABLE[pair].syllables)
 
 
 def test_rewrite_basic_pairs():
-    assert rewrite_to_pq(InvolutionWord(("a1", "a2"))) == parse_word("p")
-    assert rewrite_to_pq(InvolutionWord(("a2", "a1"))) == parse_word("p^-1")
-    assert rewrite_to_pq(InvolutionWord(("a3", "a2"))) == parse_word("q")
-    assert rewrite_to_pq(InvolutionWord(("a2", "a3"))) == parse_word("q^-1")
-    assert rewrite_to_pq(InvolutionWord(("a1", "a3"))) == parse_word("p q^-1")
-    assert rewrite_to_pq(InvolutionWord(("a3", "a1"))) == parse_word("q p^-1")
-    assert rewrite_to_pq(InvolutionWord(())) == Word(())
+    for pair, word in PAIR_TABLE.items():
+        assert rewrite_to_pq(pair) == word
+    assert rewrite_to_pq(()) == Word(())
+
+
+def test_rewrite_matches_the_pair_table_on_random_even_words():
+    rng = random.Random(2626)
+    count = 0
+    while count < 300:
+        w = rand_involution_word(rng, max_len=40)
+        if len(w) % 2:
+            continue
+        count += 1
+        assert rewrite_to_pq(w) == rewrite_by_pairs(w)
 
 
 def test_rewrite_rejects_odd_grade():
     with pytest.raises(CoverError):
-        rewrite_to_pq(InvolutionWord(("a1",)))
+        rewrite_to_pq(("a1",))
     with pytest.raises(CoverError):
-        rewrite_to_pq(InvolutionWord(("a1", "a2", "a3")))
+        rewrite_to_pq(("a1", "a2", "a3"))
 
 
 def test_rewrite_round_trip_on_random_even_words():
@@ -92,17 +108,17 @@ def test_rewrite_round_trip_on_random_even_words():
     count = 0
     while count < 150:
         w = rand_involution_word(rng)
-        if grade(w) != 0:
+        if len(w) % 2:
             continue
         count += 1
         assert expand_kernel(rewrite_to_pq(w)) == w
 
 
 def test_expand_kernel_of_generators():
-    assert expand_kernel(parse_word("p")) == InvolutionWord(("a1", "a2"))
-    assert expand_kernel(parse_word("q^-1")) == InvolutionWord(("a2", "a3"))
-    assert expand_kernel(parse_word("p q")) == InvolutionWord(("a1", "a2", "a3", "a2"))
-    assert expand_kernel(parse_word("p p^-1")) == InvolutionWord(())
+    assert expand_kernel(parse_word("p")) == ("a1", "a2")
+    assert expand_kernel(parse_word("q^-1")) == ("a2", "a3")
+    assert expand_kernel(parse_word("p q")) == ("a1", "a2", "a3", "a2")
+    assert expand_kernel(parse_word("p p^-1")) == ()
 
 
 def test_lift_requires_fiber_domain():
@@ -154,9 +170,9 @@ def test_lift_attaches_verified_inverse():
 
 
 def test_round_trip_failure_is_an_internal_check(monkeypatch, capsys):
-    monkeypatch.setitem(cover.PAIR_TABLE, ("a1", "a2"), parse_word("q"))
+    monkeypatch.setitem(cover.SCHREIER_GEN, "a1", "q")
     with pytest.raises(InternalCheckError, match="round-trip"):
-        rewrite_to_pq(InvolutionWord(("a1", "a2")))
+        rewrite_to_pq(("a1", "a2"))
     assert main(["lift-monodromy", "s2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -215,15 +231,3 @@ def test_lift_images_equal_the_substituted_images():
         for m, lift in ((action, lifted), (action.inverse, lifted.inverse)):
             for name, rep in cover.KERNEL_BASIS.items():
                 assert lift.images[name] == rewrite_to_pq(involution_reduce(m.apply(rep)))
-
-
-def test_involution_word_product():
-    a1, a2, a3 = (InvolutionWord((g,)) for g in FIBER_GENS)
-    assert a1 * a1 == InvolutionWord(())
-    assert InvolutionWord(("a1", "a2", "a3")) * InvolutionWord(("a3", "a2", "a1")) == InvolutionWord(())
-    assert InvolutionWord(("a1", "a2", "a1")) * InvolutionWord(("a1", "a3")) == InvolutionWord(("a1", "a2", "a3"))
-    assert a1 * a2 * a3 == InvolutionWord(("a1", "a2", "a3"))
-    rng = random.Random(17)
-    for _ in range(200):
-        u, v = rand_involution_word(rng), rand_involution_word(rng)
-        assert u * v == involution_reduce(Word(tuple((g, 1) for g in u.letters + v.letters)))

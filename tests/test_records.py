@@ -5,7 +5,6 @@ import pytest
 
 from vankampen.abelian import AbelianInvariants, IntMatrix
 from vankampen.alexander import WeightedPresentation
-from vankampen.cover import InvolutionWord
 from vankampen.presentation import CommutantReport, MetacyclicForm, Presentation
 from vankampen.words import BraidWord, Word, parse_word
 
@@ -42,14 +41,6 @@ RECORDS = {
             (lambda: IntMatrix(-1, 0, ()), "negative dimension"),
             (lambda: IntMatrix(2, -1, ()), "negative dimension"),
             (lambda: IntMatrix(2, 2, (1, 2, 3)), "entry count does not match dimensions"),
-        ],
-    ),
-    "InvolutionWord": (
-        lambda: InvolutionWord(("a1", "a2")),
-        [InvolutionWord(("a2", "a1")), InvolutionWord()],
-        [
-            (lambda: InvolutionWord(("a1", "x")), "foreign generator 'x'"),
-            (lambda: InvolutionWord(("a1", "a1")), "equal adjacent letters are not reduced"),
         ],
     ),
     "MetacyclicForm": (
