@@ -1,13 +1,16 @@
 """Exact multivariate polynomial arithmetic over Q and Q(eps).
 
 Here eps is a primitive cube root of unity handled symbolically as
-Q[eps]/(eps^2 + eps + 1); exactness is the point of this module.  On top
-of the ring operations sit the geometric checks: nodes of the cubic
-pencil f_b = b(-x^2 - x y^2 + y) + (x^3 - x y + y^3), the parameter
-values where the pencil degenerates (27 b^3 = 1 up to spurious factors),
-the torus-structure identity of the sextic
-(y^3 + y^2 + x^2)(y^3 + y^2 + x^2 - 4/27), and the local intersection
-multiplicity of its two cubic factors in the far chart.
+Q[eps]/(eps^2 + eps + 1); exactness is the point of this module.  A point
+is evaluated in Z[eps]: with every coordinate and coefficient written
+(p + q eps)/d over Z, the terms are summed as integer pairs over one
+common denominator, which is divided out once.  On top of the ring
+operations sit the geometric checks: nodes of the cubic pencil
+f_b = b(-x^2 - x y^2 + y) + (x^3 - x y + y^3), stated once as a term
+table over (b, x, y), the parameter values where the pencil degenerates
+(27 b^3 = 1 up to spurious factors), the torus-structure identity of the
+sextic (y^3 + y^2 + x^2)(y^3 + y^2 + x^2 - 4/27), and the local
+intersection multiplicity of its two cubic factors in the far chart.
 
 Resultants are Sylvester determinants.  Over Q, on inputs scaled to
 integer coefficients in one pass over their terms, each is one
@@ -47,6 +50,12 @@ def _power(base: Any, n: int, one: Any) -> Any:
     return one if out is None else out
 
 
+def _eps_product(a1: Any, b1: Any, a2: Any, b2: Any) -> tuple[Any, Any]:
+    """(a1 + b1 eps)(a2 + b2 eps) = (a1 a2 - b1 b2) + (a1 b2 + b1 a2 - b1 b2) eps, as eps^2 = -eps - 1."""
+    bb = b1 * b2
+    return a1 * a2 - bb, a1 * b2 + b1 * a2 - bb
+
+
 class QEps:
     """An element a + b*eps of Q(eps), with eps^2 = -eps - 1."""
 
@@ -55,6 +64,13 @@ class QEps:
     def __init__(self, a: Any = 0, b: Any = 0):
         self.a = Fraction(a)
         self.b = Fraction(b)
+
+    @classmethod
+    def _new(cls, a: Fraction, b: Fraction) -> QEps:
+        """Trusted constructor: ``a`` and ``b`` are already Fractions."""
+        z = object.__new__(cls)
+        z.a, z.b = a, b
+        return z
 
     @staticmethod
     def _coerce(x: Any) -> "QEps":
@@ -68,29 +84,28 @@ class QEps:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QEps(self.a + o.a, self.b + o.b)
+        return QEps._new(self.a + o.a, self.b + o.b)
 
     def __neg__(self) -> "QEps":
-        return QEps(-self.a, -self.b)
+        return QEps._new(-self.a, -self.b)
 
     def __sub__(self, other: Any) -> "QEps":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return QEps(self.a - o.a, self.b - o.b)
+        return QEps._new(self.a - o.a, self.b - o.b)
 
     def __mul__(self, other: Any) -> "QEps":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return QEps._new(self.a * other, self.b * other)
+        if not isinstance(other, QEps):
             return NotImplemented
-        # (a1 + b1 e)(a2 + b2 e) with e^2 = -e - 1
-        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        return QEps(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
+        return QEps._new(*_eps_product(self.a, self.b, other.a, other.b))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QEps":
-        return QEps(self.a - self.b, -self.b)
+        return QEps._new(self.a - self.b, -self.b)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.a * self.b + self.b * self.b
@@ -100,7 +115,7 @@ class QEps:
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(eps)")
         conj = self.conjugate()
-        return QEps(conj.a / n, conj.b / n)
+        return QEps._new(conj.a / n, conj.b / n)
 
     def __truediv__(self, other: Any) -> "QEps":
         o = self._coerce(other)
@@ -127,16 +142,21 @@ FIELD_Q = "Q"
 FIELD_QEPS = "Q(eps)"
 
 
-def _field_of(value: Any) -> str:
-    return FIELD_QEPS if isinstance(value, QEps) else FIELD_Q
-
-
 def _coerce_coeff(value: Any, field: str) -> Any:
     if field == FIELD_Q:
         if isinstance(value, QEps):
             raise ValueError("field mismatch: Q(eps) coefficient in a Q polynomial")
         return Fraction(value)
     return value if isinstance(value, QEps) else QEps(value)
+
+
+def _over_z(c: Fraction | QEps) -> tuple[int, int, int]:
+    """(p, q, d) over Z with c = (p + q eps)/d and d > 0."""
+    if isinstance(c, QEps):
+        a, b = c.a, c.b
+        d = lcm(a.denominator, b.denominator)
+        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+    return c.numerator, 0, c.denominator
 
 
 def _combine(a: Mapping[tuple[int, ...], Any], b: Mapping[tuple[int, ...], Any], sign: int) -> dict:
@@ -291,15 +311,10 @@ class MultiPoly:
         return min((e[i] for e in self.terms), default=-1)
 
     def partial(self, var: str) -> MultiPoly:
+        # lowering e[i] >= 1 by one is injective, and c * e[i] is nonzero
         i = self.variables.index(var)
-        out: dict[tuple[int, ...], Any] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            nc = c * e[i]
-            out[ne] = out[ne] + nc if ne in out else nc
-        return MultiPoly(self.variables, out, self.field)
+        terms = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]}
+        return MultiPoly._new(self.variables, terms, self.field)
 
     def coeffs_in(self, var: str) -> list[MultiPoly]:
         """Coefficients of var^0, var^1, ... as polynomials in the same ring."""
@@ -312,19 +327,37 @@ class MultiPoly:
         return [MultiPoly._new(self.variables, b, self.field) for b in buckets]
 
     def evaluate(self, point: Mapping[str, Any]) -> Any:
-        """Exact value at a point given as variable -> field element."""
+        """Exact value at a point given as variable -> field element.
+
+        Computed in Z[eps]: with each coordinate (p + q eps)/d and top its
+        degree here, one table per variable holds (p + q eps)^k d^(top - k);
+        the terms, coefficients scaled to their common denominator, are
+        summed as integer pairs and divided once.
+        """
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise ValueError(f"no value for variable(s) {missing}")
-        vals = {v: _coerce_coeff(point[v], self.field) for v in self.variables}
-        acc = _coerce_coeff(0, self.field)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(self.variables, e):
-                if k:
-                    term = term * vals[v] ** k
-            acc = acc + term
-        return acc
+        coords = [_over_z(_coerce_coeff(point[v], self.field)) for v in self.variables]
+        tops = list(map(max, zip(*self.terms))) or [0] * len(coords)
+        coeffs = [(e, _over_z(c)) for e, c in self.terms.items()]
+        common = lcm(*(d for _, (_, _, d) in coeffs))
+        tables, den = [], common
+        for (p, q, d), top in zip(coords, tops):
+            powers = [(1, 0)]
+            for _ in range(top):
+                powers.append(_eps_product(*powers[-1], p, q))
+            tables.append([(a * d ** (top - k), b * d ** (top - k)) for k, (a, b) in enumerate(powers)])
+            den *= d ** top
+        total_a = total_b = 0
+        for e, (a, b, d) in coeffs:
+            a, b = a * (common // d), b * (common // d)
+            for table, k in zip(tables, e):
+                a, b = _eps_product(a, b, *table[k])
+            total_a += a
+            total_b += b
+        if self.field == FIELD_Q:
+            return Fraction(total_a, den)
+        return QEps._new(Fraction(total_a, den), Fraction(total_b, den))
 
 
 def poly_ring(variables: Sequence[str], field: str = FIELD_Q) -> tuple[MultiPoly, ...]:
@@ -458,13 +491,14 @@ def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
 # the curves under study
 
 
-def _pencil(b: Any, x: MultiPoly, y: MultiPoly) -> MultiPoly:
-    return b * (-(x ** 2) - x * y ** 2 + y) + (x ** 3 - x * y + y ** 3)
+# f_b = b(-x^2 - x y^2 + y) + (x^3 - x y + y^3): exponents of (b, x, y) -> coefficient
+_PENCIL = {(1, 2, 0): -1, (1, 1, 2): -1, (1, 0, 1): 1, (0, 3, 0): 1, (0, 1, 1): -1, (0, 0, 3): 1}
 
 
 def cubic_pencil(b: Any) -> MultiPoly:
     """f_b = b(-x^2 - x y^2 + y) + (x^3 - x y + y^3) over Q or Q(eps)."""
-    return _pencil(b, *poly_ring(("x", "y"), _field_of(b)))
+    field = FIELD_QEPS if isinstance(b, QEps) else FIELD_Q
+    return MultiPoly(("x", "y"), [((i, j), c * b ** k) for (k, i, j), c in _PENCIL.items()], field)
 
 
 def nodal_cubic() -> MultiPoly:
@@ -474,7 +508,7 @@ def nodal_cubic() -> MultiPoly:
 
 def cubic_pencil_generic() -> MultiPoly:
     """f_b with b as a polynomial variable, over Q[b, x, y]."""
-    return _pencil(*poly_ring(("b", "x", "y")))
+    return MultiPoly(("b", "x", "y"), _PENCIL)
 
 
 def torus_sextic_factors() -> tuple[MultiPoly, MultiPoly]:

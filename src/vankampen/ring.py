@@ -14,8 +14,9 @@ One implementation per algorithm:
 - ``zpoly_det``: the determinant over Z[t_1..t_k] as one integer
   ``bareiss_det``, by Kronecker substitution (von zur Gathen & Gerhard,
   *Modern Computer Algebra*, 8.4) with per-variable degree bounds from the
-  rows and columns (Collins 1971), each distinct entry object measured and
-  packed once.
+  rows and columns (Collins 1971) and a Hadamard-type coefficient bound
+  from the entries' 1-norms (Goldstein & Graham, SIAM Rev. 16, 1974),
+  each distinct entry object measured and packed once.
 
 This module imports nothing from the rest of the package.
 """
@@ -23,7 +24,7 @@ This module imports nothing from the rest of the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import floordiv, mul
 
 TYPE_CHECKING = False
@@ -67,9 +68,13 @@ def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...]
 
     Each term of the determinant takes one entry from every row and every
     column, so its degree in t_j is at most D_j, the smaller of the sums over
-    rows and over columns of the largest entry degree in t_j, and each of its
-    coefficients is at most H, the smaller of the products over rows and over
-    columns of the entries' coefficient 1-norms.  So at t_j =
+    rows and over columns of the largest entry degree in t_j.  On the torus
+    |t_j| = 1 an entry is at most its coefficient 1-norm in absolute value,
+    so by Hadamard's inequality the determinant is at most sqrt(X) there, X
+    the smaller of the products over rows and over columns of the sums of
+    squared 1-norms.  Each coefficient, an average over the torus, is an
+    integer of absolute value at most sqrt(X), hence at most H = isqrt(X)
+    (Goldstein & Graham 1974).  So at t_j =
     B^((D_1 + 1) ... (D_(j-1) + 1)), with B = 2^bits > 2H, every coefficient
     is one balanced base-B digit of the integer determinant.
 
@@ -78,10 +83,10 @@ def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...]
     """
     ids = [[id(p) for p in row] for row in m]
     entries = {id(p): p for row in m for p in row}
-    norm = {i: sum(map(abs, p.values())) for i, p in entries.items()}
-    norms = [[norm[i] for i in row] for row in ids]
-    bound = min(prod(map(sum, norms)), prod(map(sum, zip(*norms))))
-    if not bound:  # a zero row or column
+    square = {i: sum(map(abs, p.values())) ** 2 for i, p in entries.items()}
+    squares = [[square[i] for i in row] for row in ids]
+    x = min(prod(map(sum, squares)), prod(map(sum, zip(*squares))))
+    if not x:  # a zero row or column
         return {}
     zeros = (0,) * len(next(e for p in entries.values() for e in p))
     top = {i: tuple(map(max, zip(*p))) or zeros for i, p in entries.items()}
@@ -89,7 +94,7 @@ def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...]
     by_rows, by_columns = ([tuple(map(max, zip(*line))) for line in lines] for lines in (tops, zip(*tops)))
     radices = [1 + min(r, c) for r, c in zip(map(sum, zip(*by_rows)), map(sum, zip(*by_columns)))]
     strides = [prod(radices[:j]) for j in range(len(radices))]
-    bits = bound.bit_length() + 1
+    bits = isqrt(x).bit_length() + 1
     packed = {i: sum(c << bits * sum(map(mul, e, strides)) for e, c in p.items()) for i, p in entries.items()}
     det = bareiss_det([[packed[i] for i in row] for row in ids], floordiv)
     out, k, half, mask = {}, 0, 1 << bits - 1, (1 << bits) - 1

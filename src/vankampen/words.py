@@ -8,8 +8,9 @@ is freely reduced.
 
 Every word is built by one reduction pass over a syllable stream: a
 power repeats the syllables and reduces once, and ``substitute`` (which
-``FreeEndo.apply``, Tietze elimination and the cover expansion share)
-collects every image into one stream before reducing it.
+Tietze elimination and the cover expansion share, and which applies a
+``FreeEndo`` through its ``images``) collects every image into one stream
+before reducing it.
 
 Braid words on n strands act on the free group of rank n by the Artin
 rule ``s_i: a_i -> a_i a_{i+1} a_i^-1, a_{i+1} -> a_i`` (other generators
@@ -197,10 +198,6 @@ class FreeEndo:
                 raise ValueError(f"image of {g!r} uses foreign generators {sorted(foreign)}")
         self.images: dict[str, Word] = {g: images[g] for g in self.domain}
         self.inverse: FreeEndo | None = None
-
-    def apply(self, w: Word) -> Word:
-        """Image of a word: substitute generator images and reduce."""
-        return substitute(w, self.images)
 
     def __eq__(self, other: object) -> bool:
         return (

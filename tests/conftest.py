@@ -12,7 +12,7 @@ from vankampen.abelian import IntMatrix, smith_normal_form  # noqa: E402
 from vankampen.alexander import LaurentPoly  # noqa: E402
 from vankampen.curves import MultiPoly  # noqa: E402
 from vankampen.presentation import Presentation  # noqa: E402
-from vankampen.words import BraidWord, FreeEndo, Word, braid_action  # noqa: E402
+from vankampen.words import BraidWord, FreeEndo, Word, braid_action, substitute  # noqa: E402
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ def compose():
 
     def run(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:
         assert e1.domain == e2.domain
-        return FreeEndo(e1.domain, {g: e1.apply(e2.images[g]) for g in e1.domain})
+        return FreeEndo(e1.domain, {g: substitute(e2.images[g], e1.images) for g in e1.domain})
 
     return run
 

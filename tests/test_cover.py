@@ -130,20 +130,20 @@ def test_lift_requires_fiber_domain():
 def test_lift_of_sigma2_oracle():
     lifted = lift_monodromy(braid_action(parse_braid("s2", 3)))
     assert lifted.domain == KERNEL_GENS
-    assert lifted.apply(parse_word("p")) == parse_word("p q")
-    assert lifted.apply(parse_word("q")) == parse_word("q")
+    assert substitute(parse_word("p"), lifted.images) == parse_word("p q")
+    assert substitute(parse_word("q"), lifted.images) == parse_word("q")
 
 
 def test_lift_of_conjugated_sigma_oracle():
     lifted = lift_monodromy(braid_action(parse_braid("s1^-3 s2 s1^3", 3)))
-    assert lifted.apply(parse_word("p")) == parse_word("p q p^3")
-    assert lifted.apply(parse_word("q")) == parse_word("p^-4 q^-1 p^-4 q^-1 p^-1")
+    assert substitute(parse_word("p"), lifted.images) == parse_word("p q p^3")
+    assert substitute(parse_word("q"), lifted.images) == parse_word("p^-4 q^-1 p^-4 q^-1 p^-1")
 
 
 def test_lift_of_two_band_braid_oracle():
     lifted = lift_monodromy(braid_action(parse_braid("s1^-1 s2^2 s1 s2^-2 s1", 3)))
-    assert lifted.apply(parse_word("p")) == parse_word("p q p q p^2 q p^2 q p")
-    assert lifted.apply(parse_word("q")) == parse_word(
+    assert substitute(parse_word("p"), lifted.images) == parse_word("p q p q p^2 q p^2 q p")
+    assert substitute(parse_word("q"), lifted.images) == parse_word(
         "p^-1 q^-1 p^-2 q^-1 p^-2 q^-1 p^-2 q^-1 p^-1 q^-1 p^-1"
     )
 
@@ -158,7 +158,7 @@ def test_lift_functoriality_on_random_braids(compose):
         rhs = compose(lift_monodromy(braid_action(b1)), lift_monodromy(braid_action(b2)))
         for g in KERNEL_GENS:
             w = Word(((g, 1),))
-            assert lhs.apply(w) == rhs.apply(w)
+            assert substitute(w, lhs.images) == substitute(w, rhs.images)
 
 
 def test_lift_attaches_verified_inverse():
@@ -166,7 +166,7 @@ def test_lift_attaches_verified_inverse():
     assert lifted.inverse is not None
     assert lifted.inverse.inverse is None  # one-way link, no reference cycle
     w = parse_word("p q^-1 p^2")
-    assert lifted.inverse.apply(lifted.apply(w)) == w
+    assert substitute(substitute(w, lifted.images), lifted.inverse.images) == w
 
 
 def test_round_trip_failure_is_an_internal_check(monkeypatch, capsys):
@@ -196,19 +196,20 @@ def test_lifted_inverse_substitutes_back_to_the_basis():
 
 
 def test_lift_never_substitutes_into_a_lift(monkeypatch):
-    # nor into the action: kernel images are products in W of the reduced fiber images
-    calls = []
-    apply = FreeEndo.apply
+    # nor into the action: kernel images are products in W of the reduced fiber images,
+    # and the one substitution left is the round-trip check's, into the kernel basis
+    images_used = []
+    sub = cover.substitute
 
-    def counting(self, w):
-        calls.append((self.domain, w))
-        return apply(self, w)
+    def counting(w, images):
+        images_used.append(images)
+        return sub(w, images)
 
-    monkeypatch.setattr(FreeEndo, "apply", counting)
+    monkeypatch.setattr(cover, "substitute", counting)
     rng = random.Random(88)
     for braid in [parse_braid("s1^-1 s2^2 s1 s2^-2 s1", 3)] + [rand_braid(rng, 10) for _ in range(20)]:
         assert lift_monodromy(braid_action(braid)).inverse is not None
-    assert calls == []
+    assert images_used and all(images is cover.KERNEL_BASIS for images in images_used)
 
 
 def test_non_descending_monodromy_is_rejected():
@@ -230,4 +231,4 @@ def test_lift_images_equal_the_substituted_images():
         lifted = lift_monodromy(action)
         for m, lift in ((action, lifted), (action.inverse, lifted.inverse)):
             for name, rep in cover.KERNEL_BASIS.items():
-                assert lift.images[name] == rewrite_to_pq(involution_reduce(m.apply(rep)))
+                assert lift.images[name] == rewrite_to_pq(involution_reduce(substitute(rep, m.images)))

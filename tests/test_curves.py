@@ -1,6 +1,7 @@
 """Exact curve checks: cube-root field, polynomial ring, nodes, resultants."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 from types import MappingProxyType
@@ -116,6 +117,59 @@ def test_poly_arithmetic_is_a_ring_hom_under_evaluation():
             lhs = (f * g + h).evaluate(pt)
             rhs = f.evaluate(pt) * g.evaluate(pt) + h.evaluate(pt)
             assert lhs == rhs
+
+
+def evaluate_by_terms(f, point):
+    """Oracle for ``MultiPoly.evaluate``: each term a product of powers in the field, summed there."""
+    field = Fraction if f.field == "Q" else QEps
+    vals = {v: point[v] if isinstance(point[v], QEps) else field(point[v]) for v in f.variables}
+    acc = field(0)
+    for e, c in f.terms.items():
+        term = c
+        for v, k in zip(f.variables, e):
+            if k:
+                term = term * vals[v] ** k
+        acc = acc + term
+    return acc
+
+
+def test_evaluate_matches_the_term_by_term_oracle():
+    rng = random.Random("evaluate/z-eps")
+
+    def coordinate(field):
+        # ints, small fractions, and fractions with denominators up to 10^15
+        span = rng.choice((1, 6, 10**12))
+        x = Fraction(rng.randint(-span, span), rng.choice((1, rng.randint(1, 4), rng.randint(1, 10**15))))
+        if field == "Q(eps)" and rng.random() < 0.8:
+            return QEps(x, Fraction(rng.randint(-span, span), rng.randint(1, 10**15)))
+        return int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+
+    for field in ("Q", "Q(eps)"):
+        for _ in range(300):
+            vs = ("x", "y", "z")[:rng.randint(1, 3)]
+            f = rand_poly(rng, vs, field, nterms=rng.randint(0, 6), max_exp=rng.choice((0, 3, 7)))
+            pt = {v: coordinate(field) for v in vs}
+            got, want = f.evaluate(pt), evaluate_by_terms(f, pt)
+            assert type(got) is type(want) and got == want
+        # the zero and the constant polynomials
+        for f in (MultiPoly(("x",), (), field), MultiPoly.constant(Fraction(-7, 10**15), ("x",), field)):
+            pt = {"x": coordinate(field)}
+            got, want = f.evaluate(pt), evaluate_by_terms(f, pt)
+            assert type(got) is type(want) and got == want
+
+
+def test_evaluate_errors():
+    x, y = poly_ring(("x", "y"))
+    f = x * y + 1
+    with pytest.raises(ValueError, match=re.escape("no value for variable(s) ['y']")):
+        f.evaluate({"x": 1})
+    # a missing variable is reported before a Q(eps) value at a Q polynomial
+    with pytest.raises(ValueError, match=re.escape("no value for variable(s) ['y']")):
+        f.evaluate({"x": EPS})
+    with pytest.raises(ValueError, match=re.escape("field mismatch: Q(eps) coefficient in a Q polynomial")):
+        f.evaluate({"x": 1, "y": EPS})
+    with pytest.raises(ValueError, match=re.escape("field mismatch: Q(eps) coefficient in a Q polynomial")):
+        MultiPoly(("x",)).evaluate({"x": EPS})
 
 
 def test_exact_division_round_trip():
@@ -426,7 +480,8 @@ def test_singular_parameter_polynomial():
 def test_singular_parameters_work_counters(monkeypatch):
     paths = count_paths(monkeypatch)
     calls = {"exact_div": 0, "init": 0}
-    div, init = curves.exact_div, MultiPoly.__init__
+    div, init, det = curves.exact_div, MultiPoly.__init__, ring.bareiss_det
+    packed_bits = []
 
     def counted_div(f, g):
         calls["exact_div"] += 1
@@ -436,8 +491,13 @@ def test_singular_parameters_work_counters(monkeypatch):
         calls["init"] += 1
         init(self, *args, **kwargs)
 
+    def measured_det(m, divide):
+        packed_bits.append(max(abs(x).bit_length() for row in m for x in row))
+        return det(m, divide)
+
     monkeypatch.setattr(curves, "exact_div", counted_div)
     monkeypatch.setattr(MultiPoly, "__init__", counted_init)
+    monkeypatch.setattr(ring, "bareiss_det", measured_det)
     p = singular_parameters()
     assert p == paper_eliminant()
     assert all(type(c) is Fraction for c in p.terms.values())
@@ -446,6 +506,9 @@ def test_singular_parameters_work_counters(monkeypatch):
     # determinant each
     assert calls["exact_div"] == 1
     assert paths == {"int": 5, "poly": 0}
+    # the widest packed entry: 231 bits under the product-of-1-norms bound,
+    # 195 under the Hadamard bound (slots of 48 and 46 bits on the 10x10 y-resultants)
+    assert len(packed_bits) == 5 and max(packed_bits) == 195
     # ring results skip the validating constructor
     assert calls["init"] <= 50
 

@@ -228,6 +228,29 @@ def test_zpoly_det_reads_the_extreme_balanced_digit(coeffs):
         assert zpoly_det(anti_diagonal) == {(4, 3): -h}
 
 
+def sylvester_hadamard(n):
+    """The +-1 Hadamard matrix of order n = 2^k: H_2n = [[H_n, H_n], [H_n, -H_n]]."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_zpoly_det_meets_the_hadamard_bound(n):
+    # entries +-t^(a_i + b_j): every 1-norm is 1, so H = isqrt(n^n) = n^(n/2),
+    # and det = t^(sum a + sum b) det(signs) has the one coefficient +-H
+    rng = random.Random(f"hadamard/{n}")
+    signs = sylvester_hadamard(n)
+    for matrix in (signs, [[-x for x in signs[0]]] + signs[1:]):
+        coefficient = cofactor_det(matrix, 0)
+        assert abs(coefficient) == n ** (n // 2)
+        for _ in range(3):
+            a, b = ([rng.randint(0, 3) for _ in range(n)] for _ in "ab")
+            m = [[{(a[i] + b[j],): s} for j, s in enumerate(row)] for i, row in enumerate(matrix)]
+            assert zpoly_det(m) == {(sum(a) + sum(b),): coefficient}
+
+
 def test_zpoly_gcd_examples():
     # (t - 1)(t + 2) and 3 (t - 1)(t - 5): gcd t - 1 up to sign
     assert zpoly_gcd([-2, 1, 1], [15, -18, 3]) == [-1, 1]

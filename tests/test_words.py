@@ -210,10 +210,10 @@ def test_parse_rejects_garbage():
 
 def test_endo_apply_and_compose(compose):
     e = FreeEndo(("p", "q"), {"p": parse_word("p q"), "q": parse_word("q")})
-    assert str(e.apply(parse_word("p^2"))) == "p q p q"
+    assert str(substitute(parse_word("p^2"), e.images)) == "p q p q"
     f = FreeEndo(("p", "q"), {"p": parse_word("p"), "q": parse_word("q p")})
     fe = compose(f, e)
-    assert fe.apply(parse_word("p")) == f.apply(e.apply(parse_word("p")))
+    assert substitute(parse_word("p"), fe.images) == substitute(substitute(parse_word("p"), e.images), f.images)
 
 
 def test_braid_parse_and_round_trip():
@@ -250,7 +250,7 @@ def test_braid_inverse_acts_as_inverse():
     act = braid_action(BraidWord(3, b.letters + b.inverse().letters))
     for name in fiber_names(3):
         w = Word(((name, 1),))
-        assert act.apply(w) == w
+        assert substitute(w, act.images) == w
 
 
 def test_braid_strand_bounds():
@@ -278,7 +278,7 @@ def test_braid_action_is_homomorphism(compose):
         b2 = BraidWord(3, tuple(letters2))
         lhs = braid_action(BraidWord(3, b1.letters + b2.letters))
         rhs = compose(braid_action(b1), braid_action(b2))
-        assert all(lhs.apply(Word(((n, 1),))) == rhs.apply(Word(((n, 1),))) for n in names)
+        assert all(substitute(Word(((n, 1),)), lhs.images) == substitute(Word(((n, 1),)), rhs.images) for n in names)
 
 
 def test_braid_relation_identity():
@@ -286,14 +286,14 @@ def test_braid_relation_identity():
     rhs = braid_action(parse_braid("s2 s1 s2", 3))
     for name in fiber_names(3):
         w = Word(((name, 1),))
-        assert lhs.apply(w) == rhs.apply(w)
+        assert substitute(w, lhs.images) == substitute(w, rhs.images)
 
 
 def test_braid_action_attaches_verified_inverse():
     act = braid_action(parse_braid("s1^-1 s2^2 s1 s2^-2 s1", 3))
     assert act.inverse is not None
     w = parse_word("a1 a2^-1 a3")
-    assert act.inverse.apply(act.apply(w)) == w
+    assert substitute(substitute(w, act.images), act.inverse.images) == w
 
 
 def test_action_preserves_conjugacy_shape():
@@ -305,7 +305,7 @@ def test_action_preserves_conjugacy_shape():
         letters = [(rng.randint(1, 2), rng.choice([-1, 1])) for _ in range(6)]
         act = braid_action(BraidWord(3, tuple(letters)))
         for name in names:
-            img = act.apply(Word(((name, 1),)))
+            img = substitute(Word(((name, 1),)), act.images)
             assert sum(img.exponent_sum(n) for n in names) == 1
             assert sum(abs(e) for _, e in img.syllables) % 2 == 1
 
