@@ -112,10 +112,10 @@ class WeightedPresentation:
     __slots__ = ("presentation", "weights")
 
     def __init__(self, presentation: Presentation, weights: Mapping[str, int]):
-        if missing := [g for g in presentation.generators if g not in weights]:
-            raise ValueError(f"missing weight for generator(s) {missing}")
         if extra := [g for g in weights if g not in presentation.generators]:
             raise ValueError(f"weight for non-generator(s) {extra}")
+        if missing := [g for g in presentation.generators if g not in weights]:
+            raise ValueError(f"missing weight for generator(s) {missing}")
         self.presentation, self.weights = presentation, {g: int(weights[g]) for g in presentation.generators}
 
 

@@ -26,7 +26,7 @@ from .presentation import (
     parse_presentation,
     tietze_simplify,
 )
-from .words import braid_action, parse_braid, parse_word
+from .words import braid_action, comma_fields, parse_braid, parse_word
 
 
 def _parse_k(text: str) -> int | None:
@@ -53,10 +53,8 @@ def _parse_budget(text: str) -> int:
 
 def _parse_weights(text: str, pres: Presentation) -> WeightedPresentation:
     """``pres`` weighted by ``name=integer`` pairs, one per generator; errors point into ``--weights``."""
-    weights, columns, column = {}, {}, 1
-    for raw in text.split(","):
-        piece, at = raw.strip(), column + len(raw) - len(raw.lstrip())
-        column += len(raw) + 1
+    weights, columns = {}, {}
+    for piece, at in comma_fields(text):
         if not piece:
             continue
         name, sep, value = piece.partition("=")
@@ -77,12 +75,8 @@ def _parse_weights(text: str, pres: Presentation) -> WeightedPresentation:
 
 
 def _parse_subgroup(text: str, generators: tuple[str, ...]) -> tuple:
-    words, column = [], 0
-    for piece in text.split(","):
-        if piece.strip():
-            words.append(parse_word(piece, generators, column_offset=column, argument="--subgroup"))
-        column += len(piece) + 1
-    return tuple(words)
+    return tuple(parse_word(piece, generators, column_offset=col - 1, argument="--subgroup")
+                 for piece, col in comma_fields(text) if piece)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,15 +12,17 @@ table over (b, x, y), the parameter values where the pencil degenerates
 sextic (y^3 + y^2 + x^2)(y^3 + y^2 + x^2 - 4/27), and the local
 intersection multiplicity of its two cubic factors in the far chart.
 
-Resultants are Sylvester determinants.  Over Q, on inputs scaled to
-integer coefficients in one pass over their terms, each is one
-``ring.zpoly_det``: a single integer Bareiss determinant of the entries
-packed by Kronecker substitution, each distinct coefficient packed once.
-Over Q(eps) the shared Bareiss elimination divides polynomial entries by
-this module's exact multivariate division.
-Univariate gcds over Q (squarefree parts, intersecting eliminants) are
-the monic gcd of ``ring``.  Results of ring operations are built without
-re-validating their terms.
+Resultants are Sylvester determinants, a constant in the eliminated
+variable included.  Over Q, on inputs scaled to integer coefficients in
+one pass over their terms, each is one ``ring.zpoly_det``: a single
+integer Bareiss determinant of the entries packed by Kronecker
+substitution, each distinct coefficient packed once.  Over Q(eps) the
+shared Bareiss elimination divides polynomial entries by this module's
+exact multivariate division.  Univariate gcds and primitive parts over Q
+(squarefree parts, intersecting eliminants) are ``ring``'s integer ones,
+on coefficients cleared by the lcm of their denominators: this module is
+where rationals become integers for ``ring``.  Results of ring
+operations are built without re-validating their terms.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import lcm
 from operator import add, sub
 
 from .errors import InternalCheckError, ParseError
-from .ring import bareiss_det, qpoly_gcd, zpoly_det
+from .ring import bareiss_det, zpoly_det, zpoly_gcd, zpoly_primitive
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -224,14 +226,6 @@ class MultiPoly:
     def constant(cls, value: Any, variables: Sequence[str], field: str = FIELD_Q) -> MultiPoly:
         return cls(variables, {(0,) * len(tuple(variables)): value}, field)
 
-    @classmethod
-    def variable(cls, name: str, variables: Sequence[str], field: str = FIELD_Q) -> MultiPoly:
-        variables = tuple(variables)
-        exps = tuple(1 if v == name else 0 for v in variables)
-        if sum(exps) != 1:
-            raise ValueError(f"{name!r} is not among {variables}")
-        return cls(variables, {exps: 1}, field)
-
     def _check_compatible(self, other: MultiPoly) -> None:
         if self.variables != other.variables:
             raise ValueError("variable set mismatch")
@@ -362,8 +356,8 @@ class MultiPoly:
 
 def poly_ring(variables: Sequence[str], field: str = FIELD_Q) -> tuple[MultiPoly, ...]:
     """Generator polynomials for each named variable."""
-    variables = tuple(variables)
-    return tuple(MultiPoly.variable(v, variables, field) for v in variables)
+    n = len(variables)
+    return tuple(MultiPoly(variables, {tuple(int(j == i) for j in range(n)): 1}, field) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +402,7 @@ def divides(g: MultiPoly, f: MultiPoly) -> bool:
 
 
 def _sylvester(fc: list[Any], gc: list[Any], zero: Any) -> list[list[Any]]:
-    """Sylvester matrix of ascending coefficient lists of degrees df, dg >= 1."""
+    """Sylvester matrix of ascending coefficient lists of degrees df, dg >= 0, not both 0."""
     df, dg = len(fc) - 1, len(gc) - 1
     return ([[zero] * i + fc[::-1] + [zero] * (dg - 1 - i) for i in range(dg)]
             + [[zero] * i + gc[::-1] + [zero] * (df - 1 - i) for i in range(df)])
@@ -417,11 +411,12 @@ def _sylvester(fc: list[Any], gc: list[Any], zero: Any) -> list[list[Any]]:
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Resultant of f and g with respect to ``var`` (Sylvester determinant).
 
-    Constants in ``var`` follow res(f, c) = c^deg(f); if both are
-    constant in ``var`` the resultant is 1.  Over Q the determinant is one
-    ``zpoly_det`` of a f and b g with int coefficients (a, b the lcms of
-    their denominators), divided by a^deg(g) b^deg(f) at the end.  Over
-    Q(eps) Bareiss divides the polynomial entries by ``exact_div``.
+    If one is constant in ``var`` the Sylvester matrix is diagonal, so
+    res(f, c) = c^deg(f); if both are, the resultant is 1.  Over Q the
+    determinant is one ``zpoly_det`` of a f and b g with int coefficients
+    (a, b the lcms of their denominators), divided by a^deg(g) b^deg(f) at
+    the end.  Over Q(eps) Bareiss divides the polynomial entries by
+    ``exact_div``.
     """
     f._check_compatible(g)
     zero = MultiPoly(f.variables, (), f.field)
@@ -430,10 +425,6 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     df, dg = f.degree(var), g.degree(var)
     if df == 0 and dg == 0:
         return zero + 1
-    if df == 0:
-        return f ** dg
-    if dg == 0:
-        return g ** df
     if f.field != FIELD_Q:
         return bareiss_det(_sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div)
     a, b = (lcm(*(c.denominator for c in h.terms.values())) for h in (f, g))
@@ -451,20 +442,21 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 # univariate helpers over Q (used for squarefree parts and divisibility)
 
 
-def _as_univariate(f: MultiPoly, var: str) -> list[Fraction]:
-    """Ascending rational coefficient list; other variables must not occur."""
+def _as_univariate(f: MultiPoly, var: str) -> list[int]:
+    """Ascending coefficients of f times the lcm of its denominators; other variables must not occur."""
     if f.field != FIELD_Q:
         raise ValueError("univariate helpers work over Q")
     i = f.variables.index(var)
-    coeffs = [Fraction(0)] * (f.degree(var) + 1)
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    coeffs = [0] * (f.degree(var) + 1)
     for e, c in f.terms.items():
         if any(k for j, k in enumerate(e) if j != i):
             raise ValueError(f"polynomial is not univariate in {var!r}")
-        coeffs[e[i]] = c
+        coeffs[e[i]] = c.numerator * (d // c.denominator)
     return coeffs
 
 
-def _uni_to_poly(coeffs: Sequence[Fraction], var: str, ring: MultiPoly) -> MultiPoly:
+def _uni_to_poly(coeffs: Sequence[int], var: str, ring: MultiPoly) -> MultiPoly:
     i = ring.variables.index(var)
     terms = {}
     for k, c in enumerate(coeffs):
@@ -476,15 +468,13 @@ def _uni_to_poly(coeffs: Sequence[Fraction], var: str, ring: MultiPoly) -> Multi
 
 
 def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
-    """Squarefree part of a univariate Q-polynomial, integer-normalized."""
+    """Squarefree part of a univariate Q-polynomial: primitive over Z, leading coefficient positive."""
     coeffs = _as_univariate(f, var)
     if not coeffs:
         raise ValueError("squarefree part of the zero polynomial")
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
-    q = _as_univariate(exact_div(f, _uni_to_poly(qpoly_gcd(coeffs, deriv), var, f)), var)
-    # a monic polynomial times the lcm of its denominators is primitive over Z
-    d = lcm(*((c / q[-1]).denominator for c in q))
-    return _uni_to_poly([c / q[-1] * d for c in q], var, f)
+    q = exact_div(f, _uni_to_poly(zpoly_gcd(coeffs, deriv), var, f))
+    return _uni_to_poly(zpoly_primitive(_as_univariate(q, var)), var, f)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +591,7 @@ def singular_parameters() -> MultiPoly:
     if not r1 or not r2:
         raise InternalCheckError("degenerate elimination: vanishing resultant in y")
     # over Q[b], sqfree(gcd(r1, r2)) = gcd(sqfree r1, sqfree r2)
-    g = qpoly_gcd(_as_univariate(r1, "b"), _as_univariate(r2, "b"))
+    g = zpoly_gcd(_as_univariate(r1, "b"), _as_univariate(r2, "b"))
     return squarefree_part(_uni_to_poly(g, "b", r1), "b")
 
 
@@ -635,7 +625,7 @@ def intersection_multiplicity_origin(g: MultiPoly, h: MultiPoly) -> int:
             if not lead.evaluate({"ybar": 0, "zbar": 0}):
                 raise ValueError("degenerate direction: leading coefficient vanishes at zbar = 0")
     if g_line and h_line:
-        common = qpoly_gcd(_as_univariate(g_line, "ybar"), _as_univariate(h_line, "ybar"))
+        common = zpoly_gcd(_as_univariate(g_line, "ybar"), _as_univariate(h_line, "ybar"))
         if sum(1 for c in common if c) > 1:
             raise ValueError("degenerate direction: extra common points on zbar = 0")
     r = resultant(g, h, "ybar")

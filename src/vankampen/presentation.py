@@ -19,7 +19,7 @@ from math import gcd
 
 from .cover import KERNEL_GENS
 from .errors import InternalCheckError, ParseError
-from .words import _WORD_TOKEN_RE, FreeEndo, Syllable, Word, parse_word, substitute
+from .words import _WORD_TOKEN_RE, FreeEndo, Syllable, Word, comma_fields, parse_word, substitute
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -61,26 +61,21 @@ def parse_presentation(text: str) -> Presentation:
         raise ParseError("expected 'gens:' section")
     if not sep:
         raise ParseError("expected ';' before 'rels:' section", len(text) + 1)
-    generators = tuple(g.strip() for g in head.strip()[len("gens:"):].split(",") if g.strip())
+    at = head.index("gens:")
+    names = [(g, col) for g, col in comma_fields(head[at + len("gens:"):], at + len("gens:")) if g]
+    generators = tuple(g for g, _ in names)
     if len(set(generators)) != len(generators):
-        raise ParseError("duplicate generator name", head.index("gens:") + 1)
-    at = head.index("gens:") + len("gens:")
-    for name in generators:  # each must be one token of the word grammar, without exponent
-        at = head.index(name, at)
+        raise ParseError("duplicate generator name", at + 1)
+    for name, col in names:  # each must be one token of the word grammar, without exponent
         if not (m := _WORD_TOKEN_RE.match(name)) or m["exp"]:
-            raise ParseError(f"bad generator name {name!r}", at + 1)
-        at += len(name)
+            raise ParseError(f"bad generator name {name!r}", col)
     rel_head = tail.lstrip()
     rel_col = len(text) - len(tail) + (len(tail) - len(rel_head)) + 1
     if not rel_head.startswith("rels:"):
         raise ParseError("expected 'rels:' section", rel_col)
     rel_part = rel_head[len("rels:"):]
-    offset = len(text) - len(rel_part)
-    relators: list[Word] = []
-    start = 0
-    for chunk in rel_part.split(","):
-        relators.append(parse_word(chunk, generators=generators, column_offset=offset + start))
-        start += len(chunk) + 1
+    relators = (parse_word(chunk, generators, column_offset=col - 1)
+                for chunk, col in comma_fields(rel_part, len(text) - len(rel_part)))
     return Presentation(generators, tuple(relators))
 
 

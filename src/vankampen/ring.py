@@ -1,6 +1,10 @@
-"""Exact algebra shared by the alexander and curves layers.
+"""Exact integer algebra shared by the alexander and curves layers.
 
-One implementation per algorithm:
+The module imports nothing from the rest of the package, nor from
+``fractions``: apart from ``bareiss_det``, which takes the ring's exact
+division as an argument, every kernel works over Z or Z[t_1..t_k], and
+callers with rational inputs clear denominators first.  One
+implementation per algorithm:
 
 - ``bareiss_det``: fraction-free Gaussian elimination (Bareiss 1968,
   *Sylvester's identity and multistep integer-preserving Gaussian
@@ -8,23 +12,19 @@ One implementation per algorithm:
   in.  Every entry after step k is a (k+1)x(k+1) minor of the input, so
   entries never leave the ring and stay as small as minors are.
 - ``zpoly_gcd``: the gcd in Z[t] by the primitive polynomial remainder
-  sequence (Knuth, TAOCP vol. 2, 4.6.1), on ascending coefficient lists.
-- ``qpoly_gcd``: the monic gcd in Q[t], by clearing denominators and
-  running ``zpoly_gcd``.
+  sequence (Knuth, TAOCP vol. 2, 4.6.1), on ascending coefficient lists,
+  with ``zpoly_primitive`` the primitive part it normalizes by.
 - ``zpoly_det``: the determinant over Z[t_1..t_k] as one integer
   ``bareiss_det``, by Kronecker substitution (von zur Gathen & Gerhard,
   *Modern Computer Algebra*, 8.4) with per-variable degree bounds from the
   rows and columns (Collins 1971) and a Hadamard-type coefficient bound
   from the entries' 1-norms (Goldstein & Graham, SIAM Rev. 16, 1974),
   each distinct entry object measured and packed once.
-
-This module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from operator import floordiv, mul
 
 TYPE_CHECKING = False
@@ -107,7 +107,7 @@ def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...]
     return out
 
 
-def _primitive(f: list[int]) -> list[int]:
+def zpoly_primitive(f: list[int]) -> list[int]:
     """f divided by its content, trimmed, leading coefficient positive."""
     c = gcd(*f)
     if c == 0:
@@ -142,21 +142,9 @@ def zpoly_gcd(f: list[int], g: list[int]) -> list[int]:
     cont = gcd(*f, *g)
     if cont == 0:
         return []
-    a, b = _primitive(f), _primitive(g)
+    a, b = zpoly_primitive(f), zpoly_primitive(g)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive(_pseudo_rem(a, b))
+        a, b = b, zpoly_primitive(_pseudo_rem(a, b))
     return [cont * c for c in a]
-
-
-def _cleared(f: list[Fraction]) -> list[int]:
-    """An integer multiple of a rational coefficient list."""
-    d = lcm(*(c.denominator for c in f))
-    return [c.numerator * (d // c.denominator) for c in f]
-
-
-def qpoly_gcd(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Monic gcd in Q[t] of ascending coefficient lists; [] if both are zero."""
-    h = zpoly_gcd(_cleared(f), _cleared(g))
-    return [Fraction(c, h[-1]) for c in h]

@@ -115,6 +115,15 @@ class Word:
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables)
 
 
+def comma_fields(text: str, offset: int = 0) -> Iterator[tuple[str, int]]:
+    """Yield each comma-separated field of ``text``, stripped, with the 1-based column of
+    its first character in a line where ``text`` starts after ``offset`` characters."""
+    for raw in text.split(","):
+        field = raw.lstrip()
+        yield field.rstrip(), offset + len(raw) - len(field) + 1
+        offset += len(raw) + 1
+
+
 def parse_word(
     text: str, generators: Iterable[str] | None = None, column_offset: int = 0, argument: str = ""
 ) -> Word:
@@ -247,17 +256,14 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse the braid grammar, e.g. ``s1 s2^-1 s1^3``, on ``strands`` strands.
 
     The grammar is the word grammar over ``s1 .. s(strands-1)``, so the
-    braid is freely reduced before its syllables expand into letters.  A
-    braid of more than ``MAX_BRAID_LETTERS`` letters is rejected before it
-    is expanded.
+    braid is freely reduced before ``Word.letters`` expands it.  A braid of
+    more than ``MAX_BRAID_LETTERS`` letters is rejected before it is
+    expanded.
     """
     w = parse_word(text, generators=[f"s{i}" for i in range(1, strands)])
     if w.length > MAX_BRAID_LETTERS:
         raise ParseError(f"braid has {w.length} letters, more than the limit {MAX_BRAID_LETTERS}")
-    letters: list[tuple[int, int]] = []
-    for name, exp in w.syllables:
-        letters.extend([(int(name[1:]), 1 if exp > 0 else -1)] * abs(exp))
-    return BraidWord(strands, tuple(letters))
+    return BraidWord(strands, tuple((int(name[1:]), sign) for name, sign in w.letters()))
 
 
 def fiber_names(strands: int) -> tuple[str, ...]:

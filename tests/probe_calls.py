@@ -1,11 +1,14 @@
-"""List the library functions that neither the CLI goldens nor the workloads enter.
+"""List the library functions that the CLI goldens do not enter.
 
 The goldens of ``tests/data/cli_goldens.json`` are replayed in process
-through ``vankampen.cli.main``, and one tiny round of each benchmark
+through ``vankampen.cli.main``, and then one tiny round of each benchmark
 workload is bound, run and checked through ``benchmarks/workloads.bind``.
-Every function entered meanwhile is recorded by ``sys.setprofile``.  Each
-function defined in ``src/vankampen`` that was never entered is printed as
-``module.py:line qualname``.  Nothing is written; run it by hand:
+Every function entered meanwhile is recorded by ``sys.setprofile``, the
+goldens' and the workloads' apart.  Two sections are printed, one
+function defined in ``src/vankampen`` per line as ``module.py:line
+qualname``: the functions neither enters, then those that only the
+workloads enter (code that only the benchmark keeps alive).  Nothing is
+written; run it by hand:
 
     PYTHONPATH=src python tests/probe_calls.py
 """
@@ -41,7 +44,9 @@ def key(code: CodeType) -> tuple[str, int, str]:
 
 
 def main() -> None:
-    entered: set[CodeType] = set()
+    by_goldens: set[CodeType] = set()
+    by_workloads: set[CodeType] = set()
+    entered = by_goldens
 
     def profile(frame, event, arg):
         if event == "call":
@@ -51,6 +56,7 @@ def main() -> None:
     try:
         for record in json.loads(GOLDENS.read_text(encoding="utf-8")):
             run(record["argv"])
+        entered = by_workloads
         import workloads
 
         for workload in workloads.WORKLOADS:
@@ -60,14 +66,20 @@ def main() -> None:
     finally:
         sys.setprofile(None)
 
-    reached = {key(code) for code in entered if Path(code.co_filename).parent == PACKAGE}
+    golden_keys, workload_keys = (
+        {key(code) for code in codes if Path(code.co_filename).parent == PACKAGE}
+        for codes in (by_goldens, by_workloads)
+    )
     defined = {
         key(code)
         for path in sorted(PACKAGE.glob("*.py"))
         for code in functions(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
     }
-    for name, line, qualname in sorted(defined - reached):
-        print(f"{name}:{line} {qualname}")
+    for title, keys in (("never entered", defined - golden_keys - workload_keys),
+                        ("entered only by the workloads", defined & workload_keys - golden_keys)):
+        print(f"{title}:")
+        for name, line, qualname in sorted(keys):
+            print(f"  {name}:{line} {qualname}")
 
 
 if __name__ == "__main__":

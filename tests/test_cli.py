@@ -484,6 +484,9 @@ def test_cli_rejects_ambiguous_or_foreign_weights(capsys, weights, message):
          "--weights, column 1: empty weight list"),
         (["coset-enum", LEMMA, "--subgroup", "g+, p x"], "--subgroup, column 7: unknown generator 'x'"),
         (["coset-enum", LEMMA, "--subgroup", "p^0"], "--subgroup, column 1: zero exponent on 'p'"),
+        # a weight for a non-generator and a missing one: the message names the weight the column points at
+        (["alexander", "gens: a, b; rels: a b", "--weights", "a=1,c=2"],
+         "--weights, column 5: weight for non-generator(s) ['c']"),
     ],
 )
 def test_cli_argument_errors_name_the_argument_and_its_column(capsys, command, err):

@@ -335,19 +335,25 @@ def test_resultant_matches_sympy_over_q_eps(monkeypatch):
         return sympy.Poly.from_dict(terms, sx, sy, se, domain="QQ")
 
     rng = random.Random(79)
+    pairs = [
+        tuple(rand_poly(rng, ("x", "y"), "Q(eps)", nterms=3, max_exp=2)
+              + MultiPoly(("x", "y"), {(d, rng.randint(0, 1)): QEps(1, rng.randint(-1, 1))}, "Q(eps)")
+              for d in (rng.randint(1, 3), rng.randint(1, 3)))
+        for _ in range(10)
+    ]
+    # Bareiss swaps rows once on this pair, so the determinant it returns is negated
+    x, y = poly_ring(("x", "y"), "Q(eps)")
+    pairs.append((x * x * y + 1, x * x * y + x + 1))
     nonzero = 0
-    for _ in range(10):
-        f, g = (rand_poly(rng, ("x", "y"), "Q(eps)", nterms=3, max_exp=2)
-                + MultiPoly(("x", "y"), {(d, rng.randint(0, 1)): QEps(1, rng.randint(-1, 1))}, "Q(eps)")
-                for d in (rng.randint(1, 3), rng.randint(1, 3)))
+    for f, g in pairs:
         df, dg, sf, sg = f.degree("x"), g.degree("x"), to_sympy(f), to_sympy(g)
         expected = sympy.resultant(sf, sg) if df >= dg else (-1) ** (df * dg) * sympy.resultant(sg, sf)
         r = resultant(f, g, "x")
         difference = sympy.Poly((to_sympy(r) - expected).as_expr(), se)
         assert difference.rem(sympy.Poly(se**2 + se + 1, se)).is_zero
         nonzero += bool(r)
-    assert paths == {"int": 0, "poly": 10}
-    assert nonzero >= 8
+    assert paths == {"int": 0, "poly": 11}
+    assert nonzero >= 9
 
 
 _x, _t = poly_ring(("x", "t"))
@@ -372,12 +378,22 @@ def test_integer_path_edge_cases(monkeypatch, f, g, degree):
     assert all(type(c) is Fraction for c in r.terms.values())
 
 
-def test_resultant_of_constants():
+def test_resultant_of_constants(monkeypatch):
+    # a constant in x makes the Sylvester matrix diagonal: one determinant, over either field
+    paths = count_paths(monkeypatch)
     vs = ("x",)
     (x,) = poly_ring(vs)
     three = MultiPoly.constant(3, vs)
     assert resultant(x * x + three, three, "x") == MultiPoly.constant(9, vs)
     assert resultant(three, x * x + three, "x") == MultiPoly.constant(9, vs)
+    (z,) = poly_ring(vs, "Q(eps)")
+    eps = MultiPoly.constant(EPS, vs, "Q(eps)")
+    assert resultant(z**3 + 1, eps, "x") == MultiPoly.constant(1, vs, "Q(eps)")
+    assert resultant(eps, z * z, "x") == MultiPoly.constant(EPS**2, vs, "Q(eps)")
+    assert paths == {"int": 2, "poly": 2}
+    # constant in both: no matrix at all
+    assert resultant(three, three, "x") == MultiPoly.constant(1, vs)
+    assert paths == {"int": 2, "poly": 2}
 
 
 def test_resultant_sign_follows_the_definition():
@@ -392,6 +408,8 @@ def test_squarefree_part():
     p = parse_polynomial("x^3 - 3 x + 2")  # (x - 1)^2 (x + 2)
     (x,) = poly_ring(("x",))
     assert squarefree_part(p, "x") == x**2 + x - 2
+    # rational coefficients are cleared: (x - 1/2)^2 (x + 1/3) -> (2x - 1)(3x + 1), leading coefficient positive
+    assert squarefree_part((x - Fraction(1, 2)) ** 2 * (x + Fraction(1, 3)) * -4, "x") == 6 * x**2 - x - 1
 
 
 # -- parsing ------------------------------------------------------------------

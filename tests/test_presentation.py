@@ -69,6 +69,9 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_presentation("gens: p; rels: q")
     assert err.value.column == 16
+    with pytest.raises(ParseError) as err:  # a later relator, after blanks
+        parse_presentation("gens: p, q; rels: p,  q^0")
+    assert err.value.column == 23
     with pytest.raises(ParseError, match="duplicate generator name") as err:
         parse_presentation("  gens: p, q, p; rels: q")
     assert err.value.column == 3

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 from operator import add, floordiv, mul, neg
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from vankampen.alexander import (
 )
 from vankampen.curves import MultiPoly, exact_div, resultant
 from vankampen.presentation import Presentation
-from vankampen.ring import bareiss_det, qpoly_gcd, zpoly_det, zpoly_gcd
+from vankampen.ring import bareiss_det, zpoly_det, zpoly_gcd, zpoly_primitive
 from vankampen.words import Word
 
 
@@ -260,14 +260,18 @@ def test_zpoly_gcd_examples():
     assert zpoly_gcd([], []) == []
 
 
-def test_qpoly_gcd_examples():
-    half = Fraction(1, 2)
-    # (t - 1)(t + 1/2) and (t - 1)(t - 3)
-    assert qpoly_gcd([-half, -half, Fraction(1)], [Fraction(3), Fraction(-4), Fraction(1)]) == [-1, 1]
-    assert qpoly_gcd([Fraction(2, 3)], [Fraction(5), Fraction(7)]) == [1]
-    assert qpoly_gcd([Fraction(0)], [Fraction(4), Fraction(-2)]) == [-2, 1]
-    assert qpoly_gcd([], []) == []
-    assert all(type(c) is Fraction for c in qpoly_gcd([Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]))
+def test_primitive_gcd_examples():
+    # gcds over Q as primitive parts of Z[t] gcds of the cleared lists:
+    # (t - 1)(t + 1/2) cleared to (t - 1)(2t + 1), and (t - 1)(t - 3)
+    assert zpoly_gcd([-1, -1, 2], [3, -4, 1]) == [-1, 1]
+    assert zpoly_gcd([2], [5, 7]) == [1]
+    assert zpoly_primitive(zpoly_gcd([0], [4, -2])) == [-2, 1]
+    assert zpoly_gcd([], []) == []
+    assert all(type(c) is int for c in zpoly_gcd([1, 1], [2, 2]))
+    # the content divided out, zeros trimmed, the leading coefficient made positive
+    assert zpoly_primitive([0, 2, -4, 0]) == [0, -1, 2]
+    assert zpoly_primitive([6, -4]) == [-3, 2]
+    assert zpoly_primitive([0, 0]) == [] == zpoly_primitive([])
 
 
 # -- structure -----------------------------------------------------------------
@@ -276,7 +280,7 @@ def test_qpoly_gcd_examples():
 KERNELS = {
     abelian: set(),
     alexander: {"zpoly_det", "zpoly_gcd"},
-    curves: {"bareiss_det", "qpoly_gcd", "zpoly_det"},
+    curves: {"bareiss_det", "zpoly_det", "zpoly_gcd", "zpoly_primitive"},
 }
 PRIVATE_COPIES = {"_det", "_bareiss_det", "_uni_gcd", "_uni_rem", "_zpoly_gcd", "_pseudo_rem"}
 
@@ -297,8 +301,12 @@ def test_layers_use_the_shared_core(module):
 
 
 def test_ring_is_a_leaf_module():
+    # nothing from the package, and nothing from ``fractions``: the kernels are integer-only
     tree = ast.parse(Path(ring.__file__).read_text(encoding="utf-8"))
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert "fractions" not in imported
 
 
 # -- independent oracle ----------------------------------------------------------
@@ -318,6 +326,10 @@ def test_core_matches_sympy(torus_knot, laurent_product):
     def fractions(poly):
         return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
 
+    def cleared(coeffs):
+        d = lcm(*(c.denominator for c in coeffs))
+        return [int(c * d) for c in coeffs]
+
     rng = random.Random("sympy-oracle")
     for _ in range(30):
         # Z[t] gcd against sympy's, up to units
@@ -325,14 +337,16 @@ def test_core_matches_sympy(torus_knot, laurent_product):
         p, q = laurent_product(a, m), laurent_product(b, m)
         expected = sympy.gcd(to_sympy(p.normalized()), to_sympy(q.normalized()))
         assert laurent_gcd(p, q) == from_sympy(expected, 0).normalized()
-        # monic Q[t] gcd of two multiples of a common factor
+        # Z[t] gcd of two multiples of a common factor over Q, each cleared to an integer list
         f, g, h = ([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
                    for _ in range(3))
         lhs, rhs = (sympy.Poly(list(reversed(x)), t, domain="QQ") * sympy.Poly(list(reversed(h)), t, domain="QQ")
                     for x in (f, g))
-        theirs = lhs.gcd(rhs)
-        expected = [] if theirs.is_zero else fractions(theirs.monic())
-        assert qpoly_gcd(fractions(lhs), fractions(rhs)) == expected
+        ints = [cleared(fractions(x)) for x in (lhs, rhs)]
+        over_zz = [sympy.Poly(list(reversed(x)), t, domain="ZZ") for x in ints]
+        theirs = over_zz[0].gcd(over_zz[1])
+        expected = [] if theirs.is_zero else [int(c) for c in reversed(theirs.all_coeffs())]
+        assert zpoly_gcd(*ints) == expected
 
     # Alexander polynomials: every minor, shifted into Z[t] and shifted back, against
     # Matrix.det; the result against sympy's gcd

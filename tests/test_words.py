@@ -15,6 +15,7 @@ from vankampen.words import (
     FreeEndo,
     Word,
     braid_action,
+    comma_fields,
     fiber_names,
     parse_braid,
     parse_word,
@@ -60,6 +61,13 @@ def test_free_reduction_idempotent_on_random_words():
         again = Word(tuple(w.syllables))
         assert again == w
         assert (w * w.inverse()).length == 0
+
+
+def test_comma_fields_give_each_field_its_first_column():
+    # stripped fields; a blank field sits at the column just past its blanks
+    assert list(comma_fields(" a, b c ,,\td")) == [("a", 2), ("b c", 5), ("", 10), ("d", 12)]
+    assert list(comma_fields("x", 6)) == [("x", 7)]
+    assert list(comma_fields("")) == [("", 1)]
 
 
 def count_merges(monkeypatch):
