@@ -47,10 +47,6 @@ class LaurentPoly:
     def __init__(self, coeffs: Mapping[int, int] = {}):
         self.coeffs: dict[int, int] = {e: c for e, c in coeffs.items() if c}
 
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls({0: 1})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -168,7 +164,7 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
     n = len(P.generators)
     m = len(P.relators)
     if n == 1:
-        return LaurentPoly.one()
+        return LaurentPoly({0: 1})
     size = n - 1
     if m < size:
         return LaurentPoly()
@@ -200,6 +196,6 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
         for cols in column_sets:
             det = zpoly_det([[row[j] for j in cols] for row in rows])
             acc = laurent_gcd(acc, LaurentPoly({e: c for (e,), c in det.items()}))
-            if acc == LaurentPoly.one():
+            if acc == LaurentPoly({0: 1}):
                 return acc
     return acc.normalized()

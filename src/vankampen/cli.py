@@ -58,10 +58,10 @@ def _parse_weights(text: str, pres: Presentation) -> WeightedPresentation:
         if not piece:
             continue
         name, sep, value = piece.partition("=")
-        if not sep or not re.fullmatch(r"\s*[+-]?\d+\s*", value):
+        name = name.strip()
+        if not name or not sep or not re.fullmatch(r"\s*[+-]?\d+\s*", value):
             raise ParseError(f"weight {piece!r} is not of the form name=integer",
                              column=at, argument="--weights")
-        name = name.strip()
         if name in weights:
             raise ParseError(f"duplicate weight for {name!r}", column=at, argument="--weights")
         weights[name], columns[name] = int(value), at

@@ -65,9 +65,6 @@ class _Enumerator:
             self.parent[c], c = root, self.parent[c]
         return root
 
-    def alive(self, c: int) -> bool:
-        return self.parent[c] == c
-
     def define(self, alpha: int, col: int) -> None:
         if len(self.table) >= self.max_cosets:
             raise BudgetExhausted(f"overflow: budget of {self.max_cosets} cosets exhausted")
@@ -214,7 +211,7 @@ def enumerate_cosets(
     alpha = 0
     while alpha < len(enum.table):
         row = enum.table[alpha]
-        while enum.alive(alpha) and None in row:
+        while enum.parent[alpha] == alpha and None in row:
             enum.define(alpha, row.index(None))
             enum.process_deductions()
         alpha += 1

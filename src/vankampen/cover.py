@@ -14,9 +14,9 @@ inverse with one pass over each image.
 from __future__ import annotations
 
 from .errors import CoverError, InternalCheckError
-from .words import FreeEndo, Word, substitute
+from .words import FreeEndo, Word, fiber_names, substitute
 
-FIBER_GENS: tuple[str, ...] = ("a1", "a2", "a3")
+FIBER_GENS = fiber_names(3)
 KERNEL_GENS: tuple[str, ...] = ("p", "q")
 
 # The kernel basis as words in the fiber generators.

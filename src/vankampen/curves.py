@@ -7,10 +7,12 @@ is evaluated in Z[eps]: with every coordinate and coefficient written
 common denominator, which is divided out once.  On top of the ring
 operations sit the geometric checks: nodes of the cubic pencil
 f_b = b(-x^2 - x y^2 + y) + (x^3 - x y + y^3), stated once as a term
-table over (b, x, y), the parameter values where the pencil degenerates
+table over (b, x, y), each a nonzero Hessian determinant where f and its
+gradient vanish, the parameter values where the pencil degenerates
 (27 b^3 = 1 up to spurious factors), the torus-structure identity of the
-sextic (y^3 + y^2 + x^2)(y^3 + y^2 + x^2 - 4/27), and the local
-intersection multiplicity of its two cubic factors in the far chart.
+sextic (y^3 + y^2 + x^2)(y^3 + y^2 + x^2 - 4/27), its constant read off
+the terms, and the local intersection multiplicity of its two cubic
+factors in the far chart.
 
 Resultants are Sylvester determinants, a constant in the eliminated
 variable included.  Over Q, on inputs scaled to integer coefficients in
@@ -285,15 +287,6 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Any:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        zero = _coerce_coeff(0, self.field)
-        return self.terms.get((0,) * len(self.variables), zero)
-
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         i = self.variables.index(var)
@@ -523,38 +516,21 @@ def chart_cubic_factors() -> tuple[MultiPoly, MultiPoly]:
     return chart(u), chart(v)
 
 
-class SingularPointReport:
-    """Exact vanishing data of f and its gradient at a point."""
+def verify_node(f: MultiPoly, pt: Sequence[Any]) -> Any:
+    """The Hessian determinant of f at pt if f, f_x and f_y vanish there, else None.
 
-    __slots__ = ("point", "f_vanishes", "fx_vanishes", "fy_vanishes", "hessian_det")
-
-    def __init__(
-        self, point: tuple[Any, Any], f_vanishes: bool, fx_vanishes: bool, fy_vanishes: bool, hessian_det: Any
-    ):
-        self.point, self.hessian_det = point, hessian_det
-        self.f_vanishes, self.fx_vanishes, self.fy_vanishes = f_vanishes, fx_vanishes, fy_vanishes
-
-    @property
-    def is_node(self) -> bool:
-        return self.f_vanishes and self.fx_vanishes and self.fy_vanishes and bool(self.hessian_det)
-
-
-def verify_node(f: MultiPoly, pt: Sequence[Any]) -> SingularPointReport:
-    """Evaluate f, grad f, and the Hessian determinant at pt, exactly."""
+    Everything is evaluated exactly; pt is a node of f = 0 exactly when
+    the result is nonzero (a cusp, say, gives 0).
+    """
     if len(f.variables) != 2:
         raise ValueError("verify_node expects a bivariate polynomial")
     xv, yv = f.variables
     point = {xv: pt[0], yv: pt[1]}
     fx, fy = f.partial(xv), f.partial(yv)
+    if f.evaluate(point) or fx.evaluate(point) or fy.evaluate(point):
+        return None
     fxx, fxy, fyy = fx.partial(xv), fx.partial(yv), fy.partial(yv)
-    hess = fxx.evaluate(point) * fyy.evaluate(point) - fxy.evaluate(point) ** 2
-    return SingularPointReport(
-        (pt[0], pt[1]),
-        not f.evaluate(point),
-        not fx.evaluate(point),
-        not fy.evaluate(point),
-        hess,
-    )
+    return fxx.evaluate(point) * fyy.evaluate(point) - fxy.evaluate(point) ** 2
 
 
 def verify_torus_structure() -> Fraction | None:
@@ -565,7 +541,7 @@ def verify_torus_structure() -> Fraction | None:
     """
     u, v = torus_sextic_factors()
     diff = u * v - ((u + v) * Fraction(1, 2)) ** 2
-    return diff.constant_value() if diff.is_constant() else None
+    return None if any(map(any, diff.terms)) else diff.terms.get((0, 0), Fraction(0))
 
 
 def singular_parameters() -> MultiPoly:

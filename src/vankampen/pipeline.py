@@ -180,7 +180,7 @@ class Replay:
     def commutant(self) -> tuple[Word, CommutantReport, int]:
         """(normal form of [p^-1, g+^-1], commutant report, order of the quotient by g+^3)."""
         instances = metacyclic_instances(self.patched)
-        form = next((f for _, _, f, x, y in instances if (x, y) == ("p", "g+")), None)
+        form = next((f for _, _, f in instances if (f.p, f.c) == ("p", "g+")), None)
         if form is None:
             raise InternalCheckError("patched group has no metacyclic form over p, g+")
         a, b = metacyclic_normal_form(form, parse_word("p^-1 g+^-1 p g+"))
@@ -204,13 +204,13 @@ class Replay:
     def curves(self) -> tuple[bool, bool, bool, bool, bool, bool, Fraction | None, int]:
         """The curve-checks claims, in the order that stage prints them."""
         third = Fraction(1, 3)
-        node_q = verify_node(cubic_pencil(third), (Fraction(2, 5), Fraction(1, 5))).is_node
+        node_q = bool(verify_node(cubic_pencil(third), (Fraction(2, 5), Fraction(1, 5))))
         direct = cubic_pencil(EPS * third)
-        node_eps = verify_node(direct, (Fraction(2, 5) * EPS, Fraction(1, 5) * EPS ** -1)).is_node
+        node_eps = bool(verify_node(direct, (Fraction(2, 5) * EPS, Fraction(1, 5) * EPS ** -1)))
         swapped = {"x": Fraction(2, 5) * EPS ** -1, "y": Fraction(1, 5) * EPS}
         on_conjugate = not cubic_pencil(EPS ** -1 * third).evaluate(swapped)
         on_direct = not direct.evaluate(swapped)
-        node_origin = verify_node(nodal_cubic(), (0, 0)).is_node
+        node_origin = bool(verify_node(nodal_cubic(), (0, 0)))
         elimination = singular_parameters()
         b = dict(zip(elimination.variables, poly_ring(elimination.variables)))["b"]
         divisible = divides(27 * b**3 - 1, elimination)

@@ -11,6 +11,9 @@ cyclically reduces, deduplicates, drops relators that are consequences
 of an identified metacyclic pair, and sorts canonically.  Equal inputs
 give identical outputs and the output is a fixed point.  Canonical forms
 are computed on syllables: no exponent is ever expanded into letters.
+
+A ``MetacyclicForm`` holds (n, s) and the names of its generators p and
+c, so its normal form and the commutant report read the names from it.
 """
 
 from __future__ import annotations
@@ -197,24 +200,23 @@ def _eliminate(P: Presentation, relator: Word, name: str) -> Presentation:
 
 
 class MetacyclicForm:
-    """Data (n, s) of the presentation <p, c | p^n, c^-1 p c p^-s>."""
+    """Data (n, s) of the presentation <p, c | p^n, c^-1 p c p^-s>, with its generator names."""
 
-    __slots__ = ("n", "s")
+    __slots__ = ("n", "s", "p", "c")
 
-    def __init__(self, n: int, s: int):
+    def __init__(self, n: int, s: int, p: str = "p", c: str = "g+"):
         if n < 1:
             raise ValueError("modulus must be positive")
-        self.n, self.s = n, s % n
+        self.n, self.s, self.p, self.c = n, s % n, p, c
         if gcd(self.s, n) != 1:
             raise ValueError(f"s = {self.s} is not invertible mod {n}")
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MetacyclicForm) and (self.n, self.s) == (other.n, other.s)
+        same = isinstance(other, MetacyclicForm)
+        return same and (self.n, self.s, self.p, self.c) == (other.n, other.s, other.p, other.c)
 
 
-def metacyclic_normal_form(
-    form: MetacyclicForm, w: Word, p_gen: str = "p", c_gen: str = "g+"
-) -> tuple[int, int]:
+def metacyclic_normal_form(form: MetacyclicForm, w: Word) -> tuple[int, int]:
     """Normal form (a, b) with w = p^a c^b in the metacyclic group.
 
     Uses c^-1 p^e c = p^(e*s), i.e. moving p-letters left across c^b
@@ -224,18 +226,24 @@ def metacyclic_normal_form(
     n, s = form.n, form.s
     a, b = 0, 0
     for g, e in w.syllables:
-        if g == p_gen:
+        if g == form.p:
             a = (a + e * pow(s, -b, n)) % n
-        elif g == c_gen:
+        elif g == form.c:
             b += e
         else:
             raise ValueError(f"foreign generator {g!r} for the metacyclic form")
     return (a, b)
 
 
-def metacyclic_instances(P: Presentation) -> list[tuple[int, int, MetacyclicForm, str, str]]:
-    """Recognized (power-relator-idx, conj-relator-idx, form, p_gen, c_gen)."""
-    out: list[tuple[int, int, MetacyclicForm, str, str]] = []
+def metacyclic_instances(P: Presentation) -> list[tuple[int, int, MetacyclicForm]]:
+    """Recognized (power-relator index, conjugation-relator index, form).
+
+    A power relator x^(+-n), n >= 2, pairs with a four-syllable relator
+    whose one rotation y^-1 x^u y x^v has u or v = +-1 and u invertible
+    mod n: then y^-1 x y = x^s with s = -v u^-1 mod n, and s must be
+    invertible too.  The form names x as p and y as c.
+    """
+    out: list[tuple[int, int, MetacyclicForm]] = []
     for i, rp in enumerate(P.relators):
         if len(rp.syllables) != 1:
             continue
@@ -246,42 +254,31 @@ def metacyclic_instances(P: Presentation) -> list[tuple[int, int, MetacyclicForm
         for j, rc in enumerate(P.relators):
             if i == j or len(rc.syllables) != 4:
                 continue
-            for shift in range(4):
-                s0, s1, s2, s3 = (rc.syllables[(shift + t) % 4] for t in range(4))
-                y, b = s0
-                if y == x or s2[0] != y or s1[0] != x or s3[0] != x:
+            for k in range(4):
+                (y, b), (x1, u), (y2, b2), (x2, v) = rc.syllables[k:] + rc.syllables[:k]
+                if (b, b2) != (-1, 1) or not y == y2 != x == x1 == x2:
                     continue
-                if b not in (1, -1) or s2[1] != -b or s1[1] not in (1, -1):
-                    continue
-                e, f = s1[1], s3[1]
-                if b == -1:
-                    s_val = (-e * f) % n
-                else:
-                    if gcd(f % n, n) != 1:
-                        continue
-                    s_val = (-e * pow(f, -1, n)) % n
-                if gcd(s_val, n) != 1:
-                    continue
-                out.append((i, j, MetacyclicForm(n, s_val), x, y))
+                if (abs(u) == 1 or abs(v) == 1) and gcd(u, n) == 1:
+                    s = -v * pow(u, -1, n) % n
+                    if gcd(s, n) == 1:
+                        out.append((i, j, MetacyclicForm(n, s, x, y)))
                 break
     return out
 
 
 def _drop_metacyclic_consequences(P: Presentation) -> Presentation | None:
     """Drop relators that follow from a recognized metacyclic pair, if any."""
-    for i, j, form, x, y in metacyclic_instances(P):
-        pair = {i, j}
-        allowed = {x, y}
-        drops = [
+    for i, j, form in metacyclic_instances(P):
+        allowed = {form.p, form.c}
+        drops = {
             k
             for k, r in enumerate(P.relators)
-            if k not in pair
+            if k != i and k != j
             and r.generators() <= allowed
-            and metacyclic_normal_form(form, r, p_gen=x, c_gen=y) == (0, 0)
-        ]
+            and metacyclic_normal_form(form, r) == (0, 0)
+        }
         if drops:
-            keep = tuple(r for k, r in enumerate(P.relators) if k not in set(drops))
-            return Presentation(P.generators, keep)
+            return Presentation(P.generators, tuple(r for k, r in enumerate(P.relators) if k not in drops))
     return None
 
 
@@ -345,7 +342,7 @@ class CommutantReport:
 
 
 def commutant_report(form: MetacyclicForm) -> CommutantReport:
-    """Commutator subgroup of <p, g+ | p^n, g+^-1 p g+ p^-s>.
+    """Commutator subgroup of <p, c | p^n, c^-1 p c p^-s>, in the form's generator names.
 
     It is generated by p^d with d = gcd(s - 1, n) and has order n/d;
     centrality holds iff s*d = d mod n.  The order claim is certified in
@@ -356,7 +353,7 @@ def commutant_report(form: MetacyclicForm) -> CommutantReport:
     d = gcd(s - 1, n)
     order = n // d
     central = (s * d) % n == d % n
-    p, c = Word.gen("p"), Word.gen("g+")
+    p, c = Word.gen(form.p), Word.gen(form.c)
     relators = (p ** n, c.inverse() * p * c * p ** -s)
     if any(metacyclic_normal_form(form, r) != (0, 0) for r in relators):
         raise InternalCheckError("internal certification failed: map is not a homomorphism")

@@ -126,7 +126,7 @@ def laurent_product(laurent_sum):
     """The product of ``LaurentPoly`` factors, term by term."""
 
     def run(*factors: LaurentPoly) -> LaurentPoly:
-        out = LaurentPoly.one()
+        out = LaurentPoly({0: 1})
         for f in factors:
             out = laurent_sum(
                 *(LaurentPoly({e + k: c * d}) for e, c in out.coeffs.items() for k, d in f.coeffs.items())

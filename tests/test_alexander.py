@@ -21,7 +21,7 @@ from vankampen.presentation import Presentation, parse_presentation
 from vankampen.words import Word, parse_word
 
 T = LaurentPoly({1: 1})
-ONE = LaurentPoly.one()
+ONE = LaurentPoly({0: 1})
 
 BRAID_QUOTIENT = "gens: s1, s2; rels: s1 s2 s1 s2^-1 s1^-1 s2^-1, s1 s2 s1 s2 s1 s2"
 

@@ -137,9 +137,8 @@ def test_replay_computes_each_intermediate_once(monkeypatch):
 
 
 def test_commutant_form_is_read_from_the_patched_group(monkeypatch):
-    assert [(f, x, y) for _, _, f, x, y in metacyclic_instances(parse_presentation(LEMMA))] == [
-        (MetacyclicForm(9, 4), "p", "g+")
-    ]
+    forms = [f for _, _, f in metacyclic_instances(parse_presentation(LEMMA))]
+    assert forms == [MetacyclicForm(9, 4, "p", "g+")]
     other = parse_presentation("gens: p, g+; rels: p^7 g+^-1 p^-1 g+, p^9")
     monkeypatch.setattr(pipeline, "patch_fiber", lambda *args: other)
     stage = Replay(k=0).stage("commutant")
@@ -487,6 +486,11 @@ def test_cli_rejects_ambiguous_or_foreign_weights(capsys, weights, message):
         # a weight for a non-generator and a missing one: the message names the weight the column points at
         (["alexander", "gens: a, b; rels: a b", "--weights", "a=1,c=2"],
          "--weights, column 5: weight for non-generator(s) ['c']"),
+        # an empty name is malformed, not a weight for a non-generator ''
+        (["alexander", "gens: a, b; rels: a b", "--weights", "=1,a=1,b=1"],
+         "--weights, column 1: weight '=1' is not of the form name=integer"),
+        (["alexander", "gens: a, b; rels: a b", "--weights", " =1,a=1,b=1"],
+         "--weights, column 2: weight '=1' is not of the form name=integer"),
     ],
 )
 def test_cli_argument_errors_name_the_argument_and_its_column(capsys, command, err):

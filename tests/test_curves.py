@@ -203,9 +203,9 @@ def test_substitute_translation_preserves_nodes(poly_substitute):
         ax = MultiPoly.constant(a, ("x", "y"))
         by = MultiPoly.constant(b, ("x", "y"))
         shifted = poly_substitute(f, {"x": x + ax, "y": y + by})
-        report = verify_node(shifted, (Fraction(2, 5) - a, Fraction(1, 5) - b))
-        assert report.is_node
-        assert report.hessian_det == verify_node(f, (Fraction(2, 5), Fraction(1, 5))).hessian_det
+        hessian = verify_node(shifted, (Fraction(2, 5) - a, Fraction(1, 5) - b))
+        assert hessian  # a node
+        assert hessian == verify_node(f, (Fraction(2, 5), Fraction(1, 5)))
 
 
 def test_resultant_specializes_correctly(poly_substitute):
@@ -464,15 +464,22 @@ def test_parse_rejects_unknown_variables():
 
 
 def test_nodal_member_has_node_at_origin():
-    report = verify_node(nodal_cubic(), (0, 0))
-    assert report.is_node
-    assert report.hessian_det == Fraction(-1)
+    assert verify_node(nodal_cubic(), (0, 0)) == Fraction(-1)
 
 
 def test_rational_member_has_node():
-    report = verify_node(cubic_pencil(Fraction(1, 3)), (Fraction(2, 5), Fraction(1, 5)))
-    assert report.is_node
-    assert report.hessian_det == Fraction(1, 3)
+    assert verify_node(cubic_pencil(Fraction(1, 3)), (Fraction(2, 5), Fraction(1, 5))) == Fraction(1, 3)
+
+
+def test_verify_node_off_a_node():
+    f = nodal_cubic()  # x^3 - x y + y^3
+    half = Fraction(1, 2)
+    assert f.evaluate({"x": half, "y": half}) == 0
+    assert verify_node(f, (half, half)) is None  # on f, but f_x = 1/4 there
+    assert verify_node(f, (1, 1)) is None  # off f
+    x, y = poly_ring(("x", "y"))
+    cusp = verify_node(y**2 - x**3, (0, 0))
+    assert cusp is not None and cusp == 0  # singular, but not a node
 
 
 def paper_eliminant():
@@ -535,14 +542,12 @@ def test_cube_root_members_have_nodes():
     b = EPS / QEps(3)
     f = cubic_pencil(b)
     node = (Fraction(2, 5) * EPS, Fraction(1, 5) * EPS.inverse())
-    report = verify_node(f, node)
-    assert report.is_node
-    assert report.hessian_det == QEps(Fraction(1, 3))
+    assert verify_node(f, node) == QEps(Fraction(1, 3))
     # the coordinate-swapped point lies on the conjugate member, not on f
     swapped = (Fraction(2, 5) * EPS.inverse(), Fraction(1, 5) * EPS)
     assert f.evaluate({"x": swapped[0], "y": swapped[1]}) != QEps(0)
     conj = cubic_pencil(EPS.inverse() / QEps(3))
-    assert verify_node(conj, swapped).is_node
+    assert verify_node(conj, swapped)
 
 
 # -- the torus sextic ---------------------------------------------------------

@@ -18,6 +18,7 @@ from vankampen.presentation import (
     canonicalize,
     commutant_report,
     format_presentation,
+    metacyclic_instances,
     metacyclic_normal_form,
     parse_presentation,
     patch_fiber,
@@ -333,6 +334,29 @@ def test_metacyclic_normal_form_rejects_foreign_generator():
         metacyclic_normal_form(MetacyclicForm(9, 4), parse_word("x"))
 
 
+@pytest.mark.parametrize(
+    "text, forms",
+    [
+        # u = -1, |v| > 1: the lemma's relator, read as g+^-1 p^-1 g+ p^4
+        (LEMMA, [MetacyclicForm(9, 4)]),
+        # u = 1, |v| > 1
+        ("gens: x, y; rels: x^9, y^-1 x y x^-4", [MetacyclicForm(9, 4, "x", "y")]),
+        # v = -1, |u| > 1 with u invertible: y^-1 x^2 y = x, so s = 2^-1 = 4 mod 7
+        ("gens: x, y; rels: x^7, y^-1 x^2 y x^-1", [MetacyclicForm(7, 4, "x", "y")]),
+        # the same relator written from another rotation
+        ("gens: x, y; rels: x^7, y x^-1 y^-1 x^2", [MetacyclicForm(7, 4, "x", "y")]),
+        # v = -1 with u = 3 not invertible mod 9
+        ("gens: x, y; rels: x^9, y^-1 x^3 y x^-1", []),
+        # u = 1 but s = 3 is not invertible mod 9
+        ("gens: x, y; rels: x^9, y^-1 x y x^-3", []),
+        # neither u nor v is +-1
+        ("gens: x, y; rels: x^9, y^-1 x^2 y x^-4", []),
+    ],
+)
+def test_metacyclic_instances_recognize_one_rotation(text, forms):
+    assert [f for _, _, f in metacyclic_instances(parse_presentation(text))] == forms
+
+
 def test_p_cubed_quotient_is_abelian():
     lemma = parse_presentation(LEMMA)
     quotient = Presentation(lemma.generators, lemma.relators + (parse_word("p^3"),))
@@ -348,6 +372,12 @@ def test_commutant_report_examples():
     assert report == CommutantReport(parse_word("p^3"), 3, True)
     assert commutant_report(MetacyclicForm(9, 1)) == CommutantReport(Word(()), 1, True)
     assert commutant_report(MetacyclicForm(9, 7)) == CommutantReport(parse_word("p^3"), 3, True)
+
+
+def test_commutant_report_uses_the_form_generator_names():
+    report = commutant_report(MetacyclicForm(9, 4, "x", "y"))
+    assert report.generator == parse_word("x^3")
+    assert (report.order, report.central) == (3, True)
 
 
 def test_commutant_report_non_central_case():
@@ -380,8 +410,8 @@ def test_commutant_report_matches_the_oracle(metacyclic_group):
 def test_commutant_certificate_rejects_a_wrong_group_law(monkeypatch):
     law = presentation.metacyclic_normal_form
 
-    def ignoring_s(form, w, p_gen="p", c_gen="g+"):
-        return law(MetacyclicForm(form.n, 1), w, p_gen, c_gen)
+    def ignoring_s(form, w):
+        return law(MetacyclicForm(form.n, 1, form.p, form.c), w)
 
     monkeypatch.setattr(presentation, "metacyclic_normal_form", ignoring_s)
     with pytest.raises(InternalCheckError):

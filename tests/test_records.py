@@ -45,7 +45,7 @@ RECORDS = {
     ),
     "MetacyclicForm": (
         lambda: MetacyclicForm(9, 13),
-        [MetacyclicForm(7, 4), MetacyclicForm(9, 7)],
+        [MetacyclicForm(7, 4), MetacyclicForm(9, 7), MetacyclicForm(9, 4, "x", "g+"), MetacyclicForm(9, 4, "p", "y")],
         [
             (lambda: MetacyclicForm(0, 1), "modulus must be positive"),
             (lambda: MetacyclicForm(9, 12), "s = 3 is not invertible mod 9"),
