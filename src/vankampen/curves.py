@@ -16,15 +16,17 @@ factors in the far chart.
 
 Resultants are Sylvester determinants, a constant in the eliminated
 variable included.  Over Q, on inputs scaled to integer coefficients in
-one pass over their terms, each is one ``ring.zpoly_det``: a single
-integer Bareiss determinant of the entries packed by Kronecker
-substitution, each distinct coefficient packed once.  Over Q(eps) the
-shared Bareiss elimination divides polynomial entries by this module's
-exact multivariate division.  Univariate gcds and primitive parts over Q
-(squarefree parts, intersecting eliminants) are ``ring``'s integer ones,
-on coefficients cleared by the lcm of their denominators: this module is
-where rationals become integers for ``ring``.  Results of ring
-operations are built without re-validating their terms.
+one pass over their terms, each is one ``ring.zpoly_resultant``: the
+subresultant remainder sequence on the coefficients packed by Kronecker
+substitution at the point ``ring.zpoly_det`` would choose for the
+Sylvester matrix, each distinct coefficient packed once.  Over Q(eps) the
+shared Bareiss elimination of the Sylvester matrix divides polynomial
+entries by this module's exact multivariate division.  Univariate gcds
+and primitive parts over Q (squarefree parts, intersecting eliminants)
+are ``ring``'s integer ones, on coefficients cleared by the lcm of their
+denominators: this module is where rationals become integers for
+``ring``.  Results of ring operations are built without re-validating
+their terms.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import lcm
 from operator import add, sub
 
 from .errors import InternalCheckError, ParseError
-from .ring import bareiss_det, zpoly_det, zpoly_gcd, zpoly_primitive
+from .ring import _sylvester, bareiss_det, zpoly_gcd, zpoly_primitive, zpoly_resultant
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -394,22 +396,16 @@ def divides(g: MultiPoly, f: MultiPoly) -> bool:
         return False
 
 
-def _sylvester(fc: list[Any], gc: list[Any], zero: Any) -> list[list[Any]]:
-    """Sylvester matrix of ascending coefficient lists of degrees df, dg >= 0, not both 0."""
-    df, dg = len(fc) - 1, len(gc) - 1
-    return ([[zero] * i + fc[::-1] + [zero] * (dg - 1 - i) for i in range(dg)]
-            + [[zero] * i + gc[::-1] + [zero] * (df - 1 - i) for i in range(df)])
-
-
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Resultant of f and g with respect to ``var`` (Sylvester determinant).
 
     If one is constant in ``var`` the Sylvester matrix is diagonal, so
-    res(f, c) = c^deg(f); if both are, the resultant is 1.  Over Q the
-    determinant is one ``zpoly_det`` of a f and b g with int coefficients
-    (a, b the lcms of their denominators), divided by a^deg(g) b^deg(f) at
-    the end.  Over Q(eps) Bareiss divides the polynomial entries by
-    ``exact_div``.
+    res(f, c) = c^deg(f); if both are, the resultant is 1.  Over Q it is
+    one ``zpoly_resultant`` of a f and b g with int coefficients (a, b the
+    lcms of their denominators), divided by a^deg(g) b^deg(f) at the end;
+    that equals ``zpoly_det`` of their Sylvester matrix, key order
+    included.  Over Q(eps) Bareiss divides the entries of the Sylvester
+    matrix by ``exact_div``.
     """
     f._check_compatible(g)
     zero = MultiPoly(f.variables, (), f.field)
@@ -426,9 +422,9 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     for h, s, coeffs in ((f, a, fc), (g, b, gc)):
         for e, c in h.terms.items():
             coeffs[e[i]][e[:i] + (0,) + e[i + 1:]] = c.numerator * (s // c.denominator)
-    det = zpoly_det(_sylvester(fc, gc, {}))
+    res = zpoly_resultant(fc, gc)
     scale = a ** dg * b ** df
-    return MultiPoly._new(f.variables, {e: Fraction(c, scale) for e, c in det.items()}, FIELD_Q)
+    return MultiPoly._new(f.variables, {e: Fraction(c, scale) for e, c in res.items()}, FIELD_Q)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,19 @@ implementation per algorithm:
   entries never leave the ring and stay as small as minors are.
 - ``zpoly_gcd``: the gcd in Z[t] by the primitive polynomial remainder
   sequence (Knuth, TAOCP vol. 2, 4.6.1), on ascending coefficient lists,
-  with ``zpoly_primitive`` the primitive part it normalizes by.
+  with ``zpoly_primitive`` the primitive part it normalizes by and
+  ``_pseudo_rem`` the one exact pseudo-remainder.
 - ``zpoly_det``: the determinant over Z[t_1..t_k] as one integer
   ``bareiss_det``, by Kronecker substitution (von zur Gathen & Gerhard,
   *Modern Computer Algebra*, 8.4) with per-variable degree bounds from the
   rows and columns (Collins 1971) and a Hadamard-type coefficient bound
   from the entries' 1-norms (Goldstein & Graham, SIAM Rev. 16, 1974),
-  each distinct entry object measured and packed once.
+  each distinct entry object measured and packed once.  The bound, the
+  packing (``_kronecker``) and the read-back (``_read_back``) exist once.
+- ``zpoly_resultant``: the resultant over Z[t_1..t_k], the determinant of
+  the ``_sylvester`` matrix, by the subresultant remainder sequence (Brown
+  & Traub 1971) on the coefficients packed at that matrix's Kronecker
+  point: O(df dg) packed operations where Bareiss takes O((df + dg)^3).
 """
 
 from __future__ import annotations
@@ -62,32 +68,37 @@ def bareiss_det(m: list[list[Any]], div: Callable[[Any, Any], Any]) -> Any:
     return det if sign == 1 else -det
 
 
-def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...], int]:
-    """Determinant of a nonempty square matrix over Z[t_1..t_k] by one
-    integer ``bareiss_det``.  Entries and result map exponent tuples to ints.
+def _sylvester(fc: list[Any], gc: list[Any], zero: Any) -> list[list[Any]]:
+    """Sylvester matrix of ascending coefficient lists of degrees df, dg >= 0, not both 0."""
+    df, dg = len(fc) - 1, len(gc) - 1
+    return ([[zero] * i + fc[::-1] + [zero] * (dg - 1 - i) for i in range(dg)]
+            + [[zero] * i + gc[::-1] + [zero] * (df - 1 - i) for i in range(df)])
 
-    Each term of the determinant takes one entry from every row and every
+
+def _kronecker(m: list[list[dict[tuple[int, ...], int]]]) -> tuple[dict[int, int], tuple[int, list[int], list[int]]] | None:
+    """The Kronecker point of a nonempty square matrix over Z[t_1..t_k]:
+    each distinct entry object packed once, by ``id``, and the (bits,
+    strides, radices) that ``_read_back`` takes; None for a zero row or column.
+
+    Each term of a minor takes at most one entry from every row and every
     column, so its degree in t_j is at most D_j, the smaller of the sums over
     rows and over columns of the largest entry degree in t_j.  On the torus
     |t_j| = 1 an entry is at most its coefficient 1-norm in absolute value,
-    so by Hadamard's inequality the determinant is at most sqrt(X) there, X
-    the smaller of the products over rows and over columns of the sums of
-    squared 1-norms.  Each coefficient, an average over the torus, is an
-    integer of absolute value at most sqrt(X), hence at most H = isqrt(X)
-    (Goldstein & Graham 1974).  So at t_j =
-    B^((D_1 + 1) ... (D_(j-1) + 1)), with B = 2^bits > 2H, every coefficient
-    is one balanced base-B digit of the integer determinant.
-
-    Each distinct entry object is measured and packed once per call, indexed
-    by ``id``: a Sylvester matrix repeats a few coefficients and one zero.
+    so by Hadamard's inequality a minor is at most sqrt(X) there, X the
+    smaller of the products over rows and over columns of the sums of
+    squared 1-norms (each sum of a nonzero line is at least 1).  Each
+    coefficient, an average over the torus, is an integer of absolute value
+    at most sqrt(X), hence at most H = isqrt(X) (Goldstein & Graham 1974).
+    So at t_j = B^((D_1 + 1) ... (D_(j-1) + 1)), with B = 2^bits > 2H,
+    every coefficient of every minor is one balanced base-B digit.
     """
-    ids = [[id(p) for p in row] for row in m]
+    ids = [[*map(id, row)] for row in m]
     entries = {id(p): p for row in m for p in row}
     square = {i: sum(map(abs, p.values())) ** 2 for i, p in entries.items()}
     squares = [[square[i] for i in row] for row in ids]
     x = min(prod(map(sum, squares)), prod(map(sum, zip(*squares))))
-    if not x:  # a zero row or column
-        return {}
+    if not x:
+        return None
     zeros = (0,) * len(next(e for p in entries.values() for e in p))
     top = {i: tuple(map(max, zip(*p))) or zeros for i, p in entries.items()}
     tops = [[top[i] for i in row] for row in ids]
@@ -96,15 +107,84 @@ def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...]
     strides = [prod(radices[:j]) for j in range(len(radices))]
     bits = isqrt(x).bit_length() + 1
     packed = {i: sum(c << bits * sum(map(mul, e, strides)) for e, c in p.items()) for i, p in entries.items()}
-    det = bareiss_det([[packed[i] for i in row] for row in ids], floordiv)
+    return packed, (bits, strides, radices)
+
+
+def _read_back(value: int, bits: int, strides: list[int], radices: list[int]) -> dict[tuple[int, ...], int]:
+    """The polynomial whose balanced base-2^bits digits ``value`` holds, in ascending digit order."""
     out, k, half, mask = {}, 0, 1 << bits - 1, (1 << bits) - 1
-    while det:
-        digit = ((det + half) & mask) - half
+    while value:
+        digit = ((value + half) & mask) - half
         if digit:
             out[tuple(k // s % r for s, r in zip(strides, radices))] = digit
-        det = (det - digit) >> bits
+        value = (value - digit) >> bits
         k += 1
     return out
+
+
+def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...], int]:
+    """Determinant of a nonempty square matrix over Z[t_1..t_k] by one
+    integer ``bareiss_det`` at the matrix's ``_kronecker`` point.  Entries
+    and result map exponent tuples to ints.
+
+    Each distinct entry object is measured and packed once per call, so a
+    caller that passes one zero object for all its zero entries (as the
+    Alexander minors do) measures and packs it once.
+    """
+    point = _kronecker(m)
+    if point is None:
+        return {}
+    packed, read = point
+    return _read_back(bareiss_det([[packed[id(p)] for p in row] for row in m], floordiv), *read)
+
+
+def zpoly_resultant(fc: list[dict[tuple[int, ...], int]], gc: list[dict[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
+    """Resultant over Z[t_1..t_k] of ascending coefficient lists of degrees
+    df, dg >= 0, not both 0, with nonzero leading coefficients: the
+    determinant of their Sylvester matrix, by the subresultant polynomial
+    remainder sequence (Brown & Traub, J. ACM 18, 1971; Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 3.3.7, without contents)
+    on integers packed at the Sylvester matrix's ``_kronecker`` point, so
+    the result equals ``zpoly_det`` of that matrix, key order included.
+
+    Soundness rests on one rule.  Evaluation at the Kronecker point is a
+    ring map, so every division that is exact in Z[t_1..t_k] (a
+    pseudo-remainder by g h^delta, the update of h, the final
+    l(B)^dA / h^(dA - 1)) stays exact in Z under ``//``.  But a zero test is
+    faithful only on a value whose coefficients are minors of the Sylvester
+    matrix, which the packing's bounds H and D_j cover.  The coefficients of
+    each pseudo-remainder divided by g h^delta are such minors (it is a
+    subresultant up to sign), and g and h are leading coefficients of such
+    values.  So the sequence tests and trims only there, never inside the
+    pseudo-division, which ``_pseudo_rem`` runs for a fixed number of steps.
+    """
+    sign = 1
+    if len(fc) < len(gc):  # the swap permutes the matrix's rows, so the point stays
+        fc, gc = gc, fc
+        sign = (-1) ** ((len(fc) - 1) * (len(gc) - 1))
+    point = _kronecker(_sylvester(fc, gc, {}))
+    if point is None:
+        return {}
+    packed, read = point
+    if len(gc) == 1:  # a diagonal matrix, without f's entries
+        return _read_back(packed[id(gc[0])] ** (len(fc) - 1), *read)
+    a, b = ([packed[id(p)] for p in c] for c in (fc, gc))
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        q = g * h ** delta
+        a, b = b, [c // q for c in _pseudo_rem(a, b)]
+        while b and not b[-1]:
+            b.pop()
+        g = a[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+    if not b:
+        return {}
+    da = len(a) - 1
+    return _read_back(sign * (b[0] ** da // h ** (da - 1)), *read)
 
 
 def zpoly_primitive(f: list[int]) -> list[int]:
@@ -119,17 +199,17 @@ def zpoly_primitive(f: list[int]) -> list[int]:
 
 
 def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder of f by g over Z (both trimmed, g nonzero); f is left as it is."""
+    """lc(g)^(df - dg + 1) f mod g over Z, g of degree dg with a nonzero
+    leading coefficient: df - dg + 1 steps with no zero test inside, the
+    result untrimmed (dg coefficients when df >= dg); f is left as it is."""
     dg, lg = len(g) - 1, g[-1]
     f = f[:]
-    while len(f) - 1 >= dg:
-        df, lead = len(f) - 1, f[-1]
+    for top in range(len(f) - 1, dg - 1, -1):
+        lead = f.pop()
         if lg != 1:  # a monic divisor would rescale all of f per step for nothing
             f = [lg * c for c in f]
-        for i, gc in enumerate(g):
-            f[df - dg + i] -= lead * gc
-        while f and f[-1] == 0:
-            f.pop()
+        for i in range(dg):
+            f[top - dg + i] -= lead * g[i]
     return f
 
 

@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from types import MappingProxyType
 
 import pytest
@@ -234,7 +234,7 @@ def rand_q_poly_in_x(rng, degx):
 
 
 def count_paths(monkeypatch):
-    """Count determinants in ``curves`` by path: ``zpoly_det`` (integer) or ``bareiss_det`` (``MultiPoly``)."""
+    """Count resultants in ``curves`` by path: ``zpoly_resultant`` (integer PRS) or ``bareiss_det`` (``MultiPoly``)."""
     calls = {"int": 0, "poly": 0}
 
     def counter(det, path):
@@ -243,15 +243,54 @@ def count_paths(monkeypatch):
             return det(*args)
         return counted
 
-    monkeypatch.setattr(curves, "zpoly_det", counter(curves.zpoly_det, "int"))
+    monkeypatch.setattr(curves, "zpoly_resultant", counter(curves.zpoly_resultant, "int"))
     monkeypatch.setattr(curves, "bareiss_det", counter(curves.bareiss_det, "poly"))
     return calls
 
 
+def count_rounds(monkeypatch):
+    """Record (deg A, deg B) of each pseudo-remainder ``ring`` takes inside an integer resultant,
+    one list per resultant."""
+    rounds, current = [], []
+    resultant_, pseudo_rem = curves.zpoly_resultant, ring._pseudo_rem
+
+    def logged_resultant(fc, gc):
+        rounds.append([])
+        current.append(rounds[-1])
+        try:
+            return resultant_(fc, gc)
+        finally:
+            current.pop()
+
+    def logged_pseudo_rem(f, g):
+        if current:
+            current[-1].append((len(f) - 1, len(g) - 1))
+        return pseudo_rem(f, g)
+
+    monkeypatch.setattr(curves, "zpoly_resultant", logged_resultant)
+    monkeypatch.setattr(ring, "_pseudo_rem", logged_pseudo_rem)
+    return rounds
+
+
 def multipoly_path(f, g, var):
-    """Oracle for ``zpoly_det``: Bareiss on the MultiPoly Sylvester matrix, Fraction coefficients."""
+    """Oracle for ``resultant``: Bareiss on the MultiPoly Sylvester matrix, Fraction coefficients."""
     zero = MultiPoly(f.variables, (), f.field)
     return ring.bareiss_det(curves._sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div)
+
+
+def sylvester_det_path(f, g, var):
+    """Oracle for ``resultant`` over Q: ``zpoly_det`` of the Sylvester matrix of a f and b g, a and b
+    the lcms of their denominators, divided by a^deg(g) b^deg(f)."""
+    i = f.variables.index(var)
+    scales, coeffs = [], []
+    for h in (f, g):
+        scales.append(lcm(*(c.denominator for c in h.terms.values())))
+        coeffs.append([{} for _ in range(h.degree(var) + 1)])
+        for e, c in h.terms.items():
+            coeffs[-1][e[i]][e[:i] + (0,) + e[i + 1:]] = int(c * scales[-1])
+    det = ring.zpoly_det(curves._sylvester(*coeffs, {}))
+    scale = scales[0] ** g.degree(var) * scales[1] ** f.degree(var)
+    return MultiPoly(f.variables, {e: Fraction(c, scale) for e, c in det.items()})
 
 
 def test_resultant_matches_sympy(monkeypatch):
@@ -360,27 +399,31 @@ _x, _t = poly_ring(("x", "t"))
 
 
 @pytest.mark.parametrize(
-    "f, g, degree",
+    "f, g, degree, rounds",
     [
-        (_x - _t, _x - _t * _t, 2),  # reaches the bound D = 2
-        (_x - _t, _x - _t - 1, 0),  # D = 1, the t terms cancel
-        ((_x - _t) * (_x + 1), (_x - _t) * (_x - 2), -1),  # D = 3, common factor x - t
-        (_x * _x + 1, 2 * _x - 3, 0),  # no variable left, D = 0
+        (_x - _t, _x - _t * _t, 2, [(1, 1)]),  # reaches the bound D = 2
+        (_x - _t, _x - _t - 1, 0, [(1, 1)]),  # D = 1, the t terms cancel
+        ((_x - _t) * (_x + 1), (_x - _t) * (_x - 2), -1, [(2, 2), (2, 1)]),  # D = 3, common factor x - t
+        (_x * _x + 1, 2 * _x - 3, 0, [(2, 1)]),  # no variable left, D = 0
     ],
     ids=["reaches-bound", "cancels-below-bound", "common-factor", "no-variable-left"],
 )
-def test_integer_path_edge_cases(monkeypatch, f, g, degree):
+def test_integer_path_edge_cases(monkeypatch, f, g, degree, rounds):
     paths = count_paths(monkeypatch)
+    taken = count_rounds(monkeypatch)
     r = resultant(f, g, "x")
     assert paths == {"int": 1, "poly": 0}
+    assert taken == [rounds]
     assert r.degree("t") == degree
     assert r.terms == multipoly_path(f, g, "x").terms
     assert all(type(c) is Fraction for c in r.terms.values())
 
 
 def test_resultant_of_constants(monkeypatch):
-    # a constant in x makes the Sylvester matrix diagonal: one determinant, over either field
+    # a constant in x makes the Sylvester matrix diagonal: one determinant over Q(eps), and
+    # over Q one integer resultant that takes no pseudo-remainder
     paths = count_paths(monkeypatch)
+    taken = count_rounds(monkeypatch)
     vs = ("x",)
     (x,) = poly_ring(vs)
     three = MultiPoly.constant(3, vs)
@@ -391,9 +434,58 @@ def test_resultant_of_constants(monkeypatch):
     assert resultant(z**3 + 1, eps, "x") == MultiPoly.constant(1, vs, "Q(eps)")
     assert resultant(eps, z * z, "x") == MultiPoly.constant(EPS**2, vs, "Q(eps)")
     assert paths == {"int": 2, "poly": 2}
+    assert taken == [[], []]
     # constant in both: no matrix at all
     assert resultant(three, three, "x") == MultiPoly.constant(1, vs)
     assert paths == {"int": 2, "poly": 2}
+
+
+def test_resultant_over_q_matches_the_sylvester_determinant(monkeypatch):
+    # seeded inputs in 1-3 variables against both Sylvester oracles, with every
+    # shape of remainder sequence: common factors, constants in x, delta >= 2,
+    # and non-normal sequences where a subresultant drops more than one degree
+    taken = count_rounds(monkeypatch)
+    rng = random.Random("resultant/prs")
+
+    def rand_in(vs, dx):
+        terms = {tuple(rng.randint(0, dx if v == "x" else 1) for v in vs): rand_fraction(rng, 4)
+                 for _ in range(rng.randint(1, 4))}
+        terms[tuple(dx if v == "x" else rng.randint(0, 1) for v in vs)] = Fraction(rng.choice((-2, -1, 1, 3)))
+        return MultiPoly(vs, terms)
+
+    x, y = poly_ring(("x", "y"))
+    # x^4 + 1 rem x^3 + 1 is 1 - x: the sequence drops from degree 3 to 1
+    pairs = [(x**4 + 1, x**3 + 1), (x**4 + y, x**3 + 1), (x**5 - y, x**2 * y + x)]
+    # remainder chains of degrees 5, 4, 2, 1, 0: the drop 4 -> 2 follows a step with l(B) = 2
+    for c in (1, y):
+        r = (x + 1) * (2 * x + c) + 3
+        b = (x * x + c) * r + 2 * x + c
+        pairs.append(((x + c) * b + r, b))
+    for k in range(240):
+        vs = ("x", "y", "z")[: k % 3 + 1]
+        top = 4 - (k % 4 == 0) + 2 * (len(vs) == 1)
+        f, g = rand_in(vs, rng.randint(0, top)), rand_in(vs, rng.randint(0, top))
+        if k % 4 == 0:
+            common = rand_in(vs, 1)
+            f, g = f * common, g * common
+        pairs.append((f, g))
+    shapes = {"zero": 0, "constant": 0, "delta >= 2": 0, "non-normal": 0, "h reused": 0}
+    for f, g in pairs:
+        if f.degree("x") == g.degree("x") == 0:
+            continue
+        del taken[:]
+        r = resultant(f, g, "x")
+        want = sylvester_det_path(f, g, "x")
+        assert list(r.terms.items()) == list(want.terms.items())
+        assert r.terms == multipoly_path(f, g, "x").terms
+        (rounds,) = taken
+        shapes["zero"] += not r
+        shapes["constant"] += min(f.degree("x"), g.degree("x")) == 0
+        shapes["delta >= 2"] += any(a - b >= 2 for a, b in rounds)
+        shapes["non-normal"] += any(a - b >= 2 for a, b in rounds[1:])
+        # the h of such a round reaches the result through a later round or l(B)^dA / h^(dA - 1)
+        shapes["h reused"] += any(a - b >= 2 and (i + 2 < len(rounds) or b >= 2) for i, (a, b) in enumerate(rounds[1:]))
+    assert shapes == {"zero": 86, "constant": 53, "delta >= 2": 57, "non-normal": 14, "h reused": 5}
 
 
 def test_resultant_sign_follows_the_definition():
@@ -504,9 +596,10 @@ def test_singular_parameter_polynomial():
 
 def test_singular_parameters_work_counters(monkeypatch):
     paths = count_paths(monkeypatch)
+    rounds = count_rounds(monkeypatch)
     calls = {"exact_div": 0, "init": 0}
-    div, init, det = curves.exact_div, MultiPoly.__init__, ring.bareiss_det
-    packed_bits = []
+    div, init, kronecker = curves.exact_div, MultiPoly.__init__, ring._kronecker
+    slots, packed_bits = [], []
 
     def counted_div(f, g):
         calls["exact_div"] += 1
@@ -516,24 +609,33 @@ def test_singular_parameters_work_counters(monkeypatch):
         calls["init"] += 1
         init(self, *args, **kwargs)
 
-    def measured_det(m, divide):
-        packed_bits.append(max(abs(x).bit_length() for row in m for x in row))
-        return det(m, divide)
+    def measured_point(m):
+        packed, read = kronecker(m)
+        slots.append(read[0])
+        packed_bits.append(max(abs(x).bit_length() for x in packed.values()))
+        return packed, read
 
     monkeypatch.setattr(curves, "exact_div", counted_div)
     monkeypatch.setattr(MultiPoly, "__init__", counted_init)
-    monkeypatch.setattr(ring, "bareiss_det", measured_det)
+    monkeypatch.setattr(ring, "_kronecker", measured_point)
     p = singular_parameters()
     assert p == paper_eliminant()
     assert all(type(c) is Fraction for c in p.terms.values())
     # only the squarefree part divides, through the module-level name that the
     # benchmark's spans wrap; the three x- and two y-resultants are one integer
-    # determinant each
+    # remainder sequence each
     assert calls["exact_div"] == 1
     assert paths == {"int": 5, "poly": 0}
-    # the widest packed entry: 231 bits under the product-of-1-norms bound,
-    # 195 under the Hadamard bound (slots of 48 and 46 bits on the 10x10 y-resultants)
-    assert len(packed_bits) == 5 and max(packed_bits) == 195
+    # one Kronecker point per resultant, the Sylvester matrix's: slots of 11, 10
+    # and 8 bits for the x-resultants and 48 and 46 for the 10x10 y-resultants;
+    # the widest packed entry is 195 bits under the Hadamard bound (231 under
+    # the product of 1-norms)
+    assert slots == [11, 10, 8, 48, 46]
+    assert max(packed_bits) == 195
+    # (deg A, deg B) of each pseudo-remainder; each is divided exactly by g h^delta,
+    # one integer division per coefficient: 25 in all
+    assert rounds == [[(3, 2), (2, 1)], [(3, 1)], [(2, 1)], [(6, 4), (4, 3), (3, 2), (2, 1)], [(6, 4), (4, 3), (3, 2), (2, 1)]]
+    assert sum(b for sequence in rounds for _, b in sequence) == 25
     # ring results skip the validating constructor
     assert calls["init"] <= 50
 

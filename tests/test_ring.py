@@ -280,7 +280,7 @@ def test_primitive_gcd_examples():
 KERNELS = {
     abelian: set(),
     alexander: {"zpoly_det", "zpoly_gcd"},
-    curves: {"bareiss_det", "zpoly_det", "zpoly_gcd", "zpoly_primitive"},
+    curves: {"_sylvester", "bareiss_det", "zpoly_gcd", "zpoly_primitive", "zpoly_resultant"},
 }
 PRIVATE_COPIES = {"_det", "_bareiss_det", "_uni_gcd", "_uni_rem", "_zpoly_gcd", "_pseudo_rem"}
 
