@@ -8,10 +8,10 @@ the (n-1)x(n-1) minors of the Alexander matrix, normalized so the lowest
 exponent is 0 and the constant term is positive.  Each row is shifted
 into Z[t] once, by the unit t^-low with low its lowest exponent, so every
 minor is one ``zpoly_det`` up to a unit; the gcd is the primitive
-remainder sequence in Z[t], which normalizes units away.  Both come from
-``ring``.  ``LaurentPoly`` is only the type of the result and of the Fox
-entries: it filters zero terms, normalizes and prints, and has no
-arithmetic.
+remainder sequence in Z[t], which normalizes units away and takes a zero
+minor on the same path (gcd(a, 0) = a).  Both come from ``ring``.
+``LaurentPoly`` is only the type of the result and of the Fox entries:
+it filters zero terms, normalizes and prints, and has no arithmetic.
 
 Fox's fundamental formula (Fox 1953, "Free differential calculus I",
 Ann. Math. 57; Crowell & Fox, *Introduction to Knot Theory*, ch. VII)
@@ -82,17 +82,13 @@ class LaurentPoly:
 
 
 def _poly_coeff_list(p: LaurentPoly) -> list[int]:
-    """Ascending coefficients of a nonzero ``p`` shifted to an ordinary polynomial."""
-    low, high = min(p.coeffs), max(p.coeffs)
-    return [p.coeffs.get(e, 0) for e in range(low, high + 1)]
+    """Ascending coefficients of ``p`` shifted to an ordinary polynomial; [] for 0."""
+    low = min(p.coeffs, default=0)
+    return [p.coeffs.get(e, 0) for e in range(low, max(p.coeffs, default=-1) + 1)]
 
 
 def laurent_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Gcd up to units, in canonical normalized form."""
-    if not p:
-        return q.normalized()
-    if not q:
-        return p.normalized()
     g = zpoly_gcd(_poly_coeff_list(p), _poly_coeff_list(q))
     return LaurentPoly(dict(enumerate(g))).normalized()
 
@@ -118,9 +114,12 @@ class WeightedPresentation:
 def fox_derivative(w: Word, gen: str, weights: Mapping[str, int]) -> LaurentPoly:
     """The Fox derivative d w / d gen, evaluated through the weight map.
 
-    Follows d(uv) = du + phi(u) dv with d(g) = 1 and d(g^-1) = -t^-w(g).
-    The terms of all syllables are summed into one dict, so the cost is
-    linear in the exponents.
+    Follows d(uv) = du + phi(u) dv with d(g) = 1 and d(g^-1) = -t^-w(g),
+    so a syllable gen^e after a prefix of weight a contributes
+    +t^(a + i w) for 0 <= i < e, or -t^(a + i w) for e <= i < 0, with w
+    the weight of gen: one range for either sign.  The terms of all
+    syllables are summed into one dict, so the cost is linear in the
+    exponents.
     """
     out: dict[int, int] = {}
     prefix = 0  # weight of the prefix read so far
@@ -129,14 +128,10 @@ def fox_derivative(w: Word, gen: str, weights: Mapping[str, int]) -> LaurentPoly
             raise ValueError(f"no weight for generator {g!r}")
         wg = weights[g]
         if g == gen:
-            if e > 0:
-                for i in range(e):
-                    k = prefix + i * wg
-                    out[k] = out.get(k, 0) + 1
-            else:
-                for i in range(1, -e + 1):
-                    k = prefix - i * wg
-                    out[k] = out.get(k, 0) - 1
+            sign = 1 if e > 0 else -1
+            for i in range(min(e, 0), max(e, 0)):
+                k = prefix + i * wg
+                out[k] = out.get(k, 0) + sign
         prefix += e * wg
     return LaurentPoly(out)
 
@@ -198,4 +193,4 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
             acc = laurent_gcd(acc, LaurentPoly({e: c for (e,), c in det.items()}))
             if acc == LaurentPoly({0: 1}):
                 return acc
-    return acc.normalized()
+    return acc

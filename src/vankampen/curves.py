@@ -584,22 +584,14 @@ def intersection_multiplicity_origin(g: MultiPoly, h: MultiPoly) -> int:
     if not g_line and not h_line:
         raise ValueError("both curves contain the line zbar = 0")
     for f, f_line in ((g, g_line), (h, h_line)):
-        if not f_line:
-            continue
-        # common points on the line must be confined to the origin
-        other = h_line if f is g else g_line
-        if not other:
-            if len(f_line.terms) != 1:
-                raise ValueError("degenerate direction: extra common points on zbar = 0")
         dy = f.degree("ybar")
-        if dy > 0:
-            lead = f.coeffs_in("ybar")[dy]
-            if not lead.evaluate({"ybar": 0, "zbar": 0}):
-                raise ValueError("degenerate direction: leading coefficient vanishes at zbar = 0")
-    if g_line and h_line:
-        common = zpoly_gcd(_as_univariate(g_line, "ybar"), _as_univariate(h_line, "ybar"))
-        if sum(1 for c in common if c) > 1:
-            raise ValueError("degenerate direction: extra common points on zbar = 0")
+        if f_line and dy > 0 and not f.coeffs_in("ybar")[dy].evaluate({"ybar": 0, "zbar": 0}):
+            raise ValueError("degenerate direction: leading coefficient vanishes at zbar = 0")
+    # common points on the line must be confined to the origin; a curve that
+    # contains the line restricts to 0, and gcd(a, 0) = a
+    common = zpoly_gcd(_as_univariate(g_line, "ybar"), _as_univariate(h_line, "ybar"))
+    if sum(1 for c in common if c) > 1:
+        raise ValueError("degenerate direction: extra common points on zbar = 0")
     r = resultant(g, h, "ybar")
     if not r:
         raise ValueError("common factor: resultant vanishes identically")

@@ -184,7 +184,7 @@ class Replay:
         if form is None:
             raise InternalCheckError("patched group has no metacyclic form over p, g+")
         a, b = metacyclic_normal_form(form, parse_word("p^-1 g+^-1 p g+"))
-        commutator = Word(((("p", a),) if a else ()) + ((("g+", b),) if b else ()))
+        commutator = Word(((form.p, a), (form.c, b)))
         order = quotient_order(self.patched, extra_relators=(parse_word("g+^3"),), max_cosets=self.max_cosets)
         return commutator, commutant_report(form), order
 

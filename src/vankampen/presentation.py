@@ -11,6 +11,8 @@ cyclically reduces, deduplicates, drops relators that are consequences
 of an identified metacyclic pair, and sorts canonically.  Equal inputs
 give identical outputs and the output is a fixed point.  Canonical forms
 are computed on syllables: no exponent is ever expanded into letters.
+Each relator's per-syllable keys are computed once and both name and
+order its canonical form; a metacyclic drop keeps canonical relators.
 
 A ``MetacyclicForm`` holds (n, s) and the names of its generators p and
 c, so its normal form and the commutant report read the names from it.
@@ -117,9 +119,10 @@ def _keys(syllables: Sequence[Syllable], order: Mapping[str, int]) -> list[tuple
 
     A letter is ordered by (generator order, inverse after positive).  Of
     two runs of one letter, the shorter is smaller iff the letter after it
-    is smaller (``up`` is false).  The first syllable follows the last.
-    Both callers compare words of equal length only, where the run that
-    ends a word is never the shorter, so the wrap matters only to rotations.
+    is smaller (``up`` is false).  The first syllable follows the last, so
+    a rotation's keys are the keys rotated; as words of equal length only
+    are compared, where the run that ends a word is never the shorter, the
+    wrap matters only to rotations.  The keys determine the syllables.
     """
     letters = [(order[g], e < 0) for g, e in syllables]
     keys = []
@@ -129,47 +132,38 @@ def _keys(syllables: Sequence[Syllable], order: Mapping[str, int]) -> list[tuple
     return keys
 
 
-def canonical_relator(w: Word, order: Mapping[str, int]) -> Word:
-    """Least rotation of ``w`` or its inverse under the generator order.
-
-    The cycle is normalized first: while the end syllables share a
-    generator they cancel, or merge into one syllable, which ends it.  So
-    the result represents the same cyclic word (up to inversion) for any
-    rotation of the input.  Only syllable starts are tried: a least
-    rotation starts a run of the least letter, as the letter after that
-    run is larger.
-    """
-    syl = w.syllables
-    i, j = 0, len(syl) - 1
-    while i < j and syl[i][0] == syl[j][0]:
-        if e := syl[i][1] + syl[j][1]:
-            syl = ((syl[i][0], e),) + syl[i + 1:j]
-            break
-        i, j = i + 1, j - 1
-    else:
-        syl = syl[i:j + 1]
-    best: tuple[list[tuple], tuple[Syllable, ...]] | None = None
-    for seq in (syl, tuple((g, -e) for g, e in reversed(syl))):
-        keys = _keys(seq, order)
-        for i in range(len(seq)):
-            rot = keys[i:] + keys[:i]
-            if best is None or rot < best[0]:
-                best = (rot, seq[i:] + seq[:i])
-    return Word(best[1]) if best else Word()
-
-
 def canonicalize(P: Presentation) -> Presentation:
-    """Canonicalize, deduplicate, and sort relators."""
+    """Canonicalize, deduplicate, and sort relators.
+
+    Each relator's cycle is normalized first: while the end syllables
+    share a generator they cancel, or merge into one syllable, which ends
+    it.  Its canonical form is the least rotation of the cycle or of its
+    inverse under the generator order, so it represents the same cyclic
+    word (up to inversion) for any rotation of the input.  Only syllable
+    starts are tried: a least rotation starts a run of the least letter, as
+    the letter after that run is larger.  That rotation's keys are the
+    canonical word's own ``_keys``, so (length, keys) both names the
+    canonical word and orders it.
+    """
     order = {g: i for i, g in enumerate(P.generators)}
-    seen: set[Word] = set()
-    canon: list[Word] = []
+    canon: dict[tuple, Word] = {}
     for r in P.relators:
-        c = canonical_relator(r, order)
-        if c not in seen:
-            seen.add(c)
-            canon.append(c)
-    canon.sort(key=lambda w: (w.length, _keys(w.syllables, order)))
-    return Presentation(P.generators, tuple(canon))
+        syl = r.syllables
+        i, j = 0, len(syl) - 1
+        while i < j and syl[i][0] == syl[j][0]:
+            if e := syl[i][1] + syl[j][1]:
+                syl = ((syl[i][0], e),) + syl[i + 1:j]
+                break
+            i, j = i + 1, j - 1
+        else:
+            syl = syl[i:j + 1]
+        inverse = tuple((g, -e) for g, e in reversed(syl))
+        keys, seq = min((keys[i:] + keys[:i], seq[i:] + seq[:i])
+                        for seq, keys in ((seq, _keys(seq, order)) for seq in (syl, inverse))
+                        for i in range(len(seq)))
+        w = Word(seq)
+        canon.setdefault((w.length, tuple(keys)), w)
+    return Presentation(P.generators, tuple(canon[k] for k in sorted(canon)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +296,8 @@ def tietze_simplify(P: Presentation) -> Presentation:
             current = canonicalize(_eliminate(current, *chosen))
             continue
         dropped = _drop_metacyclic_consequences(current)
-        if dropped is not None:
-            current = canonicalize(dropped)
+        if dropped is not None:  # a subsequence of canonical relators is canonical
+            current = dropped
             continue
         return current
 

@@ -220,8 +220,6 @@ def zpoly_gcd(f: list[int], g: list[int]) -> list[int]:
     coefficient, and is [] only when both inputs are zero.
     """
     cont = gcd(*f, *g)
-    if cont == 0:
-        return []
     a, b = zpoly_primitive(f), zpoly_primitive(g)
     if len(a) < len(b):
         a, b = b, a

@@ -72,6 +72,9 @@ def test_laurent_gcd_examples():
         {1: 2, 0: 2}
     )
     assert laurent_gcd(LaurentPoly({0: 6}), LaurentPoly({0: 4})) == LaurentPoly({0: 2})
+    # a zero argument takes the general path: gcd(p, 0) is p, content kept, as a unit form
+    assert laurent_gcd(LaurentPoly({3: -2, 1: 4}), LaurentPoly()) == LaurentPoly({0: 4, 2: -2})
+    assert laurent_gcd(LaurentPoly(), LaurentPoly()) == LaurentPoly()
 
 
 def test_laurent_gcd_divides_both(laurent_product):
@@ -95,6 +98,10 @@ def test_fox_derivative_basics():
     assert not fox_derivative(parse_word("a"), "b", {"a": 1, "b": 1})
     assert fox_derivative(parse_word("a^-1"), "a", {"a": 2}) == LaurentPoly({-2: -1})
     assert fox_derivative(parse_word("a^3"), "a", {"a": 1}) == LaurentPoly({0: 1, 1: 1, 2: 1})
+    # negative syllables under weights of absolute value 2 or more
+    assert fox_derivative(parse_word("a^-3"), "a", {"a": 2}) == LaurentPoly({-2: -1, -4: -1, -6: -1})
+    assert fox_derivative(parse_word("b a^-2"), "a", {"a": -3, "b": 2}) == LaurentPoly({5: -1, 8: -1})
+    assert fox_derivative(parse_word("a^2 b a^-2"), "a", {"a": 2, "b": 1}) == LaurentPoly({0: 1, 2: 1, 3: -1, 1: -1})
 
 
 def test_fox_product_rule(laurent_product, laurent_sum):

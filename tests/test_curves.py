@@ -750,3 +750,9 @@ def test_intersection_multiplicity_guards():
         intersection_multiplicity_origin(zb * yb, zb * (yb + zb))
     with pytest.raises(ValueError):
         intersection_multiplicity_origin(yb, yb * (yb + zb))
+    # zb contains the line zbar = 0: the other curve's restriction decides, in either argument order
+    for g, h in ((zb, yb * yb + zb), (yb * yb + zb, zb)):
+        assert intersection_multiplicity_origin(g, h) == 2
+    for g, h in ((zb, yb * yb - yb + zb), (yb * yb - yb + zb, zb)):
+        with pytest.raises(ValueError, match="extra common points"):
+            intersection_multiplicity_origin(g, h)
