@@ -78,8 +78,6 @@ def _echelon(a: list[list[int]], log: list[tuple]) -> None:
     r, c = len(a), len(a[0]) if a else 0
     t = 0
     for j in range(c):
-        if t == r:
-            break
         while True:
             rows = [i for i in range(t, r) if a[i][j]]
             if not rows:

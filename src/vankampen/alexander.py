@@ -157,12 +157,9 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
     """
     P = wp.presentation
     n = len(P.generators)
-    m = len(P.relators)
     if n == 1:
         return LaurentPoly({0: 1})
     size = n - 1
-    if m < size:
-        return LaurentPoly()
     gen_weights = [wp.weights[g] for g in P.generators]
     zero: dict[tuple[int], int] = {}  # one object, so ``zpoly_det`` measures a zero entry once
     shifted, defect = [], False

@@ -20,8 +20,8 @@ one pass over their terms, each is one ``ring.zpoly_resultant``: the
 subresultant remainder sequence on the coefficients packed by Kronecker
 substitution at the point ``ring.zpoly_det`` would choose for the
 Sylvester matrix, each distinct coefficient packed once.  Over Q(eps) the
-shared Bareiss elimination of the Sylvester matrix divides polynomial
-entries by this module's exact multivariate division.  Univariate gcds
+same ``ring.subresultant`` runs on polynomial coefficients, dividing them
+by this module's exact multivariate division.  Univariate gcds
 and primitive parts over Q (squarefree parts, intersecting eliminants)
 are ``ring``'s integer ones, on coefficients cleared by the lcm of their
 denominators: this module is where rationals become integers for
@@ -37,7 +37,7 @@ from math import lcm
 from operator import add, sub
 
 from .errors import InternalCheckError, ParseError
-from .ring import _sylvester, bareiss_det, zpoly_gcd, zpoly_primitive, zpoly_resultant
+from .ring import subresultant, zpoly_gcd, zpoly_primitive, zpoly_resultant
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -275,6 +275,9 @@ class MultiPoly:
             raise ValueError("negative power of a polynomial")
         return _power(self, n, self._scalar(1))
 
+    def __floordiv__(self, other: MultiPoly) -> MultiPoly:
+        return exact_div(self, other)  # the module's name, so a wrapper of it sees every division
+
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -404,8 +407,8 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     one ``zpoly_resultant`` of a f and b g with int coefficients (a, b the
     lcms of their denominators), divided by a^deg(g) b^deg(f) at the end;
     that equals ``zpoly_det`` of their Sylvester matrix, key order
-    included.  Over Q(eps) Bareiss divides the entries of the Sylvester
-    matrix by ``exact_div``.
+    included.  Over Q(eps) it is one ``subresultant`` on the coefficients
+    in ``var``, each of its divisions an ``exact_div``.
     """
     f._check_compatible(g)
     zero = MultiPoly(f.variables, (), f.field)
@@ -415,13 +418,10 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     if df == 0 and dg == 0:
         return zero + 1
     if f.field != FIELD_Q:
-        return bareiss_det(_sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div)
+        return subresultant(f.coeffs_in(var), g.coeffs_in(var)) or zero
     a, b = (lcm(*(c.denominator for c in h.terms.values())) for h in (f, g))
-    i = f.variables.index(var)
-    fc, gc = ([{} for _ in range(d + 1)] for d in (df, dg))
-    for h, s, coeffs in ((f, a, fc), (g, b, gc)):
-        for e, c in h.terms.items():
-            coeffs[e[i]][e[:i] + (0,) + e[i + 1:]] = c.numerator * (s // c.denominator)
+    fc, gc = ([{e: c.numerator * (s // c.denominator) for e, c in p.terms.items()} for p in h.coeffs_in(var)]
+              for h, s in ((f, a), (g, b)))
     res = zpoly_resultant(fc, gc)
     scale = a ** dg * b ** df
     return MultiPoly._new(f.variables, {e: Fraction(c, scale) for e, c in res.items()}, FIELD_Q)

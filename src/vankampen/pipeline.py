@@ -100,22 +100,15 @@ class PipelineReport:
                 lines.append(s.computed)
         return "\n".join(lines) + "\n"
 
-    def to_structured(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        doc = {
             "overall": self.overall,
             "stages": [
-                {
-                    "name": s.name,
-                    "match": s.match,
-                    "expected": s.expected,
-                    "computed": s.computed,
-                }
+                {"name": s.name, "match": s.match, "expected": s.expected, "computed": s.computed}
                 for s in self.stages
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_structured(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def expected_stage_texts() -> dict[str, str]:

@@ -1,16 +1,15 @@
-"""Exact integer algebra shared by the alexander and curves layers.
+"""Exact algebra shared by the alexander and curves layers.
 
 The module imports nothing from the rest of the package, nor from
-``fractions``: apart from ``bareiss_det``, which takes the ring's exact
-division as an argument, every kernel works over Z or Z[t_1..t_k], and
-callers with rational inputs clear denominators first.  One
-implementation per algorithm:
+``fractions``: apart from ``subresultant``, which runs in any integral
+domain whose ``//`` is exact division, every kernel works over Z or
+Z[t_1..t_k], and callers with rational inputs clear denominators first.
+One implementation per algorithm:
 
 - ``bareiss_det``: fraction-free Gaussian elimination (Bareiss 1968,
   *Sylvester's identity and multistep integer-preserving Gaussian
-  elimination*) over any integral domain whose exact division is passed
-  in.  Every entry after step k is a (k+1)x(k+1) minor of the input, so
-  entries never leave the ring and stay as small as minors are.
+  elimination*) over Z.  Every entry after step k is a (k+1)x(k+1) minor
+  of the input, so entries stay as small as minors are.
 - ``zpoly_gcd``: the gcd in Z[t] by the primitive polynomial remainder
   sequence (Knuth, TAOCP vol. 2, 4.6.1), on ascending coefficient lists,
   with ``zpoly_primitive`` the primitive part it normalizes by and
@@ -22,28 +21,28 @@ implementation per algorithm:
   from the entries' 1-norms (Goldstein & Graham, SIAM Rev. 16, 1974),
   each distinct entry object measured and packed once.  The bound, the
   packing (``_kronecker``) and the read-back (``_read_back``) exist once.
-- ``zpoly_resultant``: the resultant over Z[t_1..t_k], the determinant of
-  the ``_sylvester`` matrix, by the subresultant remainder sequence (Brown
-  & Traub 1971) on the coefficients packed at that matrix's Kronecker
-  point: O(df dg) packed operations where Bareiss takes O((df + dg)^3).
+- ``subresultant``: the determinant of the ``_sylvester`` matrix by the
+  subresultant remainder sequence (Brown & Traub 1971), O(df dg) ring
+  operations where Bareiss takes O((df + dg)^3).  ``zpoly_resultant`` runs
+  it on the coefficients packed at that matrix's Kronecker point, and
+  ``curves`` on polynomials over Q(eps).
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, prod
-from operator import floordiv, mul
+from operator import mul
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Any, Callable
+    from typing import Any
 
 
-def bareiss_det(m: list[list[Any]], div: Callable[[Any, Any], Any]) -> Any:
-    """Determinant of a nonempty square matrix by Bareiss elimination.
+def bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a nonempty square integer matrix by Bareiss elimination.
 
-    ``div(a, b)`` must return the exact quotient a / b; it is called only
-    where b divides a, and not at the first step (whose divisor is 1).
-    Zero is tested by truthiness.  Rows of ``m`` are overwritten.
+    Each step after the first divides exactly by the previous pivot; the
+    first, whose divisor is 1, divides nothing.  Rows of ``m`` are overwritten.
     """
     n = len(m)
     sign = 1
@@ -52,7 +51,7 @@ def bareiss_det(m: list[list[Any]], div: Callable[[Any, Any], Any]) -> Any:
         if not m[k][k]:
             pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
-                return m[k][k]  # the zero of the ring
+                return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         rk = m[k]
@@ -62,7 +61,7 @@ def bareiss_det(m: list[list[Any]], div: Callable[[Any, Any], Any]) -> Any:
             rik = ri[k]
             for j in range(k + 1, n):
                 num = pk * ri[j] - rik * rk[j]
-                ri[j] = num if prev is None else div(num, prev)
+                ri[j] = num if prev is None else num // prev
         prev = pk
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
@@ -135,41 +134,24 @@ def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...]
     if point is None:
         return {}
     packed, read = point
-    return _read_back(bareiss_det([[packed[id(p)] for p in row] for row in m], floordiv), *read)
+    return _read_back(bareiss_det([[packed[id(p)] for p in row] for row in m]), *read)
 
 
-def zpoly_resultant(fc: list[dict[tuple[int, ...], int]], gc: list[dict[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
-    """Resultant over Z[t_1..t_k] of ascending coefficient lists of degrees
-    df, dg >= 0, not both 0, with nonzero leading coefficients: the
-    determinant of their Sylvester matrix, by the subresultant polynomial
+def subresultant(a: list[Any], b: list[Any]) -> Any:
+    """Resultant of ascending coefficient lists of degrees da, db >= 0, not
+    both 0, with nonzero leading coefficients, over an integral domain whose
+    ``//`` is exact division: their Sylvester determinant by the subresultant
     remainder sequence (Brown & Traub, J. ACM 18, 1971; Cohen, *A Course in
-    Computational Algebraic Number Theory*, Alg. 3.3.7, without contents)
-    on integers packed at the Sylvester matrix's ``_kronecker`` point, so
-    the result equals ``zpoly_det`` of that matrix, key order included.
-
-    Soundness rests on one rule.  Evaluation at the Kronecker point is a
-    ring map, so every division that is exact in Z[t_1..t_k] (a
-    pseudo-remainder by g h^delta, the update of h, the final
-    l(B)^dA / h^(dA - 1)) stays exact in Z under ``//``.  But a zero test is
-    faithful only on a value whose coefficients are minors of the Sylvester
-    matrix, which the packing's bounds H and D_j cover.  The coefficients of
-    each pseudo-remainder divided by g h^delta are such minors (it is a
-    subresultant up to sign), and g and h are leading coefficients of such
-    values.  So the sequence tests and trims only there, never inside the
-    pseudo-division, which ``_pseudo_rem`` runs for a fixed number of steps.
+    Computational Algebraic Number Theory*, Alg. 3.3.7, without contents), or
+    None when it is zero.  Zeros are tested only on the coefficients of each
+    pseudo-remainder divided by g h^delta and on their leaders, never inside
+    ``_pseudo_rem``, which runs for a fixed number of steps.
     """
     sign = 1
-    if len(fc) < len(gc):  # the swap permutes the matrix's rows, so the point stays
-        fc, gc = gc, fc
-        sign = (-1) ** ((len(fc) - 1) * (len(gc) - 1))
-    point = _kronecker(_sylvester(fc, gc, {}))
-    if point is None:
-        return {}
-    packed, read = point
-    if len(gc) == 1:  # a diagonal matrix, without f's entries
-        return _read_back(packed[id(gc[0])] ** (len(fc) - 1), *read)
-    a, b = ([packed[id(p)] for p in c] for c in (fc, gc))
-    g = h = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = a[-1] ** 0
     while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
@@ -182,9 +164,37 @@ def zpoly_resultant(fc: list[dict[tuple[int, ...], int]], gc: list[dict[tuple[in
         g = a[-1]
         h = g ** delta // h ** (delta - 1) if delta else h
     if not b:
-        return {}
+        return None
     da = len(a) - 1
-    return _read_back(sign * (b[0] ** da // h ** (da - 1)), *read)
+    return sign * (b[0] ** da // h ** (da - 1))
+
+
+def zpoly_resultant(fc: list[dict[tuple[int, ...], int]], gc: list[dict[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
+    """Resultant over Z[t_1..t_k] of ascending coefficient lists of degrees
+    df, dg >= 0, not both 0, with nonzero leading coefficients: one
+    ``subresultant`` on integers packed at their Sylvester matrix's
+    ``_kronecker`` point, so the result equals ``zpoly_det`` of that matrix,
+    key order included.  Swapping f and g permutes the matrix's rows, so the
+    point does not depend on their order.
+
+    Soundness rests on one rule.  Evaluation at the Kronecker point is a
+    ring map, so every division that is exact in Z[t_1..t_k] (a
+    pseudo-remainder by g h^delta, the update of h, the final
+    l(B)^dA / h^(dA - 1)) stays exact in Z under ``//``.  But a zero test is
+    faithful only on a value whose coefficients are minors of the Sylvester
+    matrix, which the packing's bounds H and D_j cover.  The coefficients of
+    each pseudo-remainder divided by g h^delta are such minors (it is a
+    subresultant up to sign), and g and h are leading coefficients of such
+    values, which is where ``subresultant`` tests.
+    """
+    point = _kronecker(_sylvester(fc, gc, {}))
+    if point is None:
+        return {}
+    packed, read = point
+    if len(fc) == 1 or len(gc) == 1:  # a diagonal matrix, without the partner's entries
+        const, other = (fc, gc) if len(fc) == 1 else (gc, fc)
+        return _read_back(packed[id(const[0])] ** (len(other) - 1), *read)
+    return _read_back(subresultant([packed[id(p)] for p in fc], [packed[id(p)] for p in gc]) or 0, *read)
 
 
 def zpoly_primitive(f: list[int]) -> list[int]:

@@ -144,6 +144,9 @@ def test_alexander_matrix_golden():
 def test_alexander_polynomial_of_braid_quotient():
     wp = WeightedPresentation(parse_presentation(BRAID_QUOTIENT), {"s1": 1, "s2": 1})
     assert str(alexander_polynomial(wp)) == "t^2 - t + 1"
+    # with its relators dropped there is no (n-1)-minor, and the gcd over none is 0
+    free = WeightedPresentation(Presentation(("s1", "s2"), ()), {"s1": 1, "s2": 1})
+    assert alexander_polynomial(free) == LaurentPoly()
 
 
 def test_alexander_polynomial_of_cyclic_group():

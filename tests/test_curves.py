@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm
 from types import MappingProxyType
 
@@ -191,6 +192,9 @@ def test_exact_division_failure():
     p = x * x + y
     with pytest.raises(ValueError):
         exact_div(p, y)
+    with pytest.raises(ValueError, match="not an exact division"):
+        p // y
+    assert (p * y) // y == p
     assert not divides(y, p)
 
 
@@ -234,7 +238,7 @@ def rand_q_poly_in_x(rng, degx):
 
 
 def count_paths(monkeypatch):
-    """Count resultants in ``curves`` by path: ``zpoly_resultant`` (integer PRS) or ``bareiss_det`` (``MultiPoly``)."""
+    """Count resultants in ``curves`` by path: ``zpoly_resultant`` (packed integers) or ``subresultant`` (``MultiPoly``)."""
     calls = {"int": 0, "poly": 0}
 
     def counter(det, path):
@@ -244,15 +248,15 @@ def count_paths(monkeypatch):
         return counted
 
     monkeypatch.setattr(curves, "zpoly_resultant", counter(curves.zpoly_resultant, "int"))
-    monkeypatch.setattr(curves, "bareiss_det", counter(curves.bareiss_det, "poly"))
+    monkeypatch.setattr(curves, "subresultant", counter(curves.subresultant, "poly"))
     return calls
 
 
-def count_rounds(monkeypatch):
-    """Record (deg A, deg B) of each pseudo-remainder ``ring`` takes inside an integer resultant,
-    one list per resultant."""
+def count_rounds(monkeypatch, path="zpoly_resultant"):
+    """Record (deg A, deg B) of each pseudo-remainder ``ring`` takes inside a resultant on
+    ``path`` (``zpoly_resultant`` or ``subresultant``), one list per resultant."""
     rounds, current = [], []
-    resultant_, pseudo_rem = curves.zpoly_resultant, ring._pseudo_rem
+    resultant_, pseudo_rem = getattr(curves, path), ring._pseudo_rem
 
     def logged_resultant(fc, gc):
         rounds.append([])
@@ -267,15 +271,33 @@ def count_rounds(monkeypatch):
             current[-1].append((len(f) - 1, len(g) - 1))
         return pseudo_rem(f, g)
 
-    monkeypatch.setattr(curves, "zpoly_resultant", logged_resultant)
+    monkeypatch.setattr(curves, path, logged_resultant)
     monkeypatch.setattr(ring, "_pseudo_rem", logged_pseudo_rem)
     return rounds
 
 
-def multipoly_path(f, g, var):
-    """Oracle for ``resultant``: Bareiss on the MultiPoly Sylvester matrix, Fraction coefficients."""
+def laplace_det(rows, zero):
+    """Oracle: Laplace expansion along the first row, each minor on a set of columns of the
+    lower rows expanded once."""
+    @cache
+    def det(columns):
+        k = len(rows) - len(columns)
+        if len(columns) == 1:
+            return rows[k][columns[0]]
+        total = zero
+        for j, c in enumerate(columns):
+            if rows[k][c]:
+                term = rows[k][c] * det(columns[:j] + columns[j + 1:])
+                total = total - term if j % 2 else total + term
+        return total
+
+    return det(tuple(range(len(rows))))
+
+
+def sylvester_laplace(f, g, var):
+    """Oracle for ``resultant``: the Laplace expansion of the MultiPoly Sylvester matrix."""
     zero = MultiPoly(f.variables, (), f.field)
-    return ring.bareiss_det(curves._sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), exact_div)
+    return laplace_det(ring._sylvester(f.coeffs_in(var), g.coeffs_in(var), zero), zero)
 
 
 def sylvester_det_path(f, g, var):
@@ -288,7 +310,7 @@ def sylvester_det_path(f, g, var):
         coeffs.append([{} for _ in range(h.degree(var) + 1)])
         for e, c in h.terms.items():
             coeffs[-1][e[i]][e[:i] + (0,) + e[i + 1:]] = int(c * scales[-1])
-    det = ring.zpoly_det(curves._sylvester(*coeffs, {}))
+    det = ring.zpoly_det(ring._sylvester(*coeffs, {}))
     scale = scales[0] ** g.degree(var) * scales[1] ** f.degree(var)
     return MultiPoly(f.variables, {e: Fraction(c, scale) for e, c in det.items()})
 
@@ -358,7 +380,7 @@ def test_resultant_matches_sympy_with_two_variables_left(monkeypatch):
 
 
 def test_resultant_matches_sympy_over_q_eps(monkeypatch):
-    # Q(eps) inputs keep the MultiPoly path; sympy's result is reduced mod eps^2 + eps + 1
+    # Q(eps) inputs take the MultiPoly path; sympy's result is reduced mod eps^2 + eps + 1
     sympy = pytest.importorskip("sympy")
     paths = count_paths(monkeypatch)
     se, sx, sy = sympy.symbols("e x y")
@@ -380,7 +402,7 @@ def test_resultant_matches_sympy_over_q_eps(monkeypatch):
               for d in (rng.randint(1, 3), rng.randint(1, 3)))
         for _ in range(10)
     ]
-    # Bareiss swaps rows once on this pair, so the determinant it returns is negated
+    # equal degrees in x, so the first pseudo-remainder takes delta = 0
     x, y = poly_ring(("x", "y"), "Q(eps)")
     pairs.append((x * x * y + 1, x * x * y + x + 1))
     nonzero = 0
@@ -393,6 +415,45 @@ def test_resultant_matches_sympy_over_q_eps(monkeypatch):
         nonzero += bool(r)
     assert paths == {"int": 0, "poly": 11}
     assert nonzero >= 9
+
+
+def test_resultant_over_q_eps_matches_the_laplace_oracle(monkeypatch):
+    # seeded pairs in (x, y) against the Laplace expansion, without sympy: nonzero results
+    # with df < dg and df dg odd (the swap's sign), delta >= 2, a constant in x on either
+    # side, and common factors, whose resultant is 0
+    paths = count_paths(monkeypatch)
+    taken = count_rounds(monkeypatch, "subresultant")
+    rng = random.Random("resultant/q-eps")
+
+    def rand_in(dx):
+        terms = {(rng.randint(0, dx), rng.randint(0, 1)): QEps(rand_fraction(rng, 3), rand_fraction(rng, 3))
+                 for _ in range(rng.randint(2, 4))}
+        # nonzero at x = 0, so that x is no common factor, and of exact degree dx
+        terms[0, rng.randint(0, 1)] = QEps(rng.randint(1, 3), rng.randint(-1, 1))
+        terms[dx, rng.randint(0, 1)] = QEps(rng.choice((-1, 1, 2)), rng.randint(-1, 1))
+        return MultiPoly(("x", "y"), terms, "Q(eps)")
+
+    shapes = {"zero": 0, "constant f": 0, "constant g": 0, "swap sign": 0, "delta >= 2": 0}
+    for k, (df, dg) in enumerate([(df, dg) for df in range(5) for dg in range(5)] * 2):
+        f, g = rand_in(df), rand_in(dg)
+        if k % 7 == 0:
+            common = rand_in(1)
+            f, g = f * common, g * common
+        df, dg = f.degree("x"), g.degree("x")
+        if df == dg == 0:
+            continue
+        del taken[:]
+        r = resultant(f, g, "x")
+        assert r == sylvester_laplace(f, g, "x")
+        assert r.field == "Q(eps)" and all(type(c) is QEps for c in r.terms.values())
+        (rounds,) = taken
+        shapes["zero"] += not r
+        shapes["constant f"] += df == 0
+        shapes["constant g"] += dg == 0
+        shapes["swap sign"] += bool(r) and df < dg and df * dg % 2 == 1
+        shapes["delta >= 2"] += any(a - b >= 2 for a, b in rounds)
+    assert shapes == {"zero": 8, "constant f": 7, "constant g": 7, "swap sign": 2, "delta >= 2": 15}
+    assert paths == {"int": 0, "poly": 49}
 
 
 _x, _t = poly_ring(("x", "t"))
@@ -415,7 +476,7 @@ def test_integer_path_edge_cases(monkeypatch, f, g, degree, rounds):
     assert paths == {"int": 1, "poly": 0}
     assert taken == [rounds]
     assert r.degree("t") == degree
-    assert r.terms == multipoly_path(f, g, "x").terms
+    assert r.terms == sylvester_laplace(f, g, "x").terms
     assert all(type(c) is Fraction for c in r.terms.values())
 
 
@@ -477,7 +538,7 @@ def test_resultant_over_q_matches_the_sylvester_determinant(monkeypatch):
         r = resultant(f, g, "x")
         want = sylvester_det_path(f, g, "x")
         assert list(r.terms.items()) == list(want.terms.items())
-        assert r.terms == multipoly_path(f, g, "x").terms
+        assert r.terms == sylvester_laplace(f, g, "x").terms
         (rounds,) = taken
         shapes["zero"] += not r
         shapes["constant"] += min(f.degree("x"), g.degree("x")) == 0
