@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
 from operator import add, sub
 
 from .errors import InternalCheckError, ParseError
@@ -319,12 +319,15 @@ class MultiPoly:
         return [MultiPoly._new(self.variables, b, self.field) for b in buckets]
 
     def evaluate(self, point: Mapping[str, Any]) -> Any:
-        """Exact value at a point given as variable -> field element.
+        """Exact value at a point given as variable -> field element."""
+        return self.jet(point, [(0,) * len(self.variables)])[0]
 
-        Computed in Z[eps]: with each coordinate (p + q eps)/d and top its
-        degree here, one table per variable holds (p + q eps)^k d^(top - k);
-        the terms, coefficients scaled to their common denominator, are
-        summed as integer pairs and divided once.
+    def jet(self, point: Mapping[str, Any], orders: Sequence[Sequence[int]]) -> list[Any]:
+        """Exact values at a point of the partial derivatives of the given orders, in one pass.
+
+        In Z[eps]: with each coordinate (p + q eps)/d, one table per variable holds (p + q eps)^k d^(top - k),
+        top its degree here.  A term c x^i y^j, c over the coefficients' common denominator, feeds order
+        (s, t) with i(i-1)...(i-s+1) j(j-1)...(j-t+1) and the entries at i - s and j - t: one denominator.
         """
         missing = [v for v in self.variables if v not in point]
         if missing:
@@ -340,16 +343,20 @@ class MultiPoly:
                 powers.append(_eps_product(*powers[-1], p, q))
             tables.append([(a * d ** (top - k), b * d ** (top - k)) for k, (a, b) in enumerate(powers)])
             den *= d ** top
-        total_a = total_b = 0
+        totals = [[0, 0] for _ in orders]
         for e, (a, b, d) in coeffs:
             a, b = a * (common // d), b * (common // d)
-            for table, k in zip(tables, e):
-                a, b = _eps_product(a, b, *table[k])
-            total_a += a
-            total_b += b
+            for total, order in zip(totals, orders):
+                ta, tb = a, b
+                for table, k, s in zip(tables, e, order):
+                    if k < s:  # the derivative kills the term
+                        break
+                    ta, tb = _eps_product(ta * perm(k, s), tb * perm(k, s), *table[k - s])
+                else:
+                    total[:] = total[0] + ta, total[1] + tb
         if self.field == FIELD_Q:
-            return Fraction(total_a, den)
-        return QEps._new(Fraction(total_a, den), Fraction(total_b, den))
+            return [Fraction(ta, den) for ta, _ in totals]
+        return [QEps._new(Fraction(ta, den), Fraction(tb, den)) for ta, tb in totals]
 
 
 def poly_ring(variables: Sequence[str], field: str = FIELD_Q) -> tuple[MultiPoly, ...]:
@@ -520,13 +527,10 @@ def verify_node(f: MultiPoly, pt: Sequence[Any]) -> Any:
     """
     if len(f.variables) != 2:
         raise ValueError("verify_node expects a bivariate polynomial")
-    xv, yv = f.variables
-    point = {xv: pt[0], yv: pt[1]}
-    fx, fy = f.partial(xv), f.partial(yv)
-    if f.evaluate(point) or fx.evaluate(point) or fy.evaluate(point):
+    value, fx, fy, fxx, fxy, fyy = f.jet(dict(zip(f.variables, pt)), ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    if value or fx or fy:
         return None
-    fxx, fxy, fyy = fx.partial(xv), fx.partial(yv), fy.partial(yv)
-    return fxx.evaluate(point) * fyy.evaluate(point) - fxy.evaluate(point) ** 2
+    return fxx * fyy - fxy ** 2
 
 
 def verify_torus_structure() -> Fraction | None:

@@ -12,7 +12,8 @@ of an identified metacyclic pair, and sorts canonically.  Equal inputs
 give identical outputs and the output is a fixed point.  Canonical forms
 are computed on syllables: no exponent is ever expanded into letters.
 Each relator's per-syllable keys are computed once and both name and
-order its canonical form; a metacyclic drop keeps canonical relators.
+order its canonical form; a metacyclic drop, and an elimination, keep
+the canonical relators they leave untouched.
 
 A ``MetacyclicForm`` holds (n, s) and the names of its generators p and
 c, so its normal form and the commutant report read the names from it.
@@ -28,7 +29,7 @@ from .words import _WORD_TOKEN_RE, FreeEndo, Syllable, Word, comma_fields, parse
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Mapping, Sequence
+    from typing import Iterable, Mapping, Sequence
 
 
 class Presentation:
@@ -132,6 +133,11 @@ def _keys(syllables: Sequence[Syllable], order: Mapping[str, int]) -> list[tuple
     return keys
 
 
+class _Canonical(Presentation):
+    """A presentation whose relators are canonical, distinct and sorted under its generator order."""
+    __slots__ = ()
+
+
 def canonicalize(P: Presentation) -> Presentation:
     """Canonicalize, deduplicate, and sort relators.
 
@@ -145,9 +151,14 @@ def canonicalize(P: Presentation) -> Presentation:
     canonical word's own ``_keys``, so (length, keys) both names the
     canonical word and orders it.
     """
-    order = {g: i for i, g in enumerate(P.generators)}
-    canon: dict[tuple, Word] = {}
-    for r in P.relators:
+    return P if isinstance(P, _Canonical) else _canonicalize(P.generators, P.relators)
+
+
+def _canonicalize(generators: tuple[str, ...], relators: Iterable[Word], kept: Iterable[Word] = ()) -> _Canonical:
+    """``canonicalize``, with ``kept`` relators canonical already: only their keys are taken."""
+    order = {g: i for i, g in enumerate(generators)}
+    canon = {(r.length, tuple(_keys(r.syllables, order))): r for r in kept}
+    for r in relators:
         syl = r.syllables
         i, j = 0, len(syl) - 1
         while i < j and syl[i][0] == syl[j][0]:
@@ -161,9 +172,9 @@ def canonicalize(P: Presentation) -> Presentation:
         keys, seq = min((keys[i:] + keys[:i], seq[i:] + seq[:i])
                         for seq, keys in ((seq, _keys(seq, order)) for seq in (syl, inverse))
                         for i in range(len(seq)))
-        w = Word(seq)
+        w = Word._new(seq)  # a rotation of a cyclically reduced word, or of its inverse
         canon.setdefault((w.length, tuple(keys)), w)
-    return Presentation(P.generators, tuple(canon[k] for k in sorted(canon)))
+    return _Canonical(generators, tuple(canon[k] for k in sorted(canon)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +189,21 @@ def _defining_occurrence(r: Word, name: str) -> int:
     return 0
 
 
-def _eliminate(P: Presentation, relator: Word, name: str) -> Presentation:
-    """Remove ``name`` using ``relator``, which defines it.
+def _eliminate(P: _Canonical, relator: Word, name: str) -> _Canonical:
+    """Remove ``name`` from canonical P using ``relator``, which defines it; the result is canonical.
 
-    The relator is split at its one ``name^(+-1)`` syllable, and the rest,
-    read cyclically from there, gives the image of ``name``.
+    The rest of the relator, read cyclically from its one ``name^(+-1)`` syllable, is the image of
+    ``name``, and reduced: the relator is canonical, or starts with ``name`` (``patch_fiber``).  A
+    relator without ``name`` is kept, as an order that only lost a generator keeps its least rotation.
     """
     syl = relator.syllables
     pos = next(i for i, (g, _) in enumerate(syl) if g == name)
-    rest = Word(syl[pos + 1:] + syl[:pos])
+    rest = Word._new(syl[pos + 1:] + syl[:pos])
     images = {g: Word.gen(g) for g in P.generators}
     images[name] = rest.inverse() if syl[pos][1] == 1 else rest
-    gens = tuple(x for x in P.generators if x != name)
-    return Presentation(gens, tuple(substitute(r, images) for r in P.relators if r is not relator))
+    kept = [r for r in P.relators if r is not relator and name not in r.generators()]
+    touched = (substitute(r, images) for r in P.relators if r is not relator and name in r.generators())
+    return _canonicalize(tuple(x for x in P.generators if x != name), filter(None, touched), kept)
 
 
 class MetacyclicForm:
@@ -260,7 +273,7 @@ def metacyclic_instances(P: Presentation) -> list[tuple[int, int, MetacyclicForm
     return out
 
 
-def _drop_metacyclic_consequences(P: Presentation) -> Presentation | None:
+def _drop_metacyclic_consequences(P: _Canonical) -> _Canonical | None:
     """Drop relators that follow from a recognized metacyclic pair, if any."""
     for i, j, form in metacyclic_instances(P):
         allowed = {form.p, form.c}
@@ -271,8 +284,8 @@ def _drop_metacyclic_consequences(P: Presentation) -> Presentation | None:
             and r.generators() <= allowed
             and metacyclic_normal_form(form, r) == (0, 0)
         }
-        if drops:
-            return Presentation(P.generators, tuple(r for k, r in enumerate(P.relators) if k not in drops))
+        if drops:  # a subsequence of canonical relators is canonical
+            return _Canonical(P.generators, tuple(r for k, r in enumerate(P.relators) if k not in drops))
     return None
 
 
@@ -293,10 +306,10 @@ def tietze_simplify(P: Presentation) -> Presentation:
                 chosen = (r, candidates[-1])
                 break
         if chosen is not None:
-            current = canonicalize(_eliminate(current, *chosen))
+            current = _eliminate(current, *chosen)
             continue
         dropped = _drop_metacyclic_consequences(current)
-        if dropped is not None:  # a subsequence of canonical relators is canonical
+        if dropped is not None:
             current = dropped
             continue
         return current
@@ -314,8 +327,7 @@ def patch_fiber(P: Presentation, g1: str, g2: str, k: int) -> Presentation:
     if g1 == g2:
         raise ValueError("g1 and g2 must differ")
     relator = Word.gen(g2) * Word.gen(g1) * Word.gen("p", -k)
-    patched = Presentation(P.generators, P.relators + (relator,))
-    return tietze_simplify(_eliminate(patched, relator, g2))
+    return tietze_simplify(_eliminate(canonicalize(P), relator, g2))
 
 
 # ---------------------------------------------------------------------------

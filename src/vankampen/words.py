@@ -3,21 +3,20 @@
 Words live in the free group on named generators and are stored as
 run-length syllable sequences ``(name, exponent)`` with nonzero exponents
 and no two adjacent syllables sharing a name; the empty sequence is the
-identity.  Construction always reduces, so every ``Word`` in circulation
-is freely reduced.
+identity.  Every ``Word`` in circulation is freely reduced.
 
-Every word is built by one reduction pass over a syllable stream: a
-power repeats the syllables and reduces once, and ``substitute`` (which
-Tietze elimination and the cover expansion share, and which applies a
-``FreeEndo`` through its ``images``) collects every image into one stream
-before reducing it.
+``Word(...)`` reduces outside input in one pass.  Products are joined from
+reduced parts, which cancel or merge only where two meet: a power joins
+copies of its base, and ``substitute`` (which Tietze elimination and the
+cover expansion share, and which applies a ``FreeEndo`` through its
+``images``) joins the powers of the images.
 
 Braid words on n strands act on the free group of rank n by the Artin
 rule ``s_i: a_i -> a_i a_{i+1} a_i^-1, a_{i+1} -> a_i`` (other generators
 fixed), extended to products by ``action(b1 b2) = action(b1) o action(b2)``.
 Braid text is word text over ``s1 .. s(n-1)``, at most
 ``MAX_BRAID_LETTERS`` letters long, and the action is built by updating
-the two images a letter moves, one reduction pass each.  The action of
+the two images a letter moves, one join each.  The action of
 the inverse braid is built the same way, and the pair is certified by
 peeling each side back to the identity along the other's letters, so the
 check costs letters times image length, not the product of the two image
@@ -27,6 +26,7 @@ lengths that substituting one side into the other would.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 
 from .errors import InternalCheckError, ParseError
 
@@ -60,6 +60,22 @@ def _merge(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple(out)
 
 
+def _join(parts: Iterable[tuple[Syllable, ...]]) -> tuple[Syllable, ...]:
+    """The reduced product of reduced syllable tuples: a part cancels or merges only against the
+    end of the stack built so far, and once a syllable of it survives, the rest is copied whole."""
+    out: list[Syllable] = []
+    for part in parts:
+        k = 0
+        while out and k < len(part) and out[-1][0] == part[k][0]:
+            (gen, exp), k = part[k], k + 1
+            if folded := out[-1][1] + exp:
+                out[-1] = (gen, folded)
+                break
+            out.pop()
+        out.extend(part[k:])  # part[0:] is part itself, not a copy
+    return tuple(out)
+
+
 class Word:
     """A freely reduced word in named generators."""
 
@@ -69,8 +85,15 @@ class Word:
         self.syllables: tuple[Syllable, ...] = _merge(syllables)
 
     @classmethod
+    def _new(cls, syllables: tuple[Syllable, ...]) -> Word:
+        """Trusted constructor: ``syllables`` are already freely reduced."""
+        w = object.__new__(cls)
+        w.syllables = syllables
+        return w
+
+    @classmethod
     def gen(cls, name: str, exp: int = 1) -> Word:
-        return cls(((name, exp),))
+        return cls._new(((name, exp),) if exp else ())
 
     @property
     def length(self) -> int:
@@ -81,14 +104,14 @@ class Word:
         return bool(self.syllables)
 
     def __mul__(self, other: Word) -> Word:
-        return Word(self.syllables + other.syllables)
+        return Word._new(_join((self.syllables, other.syllables)))
 
     def inverse(self) -> Word:
-        return Word((g, -e) for g, e in reversed(self.syllables))
+        return Word._new(tuple((g, -e) for g, e in reversed(self.syllables)))  # still reduced
 
     def __pow__(self, n: int) -> Word:
         base = self if n >= 0 else self.inverse()
-        return Word(base.syllables * abs(n))
+        return Word._new(_join(repeat(base.syllables, abs(n))))
 
     def letters(self) -> Iterator[tuple[str, int]]:
         """Yield single letters (name, +1 or -1), expanding exponents."""
@@ -153,33 +176,26 @@ def parse_word(
 
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
-    """Replace every generator of ``w`` by its image, in one reduction pass.
+    """Replace every generator of ``w`` by its image, in one join.
 
-    Each syllable ``g^e`` contributes ``images[g]^e`` to a single syllable
-    stream, which is reduced once.  A one-syllable image ``h^f`` contributes
-    the single syllable ``h^(f*e)``.
+    Each syllable ``g^e`` contributes |e| parts, copies of ``images[g]`` or of its inverse; a
+    one-syllable image ``h^f`` contributes the single syllable ``h^(f*e)``.
     """
-    return Word(_image_stream(w, images))
-
-
-def _image_stream(w: Word, images: Mapping[str, Word]) -> Iterator[Syllable]:
-    # Lazy, one syllable at a time: holding the unreduced stream, or inverted
-    # copies of images, beside the reduced result fragmented the heap and
-    # raised peak memory.
+    # Parts refer to the images, each inverted at most once: holding an unreduced syllable stream,
+    # or inverted copies of images, beside the reduced result fragmented the heap and raised peak memory.
+    parts: list[tuple[Syllable, ...]] = []
+    inverses: dict[str, tuple[Syllable, ...]] = {}
     for g, e in w.syllables:
         if g not in images:
             raise ValueError(f"word uses generator {g!r} outside the domain")
         image = images[g].syllables
         if len(image) == 1:
-            h, f = image[0]
-            yield (h, f * e)
-        elif e > 0:
-            for _ in range(e):
-                yield from image
-        else:
-            for _ in range(-e):
-                for h, f in reversed(image):
-                    yield (h, -f)
+            parts.append(((image[0][0], image[0][1] * e),))
+            continue
+        if e < 0 and g not in inverses:
+            inverses[g] = images[g].inverse().syllables
+        parts.extend(repeat(image if e > 0 else inverses[g], abs(e)))
+    return Word._new(_join(parts))
 
 
 class FreeEndo:
@@ -280,13 +296,11 @@ def _artin_images(images: list[Word], braid: BraidWord) -> list[Word]:
     """
     images = list(images)
     for idx, sign in braid.letters:
-        a, b = images[idx - 1].syllables, images[idx].syllables
+        a, b = images[idx - 1], images[idx]
         if sign == 1:
-            a_inv = tuple((g, -e) for g, e in reversed(a))
-            images[idx - 1], images[idx] = Word(a + b + a_inv), images[idx - 1]
+            images[idx - 1], images[idx] = Word._new(_join((a.syllables, b.syllables, a.inverse().syllables))), a
         else:
-            b_inv = tuple((g, -e) for g, e in reversed(b))
-            images[idx - 1], images[idx] = images[idx], Word(b_inv + a + b)
+            images[idx - 1], images[idx] = b, Word._new(_join((b.inverse().syllables, a.syllables, b.syllables)))
     return images
 
 

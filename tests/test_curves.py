@@ -173,6 +173,51 @@ def test_evaluate_errors():
         MultiPoly(("x",)).evaluate({"x": EPS})
 
 
+NODE_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def jet_by_partials(f, point, orders):
+    """Reference for ``MultiPoly.jet``: iterated ``partial``, then one evaluation per order."""
+    values = []
+    for order in orders:
+        g = f
+        for v, s in zip(f.variables, order):
+            for _ in range(s):
+                g = g.partial(v)
+        values.append((g.evaluate(point), evaluate_by_terms(g, point)))
+    return values
+
+
+def test_jet_matches_partials_and_separate_evaluations():
+    rng = random.Random("jet/one-pass")
+    coordinates = {
+        "Q": [0, 3, Fraction(-7, 12), Fraction(5, 10**9)],
+        "Q(eps)": [0, Fraction(2, 3), EPS, EPS ** -1, Fraction(2, 5) * EPS, QEps(Fraction(1, 6), Fraction(-3, 4))],
+    }
+    cases = []
+    for field, coords in coordinates.items():
+        zero, seven = MultiPoly(("x", "y"), (), field), MultiPoly.constant(Fraction(-7, 9), ("x", "y"), field)
+        cases += [(zero, {"x": 1, "y": 2}), (seven, {"x": coords[-1], "y": 0})]
+        for _ in range(150):
+            f = rand_poly(rng, ("x", "y"), field, nterms=rng.randint(0, 7), max_exp=rng.choice((1, 3, 5)))
+            cases.append((f, {"x": rng.choice(coords), "y": rng.choice(coords)}))
+    # the replay's three node checks
+    third = Fraction(1, 3)
+    cases += [
+        (cubic_pencil(third), {"x": Fraction(2, 5), "y": Fraction(1, 5)}),
+        (cubic_pencil(EPS * third), {"x": Fraction(2, 5) * EPS, "y": Fraction(1, 5) * EPS ** -1}),
+        (nodal_cubic(), {"x": 0, "y": 0}),
+    ]
+    for f, point in cases:
+        orders = NODE_ORDERS + ((rng.randint(0, 6), rng.randint(0, 6)),)
+        got = f.jet(point, orders)
+        for value, (by_evaluate, by_terms) in zip(got, jet_by_partials(f, point, orders), strict=True):
+            assert type(value) is type(by_terms) and value == by_evaluate == by_terms
+    for f, point in cases[-3:]:
+        value, fx, fy, fxx, fxy, fyy = (v for v, _ in jet_by_partials(f, point, NODE_ORDERS))
+        assert not (value or fx or fy) and verify_node(f, (point["x"], point["y"])) == fxx * fyy - fxy ** 2
+
+
 def test_exact_division_round_trip():
     rng = random.Random(37)
     vs = ("x", "y")

@@ -70,22 +70,22 @@ def test_comma_fields_give_each_field_its_first_column():
     assert list(comma_fields("")) == [("", 1)]
 
 
-def count_merges(monkeypatch):
-    """Patch ``words._merge`` to record its calls; returns the record."""
+def count_joins(monkeypatch):
+    """Patch ``words._join`` to record its calls; returns the record."""
     calls = []
-    merge = words._merge
+    join = words._join
 
-    def counted(syllables):
+    def counted(parts):
         calls.append(1)
-        return merge(syllables)
+        return join(parts)
 
-    monkeypatch.setattr(words, "_merge", counted)
+    monkeypatch.setattr(words, "_join", counted)
     return calls
 
 
 def test_power_reduces_once(monkeypatch):
     w = parse_word("a b")
-    calls = count_merges(monkeypatch)
+    calls = count_joins(monkeypatch)
     big = w ** 100_000
     assert big.length == 200_000
     assert len(calls) == 1
@@ -111,7 +111,7 @@ def rand_power_word(gens, rng, max_len):
 def test_substitute_matches_letter_level_reference(monkeypatch):
     rng = random.Random(808)
     gens = ("p", "q", "r")
-    calls = count_merges(monkeypatch)
+    calls = count_joins(monkeypatch)
     for _ in range(300):
         w = rand_power_word(gens, rng, 8)
         images = {g: rand_power_word(gens, rng, 4) for g in gens}
@@ -121,6 +121,75 @@ def test_substitute_matches_letter_level_reference(monkeypatch):
         assert len(calls) == 1
     with pytest.raises(ValueError, match="outside the domain"):
         substitute(parse_word("p x"), {"p": parse_word("q")})
+
+
+def reduce_letters(letters):
+    """Letter-level reference: free reduction of a letter sequence on a stack."""
+    out = []
+    for g, e in letters:
+        if out and out[-1] == (g, -e):
+            out.pop()
+        else:
+            out.append((g, e))
+    return out
+
+
+def invert_letters(letters):
+    return [(g, -e) for g, e in reversed(letters)]
+
+
+def assert_reduced_as(w, letters):
+    """``w`` has well-formed syllables (nonzero, no two adjacent alike) and reads ``letters``."""
+    assert isinstance(w.syllables, tuple) and words._merge(w.syllables) == w.syllables
+    assert list(w.letters()) == letters
+
+
+def test_trusted_constructions_match_letter_level_reference():
+    rng = random.Random("words/trusted")
+    gens = ("p", "q", "r")
+    for _ in range(400):
+        u, v = rand_power_word(gens, rng, 6), rand_power_word(gens, rng, 6)
+        if rng.random() < 0.4:
+            # a conjugate c u c^-1, whose powers cancel at every seam; with v = c v', so does u v
+            c = list(rand_power_word(gens, rng, 3).letters())
+            u = Word(c + list(u.letters()) + invert_letters(c))
+            if rng.random() < 0.5:
+                v = Word(c + list(v.letters()))
+        lu, lv = list(u.letters()), list(v.letters())
+        assert_reduced_as(u * v, reduce_letters(lu + lv))
+        assert_reduced_as(v * u.inverse(), reduce_letters(lv + invert_letters(lu)))
+        assert_reduced_as(u.inverse(), invert_letters(lu))
+        n = rng.randint(-4, 4)
+        assert_reduced_as(u ** n, reduce_letters((lu if n >= 0 else invert_letters(lu)) * abs(n)))
+        g = rng.choice(gens)
+        assert_reduced_as(Word.gen(g, n), [(g, 1 if n > 0 else -1)] * abs(n))
+        images = {g: rand_power_word(gens, rng, 3) for g in gens}
+        if rng.random() < 0.5:
+            images[rng.choice(gens)] = Word.gen(rng.choice(gens), rng.choice((-2, -1, 1, 3)))
+        assert_reduced_as(substitute(u, images), list(substitute_by_letters(u, images).letters()))
+
+
+def artin_images_by_letters(images, braid):
+    """Letter-level reference for ``_artin_images``: (A, B) -> (A B A^-1, A) or (B, B^-1 A B)."""
+    images = [list(w.letters()) for w in images]
+    for idx, sign in braid.letters:
+        a, b = images[idx - 1], images[idx]
+        if sign == 1:
+            images[idx - 1], images[idx] = reduce_letters(a + b + invert_letters(a)), a
+        else:
+            images[idx - 1], images[idx] = b, reduce_letters(invert_letters(b) + a + b)
+    return images
+
+
+def test_artin_images_match_letter_level_reference():
+    rng = random.Random("words/artin")
+    for _ in range(200):
+        strands = rng.choice((3, 4))
+        braid = rand_braid(rng, strands, 8)
+        start = [rand_power_word(fiber_names(strands), rng, 3) for _ in range(strands)]
+        got = words._artin_images(start, braid)
+        for w, letters in zip(got, artin_images_by_letters(start, braid), strict=True):
+            assert_reduced_as(w, letters)
 
 
 # the word-building layers substitute through ``words.substitute`` only
@@ -363,7 +432,7 @@ def test_braid_action_matches_per_letter_composition(compose):
 def test_artin_images_reduce_once_per_letter(monkeypatch):
     braid = parse_braid("s1^-1 s2^2 s1 s2^-2 s1", 3)
     identity = [Word.gen(g) for g in fiber_names(3)]
-    calls = count_merges(monkeypatch)
+    calls = count_joins(monkeypatch)
     words._artin_images(identity, braid)
     assert len(calls) == len(braid.letters)
 
@@ -427,3 +496,31 @@ def test_parse_braid_bounds_the_letters_before_expanding():
     for text in (f"s1^{MAX_BRAID_LETTERS} s2", "s1^100000000", "s1^-600 s2^600"):
         with pytest.raises(ParseError, match=f"more than the limit {MAX_BRAID_LETTERS}"):
             parse_braid(text, 3)
+
+
+def test_every_word_built_without_reduction_is_reduced(monkeypatch):
+    # ``Word._new`` trusts its caller; record every syllable tuple it is handed
+    built = []
+    new = Word._new
+
+    def recording(cls, syllables):
+        built.append(syllables)
+        return new(syllables)
+
+    monkeypatch.setattr(Word, "_new", classmethod(recording))
+    results = [pipeline.reproduce_paper().overall]
+    rng = random.Random("words/guard")
+    for _ in range(40):
+        act = braid_action(rand_braid(rng, 3, 8))
+        lift = cover.lift_monodromy(act)
+        results += [act.images, act.inverse.images, lift.images, lift.inverse.images]
+    for _ in range(60):
+        gens = ("a", "b", "c")
+        defining = Word.gen("c", -1) * rand_power_word(("a", "b"), rng, 5)
+        relators = [defining] + [rand_power_word(gens, rng, 6) for _ in range(rng.randint(0, 3))]
+        results.append(presentation.tietze_simplify(presentation.Presentation(gens, tuple(relators))).relators)
+    assert results[0] and len(built) > 1000
+    for syllables in built:
+        assert isinstance(syllables, tuple) and words._merge(syllables) == syllables
+    for w in (w for r in results[1:] for w in (r.values() if isinstance(r, dict) else r)):
+        assert words._merge(w.syllables) == w.syllables
