@@ -19,14 +19,14 @@ variable included.  Over Q, on inputs scaled to integer coefficients in
 one pass over their terms, each is one ``ring.zpoly_resultant``: the
 subresultant remainder sequence on the coefficients packed by Kronecker
 substitution at the point ``ring.zpoly_det`` would choose for the
-Sylvester matrix, each distinct coefficient packed once.  Over Q(eps) the
-same ``ring.subresultant`` runs on polynomial coefficients, dividing them
-by this module's exact multivariate division.  Univariate gcds
-and primitive parts over Q (squarefree parts, intersecting eliminants)
-are ``ring``'s integer ones, on coefficients cleared by the lcm of their
-denominators: this module is where rationals become integers for
-``ring``.  Results of ring operations are built without re-validating
-their terms.
+Sylvester matrix, each distinct coefficient packed once, the eliminated
+variable not at all.  Over Q(eps) the same ``ring.subresultant`` runs on
+polynomial coefficients, dividing them by this module's exact
+multivariate division.  Univariate gcds and primitive parts over Q
+(squarefree parts, intersecting eliminants) are ``ring``'s integer ones,
+on coefficients cleared by the lcm of their denominators: this module is
+where rationals become integers for ``ring``.  Ring results and the
+curves under study are built without re-validating their terms.
 """
 
 from __future__ import annotations
@@ -165,6 +165,11 @@ def _over_z(c: Fraction | QEps) -> tuple[int, int, int]:
     return c.numerator, 0, c.denominator
 
 
+def _from_z(pairs: Iterable[Sequence[int]], d: int, field: str) -> list[Any]:
+    """(a + b eps)/d in ``field`` for each pair (a, b), d > 0: the inverse of ``_over_z``."""
+    return [Fraction(a, d) if field == FIELD_Q else QEps._new(Fraction(a, d), Fraction(b, d)) for a, b in pairs]
+
+
 def _combine(a: Mapping[tuple[int, ...], Any], b: Mapping[tuple[int, ...], Any], sign: int) -> dict:
     """Terms of a + sign * b, cancelled terms dropped."""
     out = dict(a)
@@ -237,7 +242,8 @@ class MultiPoly:
             raise ValueError("field mismatch")
 
     def _scalar(self, value: Any) -> MultiPoly:
-        return MultiPoly.constant(value, self.variables, self.field)
+        c = _coerce_coeff(value, self.field)
+        return MultiPoly._new(self.variables, {(0,) * len(self.variables): c} if c else {}, self.field)
 
     # -- ring operations ---------------------------------------------------
 
@@ -323,7 +329,11 @@ class MultiPoly:
         return self.jet(point, [(0,) * len(self.variables)])[0]
 
     def jet(self, point: Mapping[str, Any], orders: Sequence[Sequence[int]]) -> list[Any]:
-        """Exact values at a point of the partial derivatives of the given orders, in one pass.
+        """Exact values at a point of the partial derivatives of the given orders, in one pass."""
+        return _from_z(*self._jet_over_z(point, orders), self.field)
+
+    def _jet_over_z(self, point: Mapping[str, Any], orders: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+        """``jet`` as integer pairs (a, b) and one denominator den > 0, each value (a + b eps)/den.
 
         In Z[eps]: with each coordinate (p + q eps)/d, one table per variable holds (p + q eps)^k d^(top - k),
         top its degree here.  A term c x^i y^j, c over the coefficients' common denominator, feeds order
@@ -354,15 +364,14 @@ class MultiPoly:
                     ta, tb = _eps_product(ta * perm(k, s), tb * perm(k, s), *table[k - s])
                 else:
                     total[:] = total[0] + ta, total[1] + tb
-        if self.field == FIELD_Q:
-            return [Fraction(ta, den) for ta, _ in totals]
-        return [QEps._new(Fraction(ta, den), Fraction(tb, den)) for ta, tb in totals]
+        return totals, den
 
 
 def poly_ring(variables: Sequence[str], field: str = FIELD_Q) -> tuple[MultiPoly, ...]:
     """Generator polynomials for each named variable."""
-    n = len(variables)
-    return tuple(MultiPoly(variables, {tuple(int(j == i) for j in range(n)): 1}, field) for i in range(n))
+    variables = MultiPoly(variables, (), field).variables  # the names and the field checked once
+    n, one = len(variables), _coerce_coeff(1, field)
+    return tuple(MultiPoly._new(variables, {tuple(int(j == i) for j in range(n)): one}, field) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +420,14 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 
     If one is constant in ``var`` the Sylvester matrix is diagonal, so
     res(f, c) = c^deg(f); if both are, the resultant is 1.  Over Q it is
-    one ``zpoly_resultant`` of a f and b g with int coefficients (a, b the
-    lcms of their denominators), divided by a^deg(g) b^deg(f) at the end;
-    that equals ``zpoly_det`` of their Sylvester matrix, key order
-    included.  Over Q(eps) it is one ``subresultant`` on the coefficients
-    in ``var``, each of its divisions an ``exact_div``.
+    one ``zpoly_resultant`` of a f and b g with int coefficients keyed
+    without var's slot (a, b the lcms of their denominators), divided by
+    a^deg(g) b^deg(f) with the slot put back as 0; that equals ``zpoly_det``
+    of their Sylvester matrix, key order included.  Over Q(eps) it is one
+    ``subresultant`` on the coefficients in ``var``, each an ``exact_div``.
     """
     f._check_compatible(g)
-    zero = MultiPoly(f.variables, (), f.field)
+    zero = MultiPoly._new(f.variables, {}, f.field)
     if not f or not g:
         return zero
     df, dg = f.degree(var), g.degree(var)
@@ -426,12 +435,15 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return zero + 1
     if f.field != FIELD_Q:
         return subresultant(f.coeffs_in(var), g.coeffs_in(var)) or zero
+    i = f.variables.index(var)
     a, b = (lcm(*(c.denominator for c in h.terms.values())) for h in (f, g))
-    fc, gc = ([{e: c.numerator * (s // c.denominator) for e, c in p.terms.items()} for p in h.coeffs_in(var)]
-              for h, s in ((f, a), (g, b)))
+    fc, gc = ([{} for _ in range(d + 1)] for d in (df, dg))
+    for h, hc, s in ((f, fc, a), (g, gc, b)):
+        for e, c in h.terms.items():  # var's slot is dropped from the key, not packed
+            hc[e[i]][e[:i] + e[i + 1:]] = c.numerator * (s // c.denominator)
     res = zpoly_resultant(fc, gc)
     scale = a ** dg * b ** df
-    return MultiPoly._new(f.variables, {e: Fraction(c, scale) for e, c in res.items()}, FIELD_Q)
+    return MultiPoly._new(f.variables, {e[:i] + (0,) + e[i:]: Fraction(c, scale) for e, c in res.items()}, FIELD_Q)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +465,9 @@ def _as_univariate(f: MultiPoly, var: str) -> list[int]:
 
 
 def _uni_to_poly(coeffs: Sequence[int], var: str, ring: MultiPoly) -> MultiPoly:
-    i = ring.variables.index(var)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            e = [0] * len(ring.variables)
-            e[i] = k
-            terms[tuple(e)] = c
-    return MultiPoly(ring.variables, terms, FIELD_Q)
+    i, n = ring.variables.index(var), len(ring.variables)
+    terms = {(0,) * i + (k,) + (0,) * (n - i - 1): Fraction(c) for k, c in enumerate(coeffs) if c}
+    return MultiPoly._new(ring.variables, terms, FIELD_Q)
 
 
 def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
@@ -484,7 +491,8 @@ _PENCIL = {(1, 2, 0): -1, (1, 1, 2): -1, (1, 0, 1): 1, (0, 3, 0): 1, (0, 1, 1): 
 def cubic_pencil(b: Any) -> MultiPoly:
     """f_b = b(-x^2 - x y^2 + y) + (x^3 - x y + y^3) over Q or Q(eps)."""
     field = FIELD_QEPS if isinstance(b, QEps) else FIELD_Q
-    return MultiPoly(("x", "y"), [((i, j), c * b ** k) for (k, i, j), c in _PENCIL.items()], field)
+    b = _coerce_coeff(b, field)  # the six (i, j) are distinct, so only b = 0 can zero a term
+    return MultiPoly._new(("x", "y"), {(i, j): c * b ** k for (k, i, j), c in _PENCIL.items() if b or not k}, field)
 
 
 def nodal_cubic() -> MultiPoly:
@@ -494,7 +502,7 @@ def nodal_cubic() -> MultiPoly:
 
 def cubic_pencil_generic() -> MultiPoly:
     """f_b with b as a polynomial variable, over Q[b, x, y]."""
-    return MultiPoly(("b", "x", "y"), _PENCIL)
+    return MultiPoly._new(("b", "x", "y"), {e: Fraction(c) for e, c in _PENCIL.items()}, FIELD_Q)
 
 
 def torus_sextic_factors() -> tuple[MultiPoly, MultiPoly]:
@@ -513,7 +521,7 @@ def chart_cubic_factors() -> tuple[MultiPoly, MultiPoly]:
 
     def chart(u: MultiPoly) -> MultiPoly:
         d = max(map(sum, u.terms))
-        return MultiPoly(("ybar", "zbar"), {(j, d - i - j): c for (i, j), c in u.terms.items()})
+        return MultiPoly._new(("ybar", "zbar"), {(j, d - i - j): c for (i, j), c in u.terms.items()}, FIELD_Q)
 
     u, v = torus_sextic_factors()
     return chart(u), chart(v)
@@ -522,15 +530,16 @@ def chart_cubic_factors() -> tuple[MultiPoly, MultiPoly]:
 def verify_node(f: MultiPoly, pt: Sequence[Any]) -> Any:
     """The Hessian determinant of f at pt if f, f_x and f_y vanish there, else None.
 
-    Everything is evaluated exactly; pt is a node of f = 0 exactly when
-    the result is nonzero (a cusp, say, gives 0).
+    Exact: fxx fyy - fxy^2 is formed in Z[eps] and divided once by the jet's squared
+    denominator.  pt is a node of f = 0 exactly when it is nonzero (a cusp gives 0).
     """
     if len(f.variables) != 2:
         raise ValueError("verify_node expects a bivariate polynomial")
-    value, fx, fy, fxx, fxy, fyy = f.jet(dict(zip(f.variables, pt)), ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
-    if value or fx or fy:
+    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    (value, fx, fy, fxx, fxy, fyy), den = f._jet_over_z(dict(zip(f.variables, pt)), orders)
+    if any(value) or any(fx) or any(fy):
         return None
-    return fxx * fyy - fxy ** 2
+    return _from_z([map(sub, _eps_product(*fxx, *fyy), _eps_product(*fxy, *fxy))], den * den, f.field)[0]
 
 
 def verify_torus_structure() -> Fraction | None:

@@ -30,6 +30,7 @@ One implementation per algorithm:
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -74,10 +75,10 @@ def _sylvester(fc: list[Any], gc: list[Any], zero: Any) -> list[list[Any]]:
             + [[zero] * i + gc[::-1] + [zero] * (df - 1 - i) for i in range(df)])
 
 
-def _kronecker(m: list[list[dict[tuple[int, ...], int]]]) -> tuple[dict[int, int], tuple[int, list[int], list[int]]] | None:
+def _kronecker(m: list[list[dict[tuple[int, ...], int]]]) -> tuple[dict[int, int], tuple[int, list[int]]] | None:
     """The Kronecker point of a nonempty square matrix over Z[t_1..t_k]:
     each distinct entry object packed once, by ``id``, and the (bits,
-    strides, radices) that ``_read_back`` takes; None for a zero row or column.
+    radices) that ``_read_back`` takes; None for a zero row or column.
 
     Each term of a minor takes at most one entry from every row and every
     column, so its degree in t_j is at most D_j, the smaller of the sums over
@@ -106,18 +107,18 @@ def _kronecker(m: list[list[dict[tuple[int, ...], int]]]) -> tuple[dict[int, int
     strides = [prod(radices[:j]) for j in range(len(radices))]
     bits = isqrt(x).bit_length() + 1
     packed = {i: sum(c << bits * sum(map(mul, e, strides)) for e, c in p.items()) for i, p in entries.items()}
-    return packed, (bits, strides, radices)
+    return packed, (bits, radices)
 
 
-def _read_back(value: int, bits: int, strides: list[int], radices: list[int]) -> dict[tuple[int, ...], int]:
+def _read_back(value: int, bits: int, radices: list[int]) -> dict[tuple[int, ...], int]:
     """The polynomial whose balanced base-2^bits digits ``value`` holds, in ascending digit order."""
-    out, k, half, mask = {}, 0, 1 << bits - 1, (1 << bits) - 1
+    out, half, mask = {}, 1 << bits - 1, (1 << bits) - 1
+    keys = product(*map(range, reversed(radices)))  # ascending digits: lex order of the reversed key
     while value:
-        digit = ((value + half) & mask) - half
+        digit, key = ((value + half) & mask) - half, next(keys)
         if digit:
-            out[tuple(k // s % r for s, r in zip(strides, radices))] = digit
+            out[key[::-1]] = digit
         value = (value - digit) >> bits
-        k += 1
     return out
 
 

@@ -680,6 +680,44 @@ def test_verify_node_off_a_node():
     assert cusp is not None and cusp == 0  # singular, but not a node
 
 
+def test_verify_node_hessian_over_one_denominator_matches_field_arithmetic():
+    # the replay's three node points: fxx fyy - fxy^2 formed from the jet's integer
+    # pairs and divided once equals the field's own products, type included
+    third = Fraction(1, 3)
+    nodes = [
+        (cubic_pencil(third), (Fraction(2, 5), Fraction(1, 5))),
+        (cubic_pencil(EPS * third), (Fraction(2, 5) * EPS, Fraction(1, 5) * EPS ** -1)),
+        (nodal_cubic(), (0, 0)),
+    ]
+    for f, pt in nodes:
+        value, fx, fy, fxx, fxy, fyy = (v for v, _ in jet_by_partials(f, dict(zip(f.variables, pt)), NODE_ORDERS))
+        assert not (value or fx or fy)
+        hessian = verify_node(f, pt)
+        assert type(hessian) is type(fxx) and hessian == fxx * fyy - fxy ** 2 != 0
+    # cusps (y - q)^2 - (x - p)^3 at (p, q), over both fields and with denominators: 0, not None
+    for field, p, q in (("Q", 0, 0), ("Q", Fraction(2, 5), -third), ("Q(eps)", Fraction(2, 5) * EPS, third * EPS ** 2)):
+        x, y = poly_ring(("x", "y"), field)
+        hessian = verify_node((y - q) ** 2 - (x - p) ** 3, (p, q))
+        assert type(hessian) is (Fraction if field == "Q" else QEps) and hessian == 0
+
+
+def test_curves_own_polynomials_are_what_the_validating_constructor_makes():
+    # built through MultiPoly._new: each coefficient nonzero and of the field's type, key order included
+    third = Fraction(1, 3)
+    cases = [cubic_pencil(b) for b in (0, Fraction(0), third, 2, QEps(0), EPS * third)]
+    cases += [nodal_cubic(), curves.cubic_pencil_generic(), *chart_cubic_factors(), singular_parameters()]
+    cases += [*poly_ring(("b", "x", "y")), *poly_ring(("x",), "Q(eps)"), poly_ring(("x",))[0] + 0]
+    for p in cases:
+        q = MultiPoly(p.variables, p.terms, p.field)
+        assert list(p.terms.items()) == list(q.terms.items())
+        assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
+    assert nodal_cubic().terms == {(3, 0): 1, (1, 1): -1, (0, 3): 1}
+    with pytest.raises(ValueError, match="duplicate variable name"):
+        poly_ring(("x", "x"))
+    with pytest.raises(ValueError, match="unknown coefficient field"):
+        poly_ring(("x",), "Z")
+
+
 def paper_eliminant():
     """The paper's 108 b^7 - 733 b^4 + 27 b in the ring of ``singular_parameters``."""
     b, _, _ = poly_ring(("b", "x", "y"))
@@ -716,6 +754,8 @@ def test_singular_parameters_work_counters(monkeypatch):
         init(self, *args, **kwargs)
 
     def measured_point(m):
+        # every resultant is taken in Q[b, x, y]; the eliminated variable has no slot in the packed keys
+        assert {len(e) for row in m for p in row for e in p} == {2}
         packed, read = kronecker(m)
         slots.append(read[0])
         packed_bits.append(max(abs(x).bit_length() for x in packed.values()))
@@ -725,6 +765,7 @@ def test_singular_parameters_work_counters(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__init__", counted_init)
     monkeypatch.setattr(ring, "_kronecker", measured_point)
     p = singular_parameters()
+    validated = calls["init"]
     assert p == paper_eliminant()
     assert all(type(c) is Fraction for c in p.terms.values())
     # only the squarefree part divides, through the module-level name that the
@@ -742,8 +783,8 @@ def test_singular_parameters_work_counters(monkeypatch):
     # one integer division per coefficient: 25 in all
     assert rounds == [[(3, 2), (2, 1)], [(3, 1)], [(2, 1)], [(6, 4), (4, 3), (3, 2), (2, 1)], [(6, 4), (4, 3), (3, 2), (2, 1)]]
     assert sum(b for sequence in rounds for _, b in sequence) == 25
-    # ring results skip the validating constructor
-    assert calls["init"] <= 50
+    # ring results and the pencil itself skip the validating constructor
+    assert validated == 0
 
 
 def test_cube_root_members_have_nodes():

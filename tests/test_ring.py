@@ -259,6 +259,33 @@ def test_zpoly_det_meets_the_hadamard_bound(n):
             assert zpoly_det(m) == {(sum(a) + sum(b),): coefficient}
 
 
+def read_back_by_strides(value, bits, radices):
+    """Reference for ``ring._read_back``: digit k's key is k // s_j % r_j per slot, s_j the product of the radices before j."""
+    strides = [prod(radices[:j]) for j in range(len(radices))]
+    out, k, half, mask = {}, 0, 1 << bits - 1, (1 << bits) - 1
+    while value:
+        digit = ((value + half) & mask) - half
+        if digit:
+            out[tuple(k // s % r for s, r in zip(strides, radices))] = digit
+        value = (value - digit) >> bits
+        k += 1
+    return out
+
+
+def test_read_back_keys_match_the_mixed_radix_digits_in_order():
+    rng = random.Random("read_back/keys")
+    for _ in range(400):
+        radices = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+        bits = rng.randint(2, 9)
+        half = 1 << bits - 1
+        # one balanced base-2^bits digit per key, in [-B/2, B/2), the extremes included
+        digits = [rng.choice((0, -half, half - 1, rng.randrange(-half, half))) for _ in range(prod(radices))]
+        value = sum(d << bits * k for k, d in enumerate(digits))
+        got = ring._read_back(value, bits, radices)
+        assert list(got.items()) == list(read_back_by_strides(value, bits, radices).items())
+        assert list(got.values()) == [d for d in digits if d]
+
+
 def test_zpoly_gcd_examples():
     # (t - 1)(t + 2) and 3 (t - 1)(t - 5): gcd t - 1 up to sign
     assert zpoly_gcd([-2, 1, 1], [15, -18, 3]) == [-1, 1]
