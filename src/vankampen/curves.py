@@ -229,12 +229,6 @@ class MultiPoly:
         p.variables, p.terms, p.field = variables, terms, field
         return p
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: Any, variables: Sequence[str], field: str = FIELD_Q) -> MultiPoly:
-        return cls(variables, {(0,) * len(tuple(variables)): value}, field)
-
     def _check_compatible(self, other: MultiPoly) -> None:
         if self.variables != other.variables:
             raise ValueError("variable set mismatch")

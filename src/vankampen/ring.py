@@ -19,13 +19,16 @@ One implementation per algorithm:
   *Modern Computer Algebra*, 8.4) with per-variable degree bounds from the
   rows and columns (Collins 1971) and a Hadamard-type coefficient bound
   from the entries' 1-norms (Goldstein & Graham, SIAM Rev. 16, 1974),
-  each distinct entry object measured and packed once.  The bound, the
-  packing (``_kronecker``) and the read-back (``_read_back``) exist once.
-- ``subresultant``: the determinant of the ``_sylvester`` matrix by the
+  each distinct entry object measured (``_kronecker``) and packed once.
+  The step from those bounds to the point, with the packing (``_pack``),
+  and the read-back (``_read_back``) exist once; ``zpoly_resultant``
+  shares them.
+- ``subresultant``: the determinant of the Sylvester matrix by the
   subresultant remainder sequence (Brown & Traub 1971), O(df dg) ring
   operations where Bareiss takes O((df + dg)^3).  ``zpoly_resultant`` runs
-  it on the coefficients packed at that matrix's Kronecker point, and
-  ``curves`` on polynomials over Q(eps).
+  it on the coefficients packed at that matrix's Kronecker point, read off
+  the two coefficient lists without building the matrix, and ``curves``
+  on polynomials over Q(eps).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from operator import mul
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from typing import Any
 
 
@@ -68,13 +72,6 @@ def bareiss_det(m: list[list[int]]) -> int:
     return det if sign == 1 else -det
 
 
-def _sylvester(fc: list[Any], gc: list[Any], zero: Any) -> list[list[Any]]:
-    """Sylvester matrix of ascending coefficient lists of degrees df, dg >= 0, not both 0."""
-    df, dg = len(fc) - 1, len(gc) - 1
-    return ([[zero] * i + fc[::-1] + [zero] * (dg - 1 - i) for i in range(dg)]
-            + [[zero] * i + gc[::-1] + [zero] * (df - 1 - i) for i in range(df)])
-
-
 def _kronecker(m: list[list[dict[tuple[int, ...], int]]]) -> tuple[dict[int, int], tuple[int, list[int]]] | None:
     """The Kronecker point of a nonempty square matrix over Z[t_1..t_k]:
     each distinct entry object packed once, by ``id``, and the (bits,
@@ -103,11 +100,20 @@ def _kronecker(m: list[list[dict[tuple[int, ...], int]]]) -> tuple[dict[int, int
     top = {i: tuple(map(max, zip(*p))) or zeros for i, p in entries.items()}
     tops = [[top[i] for i in row] for row in ids]
     by_rows, by_columns = ([tuple(map(max, zip(*line))) for line in lines] for lines in (tops, zip(*tops)))
-    radices = [1 + min(r, c) for r, c in zip(map(sum, zip(*by_rows)), map(sum, zip(*by_columns)))]
+    degrees = [min(r, c) for r, c in zip(map(sum, zip(*by_rows)), map(sum, zip(*by_columns)))]
+    packed, read = _pack(x, degrees, entries.values())
+    return dict(zip(entries, packed)), read
+
+
+def _pack(x: int, degrees: list[int], polys: Iterable[dict[tuple[int, ...], int]]) -> tuple[list[int], tuple[int, list[int]]]:
+    """``polys`` packed at the Kronecker point that ``_kronecker`` derives
+    from a bound X and degree bounds D_j, with the (bits, radices) that
+    ``_read_back`` takes: bits = isqrt(X).bit_length() + 1, radices D_j + 1.
+    """
+    radices = [d + 1 for d in degrees]
     strides = [prod(radices[:j]) for j in range(len(radices))]
     bits = isqrt(x).bit_length() + 1
-    packed = {i: sum(c << bits * sum(map(mul, e, strides)) for e, c in p.items()) for i, p in entries.items()}
-    return packed, (bits, radices)
+    return [sum(c << bits * sum(map(mul, e, strides)) for e, c in p.items()) for p in polys], (bits, radices)
 
 
 def _read_back(value: int, bits: int, radices: list[int]) -> dict[tuple[int, ...], int]:
@@ -173,10 +179,24 @@ def subresultant(a: list[Any], b: list[Any]) -> Any:
 def zpoly_resultant(fc: list[dict[tuple[int, ...], int]], gc: list[dict[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
     """Resultant over Z[t_1..t_k] of ascending coefficient lists of degrees
     df, dg >= 0, not both 0, with nonzero leading coefficients: one
-    ``subresultant`` on integers packed at their Sylvester matrix's
-    ``_kronecker`` point, so the result equals ``zpoly_det`` of that matrix,
-    key order included.  Swapping f and g permutes the matrix's rows, so the
+    ``subresultant`` on integers packed at the ``_kronecker`` point of their
+    Sylvester matrix, so the result equals ``zpoly_det`` of that matrix, key
+    order included.  Swapping f and g permutes the matrix's rows, so the
     point does not depend on their order.
+
+    The point is read off fc and gc; no matrix is built.  Each of the dg
+    f-rows holds every coefficient of f once and zeros, and each of the df
+    g-rows every coefficient of g, so the row products and row degree sums
+    have closed forms.  Column c < n = df + dg holds the runs
+    fc[max(0, df - c) : min(df, n - 1 - c) + 1] and
+    gc[max(0, dg - c) : min(dg, n - 1 - c) + 1] and zeros, and a zero adds
+    nothing to a sum of squared 1-norms nor, degrees being nonnegative, to
+    a largest degree, so each column's sum and top are its runs'.  No row is
+    zero, as each holds a leading coefficient; every column before
+    max(df, dg) holds one too, and every later column holds fc[0] and
+    gc[0], the last nothing else.  So a zero column, where ``_kronecker``
+    finds no point, is there exactly when fc[0] and gc[0] are both zero,
+    and then the resultant is 0.
 
     Soundness rests on one rule.  Evaluation at the Kronecker point is a
     ring map, so every division that is exact in Z[t_1..t_k] (a
@@ -188,14 +208,23 @@ def zpoly_resultant(fc: list[dict[tuple[int, ...], int]], gc: list[dict[tuple[in
     subresultant up to sign), and g and h are leading coefficients of such
     values, which is where ``subresultant`` tests.
     """
-    point = _kronecker(_sylvester(fc, gc, {}))
-    if point is None:
+    if not fc[0] and not gc[0]:
         return {}
-    packed, read = point
-    if len(fc) == 1 or len(gc) == 1:  # a diagonal matrix, without the partner's entries
-        const, other = (fc, gc) if len(fc) == 1 else (gc, fc)
-        return _read_back(packed[id(const[0])] ** (len(other) - 1), *read)
-    return _read_back(subresultant([packed[id(p)] for p in fc], [packed[id(p)] for p in gc]) or 0, *read)
+    df, dg = len(fc) - 1, len(gc) - 1
+    n = df + dg
+    runs = [(max(0, df - c), min(df, n - 1 - c) + 1, max(0, dg - c), min(dg, n - 1 - c) + 1) for c in range(n)]
+    sf, sg = ([sum(map(abs, p.values())) ** 2 for p in h] for h in (fc, gc))
+    x = min(sum(sf) ** dg * sum(sg) ** df, prod(sum(sf[a:b]) + sum(sg[u:v]) for a, b, u, v in runs))
+    zeros = (0,) * len(next(iter(fc[-1])))
+    tf, tg = ([tuple(map(max, zip(*p))) or zeros for p in h] for h in (fc, gc))
+    degrees = [min(dg * max(f) + df * max(g), sum(max(f[a:b] + g[u:v]) for a, b, u, v in runs))
+               for f, g in zip(zip(*tf), zip(*tg))]
+    if df == 0 or dg == 0:  # a diagonal matrix of the constant alone
+        const, power = (fc[0], dg) if df == 0 else (gc[0], df)
+        (packed,), read = _pack(x, degrees, [const])
+        return _read_back(packed ** power, *read)
+    packed, read = _pack(x, degrees, fc + gc)
+    return _read_back(subresultant(packed[:df + 1], packed[df + 1:]) or 0, *read)
 
 
 def zpoly_primitive(f: list[int]) -> list[int]:

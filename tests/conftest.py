@@ -108,6 +108,23 @@ def int_det():
 
 
 @pytest.fixture
+def sylvester():
+    """The Sylvester matrix of ascending coefficient lists of degrees df, dg >= 0,
+    not both 0: dg rows of f's coefficients, descending, then df rows of g's,
+    each shifted one column right of the row above, and the one object
+    ``zero`` in all remaining positions.  No library code builds it; it is
+    the reference for the Kronecker point ``ring.zpoly_resultant`` reads
+    off the two lists."""
+
+    def build(fc: list, gc: list, zero: object) -> list[list]:
+        df, dg = len(fc) - 1, len(gc) - 1
+        return ([[zero] * i + fc[::-1] + [zero] * (dg - 1 - i) for i in range(dg)]
+                + [[zero] * i + gc[::-1] + [zero] * (df - 1 - i) for i in range(df)])
+
+    return build
+
+
+@pytest.fixture
 def laurent_sum():
     """The sum of ``LaurentPoly`` terms, coefficient by coefficient."""
 

@@ -164,19 +164,19 @@ def rand_zpoly(rng):
             for _ in range(rng.randint(1, 3))}
 
 
-def test_zpoly_det_of_a_sylvester_matrix_of_shared_entries():
+def test_zpoly_det_of_a_sylvester_matrix_of_shared_entries(sylvester):
     # each coefficient object sits at deg g (or deg f) positions and one zero fills the rest
     rng = random.Random("zpoly/sylvester")
     for _ in range(40):
         df, dg = rng.randint(1, 3), rng.randint(1, 3)
-        m = ring._sylvester([rand_zpoly(rng) for _ in range(df + 1)], [rand_zpoly(rng) for _ in range(dg + 1)], {})
+        m = sylvester([rand_zpoly(rng) for _ in range(df + 1)], [rand_zpoly(rng) for _ in range(dg + 1)], {})
         assert len({id(p) for row in m for p in row}) == df + dg + 2 + (df + dg > 2)
         det = zpoly_det(m)
         assert list(det.items()) == list(zpoly_det(unshared(m)).items())
         assert det == zpoly_cofactor_det(m)
 
 
-def test_zpoly_det_of_one_object_everywhere_and_of_mixed_zeros():
+def test_zpoly_det_of_one_object_everywhere_and_of_mixed_zeros(sylvester):
     rng = random.Random("zpoly/aliases")
     for n in range(1, 5):
         p = rand_zpoly(rng)
@@ -185,7 +185,7 @@ def test_zpoly_det_of_one_object_everywhere_and_of_mixed_zeros():
     for _ in range(40):
         df, dg = rng.randint(2, 3), rng.randint(1, 3)
         zero = {}
-        m = ring._sylvester([rand_zpoly(rng) for _ in range(df + 1)], [rand_zpoly(rng) for _ in range(dg + 1)], zero)
+        m = sylvester([rand_zpoly(rng) for _ in range(df + 1)], [rand_zpoly(rng) for _ in range(dg + 1)], zero)
         # every other zero position, in reading order, gets a distinct empty dict
         zeros = [(i, j) for i, row in enumerate(m) for j, p in enumerate(row) if p is zero]
         for i, j in zeros[1::2]:
@@ -195,6 +195,51 @@ def test_zpoly_det_of_one_object_everywhere_and_of_mixed_zeros():
         det = zpoly_det(m)
         assert list(det.items()) == list(zpoly_det(unshared(m)).items())
         assert det == zpoly_cofactor_det(m)
+
+
+def test_zpoly_resultant_reads_the_kronecker_point_of_its_sylvester_matrix(monkeypatch, sylvester):
+    # the point is read off the two coefficient lists: the same (bits, radices) and the
+    # same packed value per coefficient as ``_kronecker`` measures on the built matrix,
+    # and {} before any packing exactly where that matrix has a zero column
+    rng = random.Random("zpoly/sylvester-point")
+    pack, packs = ring._pack, []
+
+    def recorded(x, degrees, polys):
+        polys = list(polys)
+        packed, read = pack(x, degrees, polys)
+        packs.append((polys, packed, read))
+        return packed, read
+
+    monkeypatch.setattr(ring, "_pack", recorded)
+
+    def coefficient(k):
+        return {tuple(rng.randint(0, 3) for _ in range(k)): rng.choice((-1, 1)) * rng.randint(1, 30)
+                for _ in range(rng.randint(1, 3))}
+
+    shapes = {"no variable": 0, "zero middle": 0, "constant": 0, "zero column": 0}
+    for _ in range(300):
+        k, df, dg = rng.randint(0, 2), rng.randint(0, 4), rng.randint(0, 4)
+        if df == dg == 0:
+            continue
+        fc, gc = ([coefficient(k) if i == d or rng.random() < 0.6 else {} for i in range(d + 1)] for d in (df, dg))
+        del packs[:]
+        res = ring.zpoly_resultant(fc, gc)
+        taken = packs[:]
+        m = sylvester(fc, gc, {})
+        point = ring._kronecker(m)
+        assert (point is None) == (not fc[0] and not gc[0])
+        if point is None:
+            assert res == {} and taken == []
+        else:
+            ((polys, packed, read),) = taken
+            assert read == point[1]
+            assert packed == [point[0][id(p)] for p in polys]
+        assert list(res.items()) == list(zpoly_det(m).items())
+        shapes["no variable"] += k == 0
+        shapes["zero middle"] += any(not p for h in (fc, gc) for p in h[1:-1])
+        shapes["constant"] += min(df, dg) == 0
+        shapes["zero column"] += point is None
+    assert shapes == {"no variable": 96, "zero middle": 183, "constant": 91, "zero column": 27}
 
 
 def test_q_resultants_shaped_like_the_elimination_workload_match_sympy():
