@@ -1,18 +1,21 @@
 """Abelianization of finite presentations via Smith normal form.
 
 Everything is exact integer arithmetic.  ``smith_normal_form`` has one
-elimination routine, ``_echelon``, which brings a matrix to row echelon
-form by row operations with positive pivots, reducing the entries above
-each pivot modulo it to keep them small (Kannan & Bachem 1979; Cohen, *A
-Course in Computational Algebraic Number Theory*, 2.4).  It runs on rows
-and columns in turn until the matrix is diagonal; where a diagonal entry
-does not divide the next, one column addition folds the next into it.
-Every operation is logged, and ``_replay`` certifies D = U M V by applying
-the log to a copy of M: each operation must be elementary, so U and V are
-unimodular, and the copy must end at D, a diagonal divisibility chain.
+elimination routine, ``_echelon``, which inserts the rows of a matrix one
+at a time into a reduced row echelon basis with positive pivots, taking a
+unimodular 2 x 2 Bezout step where a pivot does not divide an entry
+(Kannan & Bachem 1979; Cohen, *A Course in Computational Algebraic Number
+Theory*, 2.4).  It runs on rows and columns in turn until the matrix is
+diagonal; where a diagonal entry does not divide the next, one column
+addition folds the next into it.  Every operation is logged, and
+``_replay`` certifies D = U M V by applying the log to a copy of M: each
+operation must be unimodular, so U and V are, and the copy must end at D,
+a diagonal divisibility chain.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .errors import InternalCheckError
 from .presentation import Presentation
@@ -68,40 +71,72 @@ def _nearest(x: int, p: int) -> int:
     return q + 1 if 2 * rem > p else q
 
 
+def _bezout(x: int, y: int) -> tuple[int, int, int, int]:
+    """(s, u, v, w) with s x + u y = g = gcd(x, y), v = -y/g and w = x/g,
+    for x > 0 and y != 0, so that s w - u v = 1."""
+    g = gcd(x, y)
+    s = pow(x // g, -1, abs(y) // g)
+    return s, (g - s * x) // y, -y // g, x // g
+
+
+def _reduce_by_later_pivots(a: list[list[int]], k: int, cols: list[int], log: list[tuple]) -> None:
+    """Reduce row k's entries above the pivots of the rows below it, left to right."""
+    for l in range(k + 1, len(cols)):
+        j = cols[l]
+        if q := _nearest(a[k][j], a[l][j]):
+            a[k][j:] = [x - q * y for x, y in zip(a[k][j:], a[l][j:])]
+            log.append(("sub", l, j, [(k, q)]))
+
+
 def _echelon(a: list[list[int]], log: list[tuple]) -> None:
     """Bring a to row echelon form in place, appending each row operation to log.
 
-    Row operations clear each column below its positive pivot, then reduce
-    the entries above the pivot modulo it; without that reduction the
-    entries grow far beyond those of the Smith form.
+    Rows join a reduced echelon basis of the rows before them one at a
+    time (Kannan & Bachem).  Each is reduced by the pivot rows in turn; a
+    pivot x that does not divide the row's entry y becomes gcd(x, y) by
+    one 2 x 2 step, and a row left nonzero is inserted as a positive
+    pivot.  A changed pivot row is reduced modulo the pivots below it, and
+    so is each pivot row at the end, from the last up; without these
+    reductions the entries grow far beyond those of the Smith form.
     """
     r, c = len(a), len(a[0]) if a else 0
-    t = 0
-    for j in range(c):
-        while True:
-            rows = [i for i in range(t, r) if a[i][j]]
-            if not rows:
+    cols: list[int] = []  # the pivot column of each row above the zero rows
+    for i in range(r):
+        j = k = 0
+        while j < c:
+            if not a[i][j]:
+                j += 1
+                continue
+            while k < len(cols) and cols[k] < j:
+                k += 1
+            if k == len(cols) or cols[k] > j:
                 break
-            p = min(rows, key=lambda i: abs(a[i][j]))
-            if p != t:
-                a[t], a[p] = a[p], a[t]
-                log.append(("swap", t, p))
-            if a[t][j] < 0:
-                a[t] = [-x for x in a[t]]
-                log.append(("neg", t))
-            # clear below the pivot or, once it is alone, reduce above it;
-            # row t is zero left of column j, so the rows change from j on
-            done = len(rows) == 1
-            others = range(t) if done else range(t + 1, r)
-            subs = [(i, q) for i in others if (q := _nearest(a[i][j], a[t][j]))]
-            pivot = a[t][j:]
-            for i, q in subs:
-                a[i][j:] = [x - q * y for x, y in zip(a[i][j:], pivot)]
-            if subs:
-                log.append(("sub", t, j, subs))
-            if done:
-                t += 1
-                break
+            # rows k and i are zero left of column j, so they change from j on
+            x, y = a[k][j], a[i][j]
+            if y % x:
+                s, u, v, w = _bezout(x, y)
+                a[k][j:], a[i][j:] = ([s * p + u * q for p, q in zip(a[k][j:], a[i][j:])],
+                                      [v * p + w * q for p, q in zip(a[k][j:], a[i][j:])])
+                log.append(("comb", k, i, j, s, u, v, w))
+                _reduce_by_later_pivots(a, k, cols, log)
+            else:
+                q = y // x
+                a[i][j:] = [e - q * f for e, f in zip(a[i][j:], a[k][j:])]
+                log.append(("sub", k, j, [(i, q)]))
+        if j == c:
+            continue
+        # rows len(cols) .. i - 1 are zero: move row i up to position k
+        t = len(cols)
+        for p, q in [(t, i)] * (i != t) + [(p - 1, p) for p in range(t, k, -1)]:
+            a[p], a[q] = a[q], a[p]
+            log.append(("swap", p, q))
+        if a[k][j] < 0:
+            a[k] = [-x for x in a[k]]
+            log.append(("neg", k))
+        cols.insert(k, j)
+        _reduce_by_later_pivots(a, k, cols, log)
+    for k in reversed(range(len(cols))):
+        _reduce_by_later_pivots(a, k, cols, log)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, list[list[tuple]]]:
@@ -110,9 +145,12 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, list[list[tuple]]]:
     D is diagonal with nonnegative entries satisfying d1 | d2 | ....  The
     log's passes act on the rows of M at even positions and on its columns
     (rows of the transpose) at odd ones; U and V are their products.  A
-    pass lists ("swap", i, p), ("neg", i) and ("sub", t, j, [(i, q), ...]):
-    row i -= q row t for each pair, row t zero left of column j; a "fix" is
-    a "sub" that mends the divisibility chain.
+    pass lists unimodular row operations: ("swap", i, p), ("neg", i),
+    ("sub", t, j, [(i, q), ...]): row i -= q row t for each pair, row t
+    zero left of column j, and ("comb", t, i, j, s, u, v, w): rows t and i,
+    both zero left of column j, become s row t + u row i and v row t +
+    w row i, with s w - u v = 1.  A "fix" is a "sub" that mends the
+    divisibility chain.
     """
     r, c = M.nrows, M.ncols
     a = M.rows()
@@ -144,7 +182,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, list[list[tuple]]]:
 
 def _replay(M: IntMatrix, log: list[list[tuple]], D: IntMatrix) -> None:
     """Certify D by applying the log to a copy of M: every operation must be
-    elementary, the copy must end at D, and D must be a Smith normal form."""
+    unimodular, the copy must end at D, and D must be a Smith normal form."""
 
     def fail(why: str) -> None:
         raise InternalCheckError(f"SNF certificate failed: {why}")
@@ -152,12 +190,22 @@ def _replay(M: IntMatrix, log: list[list[tuple]], D: IntMatrix) -> None:
     a, rows, m = M.rows(), range(M.nrows), M.ncols
     for steps in log:
         for kind, t, *args in steps:
-            if t not in rows or kind == "swap" and args[0] not in rows:
+            if t not in rows or kind in ("swap", "comb") and args[0] not in rows:
                 fail("row index out of range")
             if kind == "swap":
                 a[t], a[args[0]] = a[args[0]], a[t]
             elif kind == "neg":
                 a[t] = [-x for x in a[t]]
+            elif kind == "comb":
+                i, j, s, u, v, w = args
+                if i == t:
+                    fail("row combined with itself")
+                if abs(s * w - u * v) != 1:
+                    fail("2 x 2 step not unimodular")
+                if j not in range(m) or any(a[t][:j]) or any(a[i][:j]):
+                    fail("pivot column out of range or row nonzero left of it")
+                a[t][j:], a[i][j:] = ([s * p + u * q for p, q in zip(a[t][j:], a[i][j:])],
+                                      [v * p + w * q for p, q in zip(a[t][j:], a[i][j:])])
             else:
                 j, subs = args
                 if j not in range(m) or any(a[t][:j]):

@@ -32,7 +32,8 @@ def snf_transforms():
     """``smith_normal_form`` as (D, U, V): U and V are rebuilt here, apart
     from the library's replay, by applying the logged passes to identity
     matrices, rows at even positions and columns at odd ones (V as its
-    transpose, whose rows are V's columns)."""
+    transpose, whose rows are V's columns); a ("comb", t, i, j, p, q, r, s)
+    replaces rows t and i by p row t + q row i and r row t + s row i."""
 
     def run(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         d, log = smith_normal_form(m)
@@ -44,6 +45,10 @@ def snf_transforms():
                     x[t], x[args[0]] = x[args[0]], x[t]
                 elif kind == "neg":
                     x[t] = [-e for e in x[t]]
+                elif kind == "comb":
+                    i, _, p, q, r, s = args
+                    x[t], x[i] = ([p * e + q * f for e, f in zip(x[t], x[i])],
+                                  [r * e + s * f for e, f in zip(x[t], x[i])])
                 else:
                     for i, q in args[1]:
                         x[i] = [e - q * f for e, f in zip(x[i], x[t])]

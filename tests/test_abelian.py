@@ -165,8 +165,8 @@ def test_smith_diagonal_matches_sympy():
 
 
 def test_smith_transforms_stay_small(snf_transforms):
-    # without the reduction above the Hermite pivots, U reaches 886 to
-    # 1 094 bits on these 24 x 24 inputs and 5 127 at 40 x 40, while D
+    # without the reductions modulo the pivots, U reaches 8 279 to
+    # 30 236 bits on these 24 x 24 inputs and 42 219 at 40 x 40, while D
     # needs at most 179
     def bits(m):
         return max(abs(x).bit_length() for x in m.entries)
@@ -177,6 +177,59 @@ def test_smith_transforms_stay_small(snf_transforms):
             m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
             _, u, v = snf_transforms(m)
             assert bits(u) <= limit and bits(v) <= limit
+
+
+def _rank_deficient_shapes():
+    """Seeded products of random r x k and k x c factors up to 15 x 15, with
+    some rows scaled, so that rows reduce to zero and pivots share factors."""
+    rng = random.Random(36)
+    out = [[[0, 1], [1, 0]]]
+    for _ in range(60):
+        r, c, k = rng.randint(1, 15), rng.randint(1, 15), rng.randint(1, 15)
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(r)]
+        right = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(k)]
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+        out.append([[rng.choice((1, 1, 2, 3, -6)) * x for x in row] for row in rows])
+    return out
+
+
+def _branches(m, log):
+    """The branches of ``_echelon`` that a log takes, read off a test-side
+    replay: a row reduced to zero, a row inserted ahead of an existing
+    pivot (a swap of two nonzero rows; moving past zero rows swaps with a
+    zero row) and a Bezout step."""
+    hit, a = set(), m.rows()
+    for steps in log:
+        for kind, t, *args in steps:
+            if kind == "swap":
+                i = args[0]
+                if any(a[t]) and any(a[i]):
+                    hit.add("ahead")
+                a[t], a[i] = a[i], a[t]
+            elif kind == "neg":
+                a[t] = [-x for x in a[t]]
+            elif kind == "comb":
+                i, _, p, q, r, s = args
+                a[t], a[i] = ([p * x + q * y for x, y in zip(a[t], a[i])],
+                              [r * x + s * y for x, y in zip(a[t], a[i])])
+                hit |= {"bezout", "zero"} if not any(a[i]) else {"bezout"}
+            else:
+                for i, q in args[1]:
+                    nonzero = any(a[i])
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if nonzero and not any(a[i]):
+                        hit.add("zero")
+        a = [list(col) for col in zip(*a)]
+    return hit
+
+
+def test_smith_certificate_on_rank_deficient_products(snf_transforms, int_product, int_det):
+    hit = set()
+    for rows in _rank_deficient_shapes():
+        m = IntMatrix.from_rows(rows)
+        assert_certificate(m, *snf_transforms(m), int_product, int_det)
+        hit |= _branches(m, smith_normal_form(m)[1])
+    assert hit == {"zero", "ahead", "bezout"}
 
 
 def test_smith_has_one_elimination_routine():
@@ -250,13 +303,14 @@ def _nonsingular_log():
 
 def test_snf_replay_rejects_every_dropped_operation():
     m, d, log = _nonsingular_log()
-    dropped = 0
+    dropped = combs = 0
     for k, steps in enumerate(log):
         for n in range(len(steps)):
             with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: \w"):
                 abelian._replay(m, _corrupt(log, k, n, None), d)
             dropped += 1
-    assert dropped > 10
+            combs += steps[n][0] == "comb"
+    assert dropped > 10 and combs >= 1
 
 
 def test_snf_replay_rejects_a_row_reduced_by_itself():
@@ -266,6 +320,30 @@ def test_snf_replay_rejects_a_row_reduced_by_itself():
     op = ("sub", t, j, [(t, subs[0][1])] + subs[1:])
     with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: row reduced by itself"):
         abelian._replay(m, _corrupt(log, k, n, op), d)
+
+
+@pytest.mark.parametrize(
+    "corrupt, why",
+    [
+        # ("comb", t, i, j, s, u, v, w) with s and u doubled has s w - u v = 2
+        (lambda op: op[:4] + (2 * op[4], 2 * op[5]) + op[6:], "2 x 2 step not unimodular"),
+        (lambda op: op[:2] + (op[1],) + op[3:], "row combined with itself"),
+        # row t holds its pivot at column j, so it is nonzero left of j + 1
+        (lambda op: op[:3] + (op[3] + 1,) + op[4:], "pivot column out of range or row nonzero left of it"),
+    ],
+)
+def test_snf_replay_rejects_a_bad_bezout_step(corrupt, why):
+    m, d, log = _nonsingular_log()
+    k, n = next((k, n) for k, steps in enumerate(log) for n, op in enumerate(steps) if op[0] == "comb")
+    with pytest.raises(InternalCheckError, match=f"^SNF certificate failed: {why}$"):
+        abelian._replay(m, _corrupt(log, k, n, corrupt(log[k][n])), d)
+
+
+def test_snf_replay_rejects_a_bezout_step_on_a_row_nonzero_left_of_its_column():
+    # the step is the identity, and row 0 is zero left of column 1, but row 1 is not
+    m = IntMatrix.from_rows([[0, 2], [1, 3]])
+    with pytest.raises(InternalCheckError, match="^SNF certificate failed: pivot column .* nonzero left of it$"):
+        abelian._replay(m, [[("comb", 0, 1, 1, 1, 0, 0, 1)]], m)
 
 
 def test_snf_replay_rejects_a_pivot_row_nonzero_left_of_its_column():
@@ -278,7 +356,9 @@ def test_snf_replay_rejects_a_pivot_row_nonzero_left_of_its_column():
         abelian._replay(m, _corrupt(log, k, n, op), d)
 
 
-@pytest.mark.parametrize("op", [("swap", 0, 5), ("neg", -1), ("sub", 0, 5, [(1, 1)]), ("sub", 0, 0, [(7, 1)])])
+@pytest.mark.parametrize(
+    "op", [("swap", 0, 5), ("neg", -1), ("sub", 0, 5, [(1, 1)]), ("sub", 0, 0, [(7, 1)]), ("comb", 0, 7, 0, 1, 0, 0, 1)]
+)
 def test_snf_replay_rejects_indices_out_of_range(op):
     m, d, log = _nonsingular_log()
     with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: .*out of range"):
@@ -302,14 +382,20 @@ def test_snf_replay_of_a_log_ending_on_a_row_pass():
 
 
 def test_snf_work_is_pinned():
-    # passes, logged row updates and divisibility fixes, read off the log;
-    # an elimination that takes extra rounds moves the first number
+    # passes, logged row updates, divisibility fixes and Bezout steps, read
+    # off the log; an elimination that takes extra rounds moves the first
+    # number
     def work(m):
         _, log = smith_normal_form(m)
         ops = [op for steps in log for op in steps]
-        return len(log), sum(len(op[3]) for op in ops if op[0] == "sub"), sum(op[0] == "fix" for op in ops)
+        count = sum(len(op[3]) for op in ops if op[0] == "sub")
+        return len(log), count, sum(op[0] == "fix" for op in ops), sum(op[0] == "comb" for op in ops)
 
-    rng = random.Random("snf/24")
-    m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)])
-    assert work(m) == (2, 1412, 0)
-    assert work(IntMatrix.from_rows([[2, 0], [0, 3]])) == (4, 3, 1)
+    for k, expected in ((24, (2, 551, 0, 34)), (40, (4, 1614, 0, 50))):
+        rng = random.Random(f"snf/{k}")
+        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
+        assert work(m) == expected
+    assert work(IntMatrix.from_rows([[2, 0], [0, 3]])) == (4, 2, 1, 1)
+    # row 1 is inserted ahead of row 0's pivot and reduced by it at once,
+    # so one update clears row 2 and none is left for the end
+    assert work(IntMatrix.from_rows([[0, -1], [1, -1], [-1, 0]])) == (2, 2, 0, 0)
