@@ -79,11 +79,16 @@ def _bezout(x: int, y: int) -> tuple[int, int, int, int]:
     return s, (g - s * x) // y, -y // g, x // g
 
 
+def _transpose(a: list[list[int]], c: int) -> list[list[int]]:
+    """The transpose of a matrix with c columns, which fixes its shape when it has no rows."""
+    return [list(col) for col in zip(*a)] if a else [[] for _ in range(c)]
+
+
 def _reduce_by_later_pivots(a: list[list[int]], k: int, cols: list[int], log: list[tuple]) -> None:
     """Reduce row k's entries above the pivots of the rows below it, left to right."""
     for l in range(k + 1, len(cols)):
         j = cols[l]
-        if q := _nearest(a[k][j], a[l][j]):
+        if a[k][j] and (q := _nearest(a[k][j], a[l][j])):
             a[k][j:] = [x - q * y for x, y in zip(a[k][j:], a[l][j:])]
             log.append(("sub", l, j, [(k, q)]))
 
@@ -99,12 +104,12 @@ def _echelon(a: list[list[int]], log: list[tuple]) -> None:
     so is each pivot row at the end, from the last up; without these
     reductions the entries grow far beyond those of the Smith form.
     """
-    r, c = len(a), len(a[0]) if a else 0
+    c = len(a[0]) if a else 0
     cols: list[int] = []  # the pivot column of each row above the zero rows
-    for i in range(r):
+    for i, row in enumerate(a):
         j = k = 0
         while j < c:
-            if not a[i][j]:
+            if not row[j]:
                 j += 1
                 continue
             while k < len(cols) and cols[k] < j:
@@ -112,16 +117,16 @@ def _echelon(a: list[list[int]], log: list[tuple]) -> None:
             if k == len(cols) or cols[k] > j:
                 break
             # rows k and i are zero left of column j, so they change from j on
-            x, y = a[k][j], a[i][j]
-            if y % x:
-                s, u, v, w = _bezout(x, y)
-                a[k][j:], a[i][j:] = ([s * p + u * q for p, q in zip(a[k][j:], a[i][j:])],
-                                      [v * p + w * q for p, q in zip(a[k][j:], a[i][j:])])
+            pivot, y = a[k], row[j]
+            if y % pivot[j]:
+                s, u, v, w = _bezout(pivot[j], y)
+                pivot[j:], row[j:] = ([s * p + u * q for p, q in zip(pivot[j:], row[j:])],
+                                      [v * p + w * q for p, q in zip(pivot[j:], row[j:])])
                 log.append(("comb", k, i, j, s, u, v, w))
                 _reduce_by_later_pivots(a, k, cols, log)
             else:
-                q = y // x
-                a[i][j:] = [e - q * f for e, f in zip(a[i][j:], a[k][j:])]
+                q = y // pivot[j]
+                row[j:] = [e - q * f for e, f in zip(row[j:], pivot[j:])]
                 log.append(("sub", k, j, [(i, q)]))
         if j == c:
             continue
@@ -160,10 +165,10 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, list[list[tuple]]]:
         # its pivots are then positive, with the zeros last
         log += [[], []]
         _echelon(a, log[-2])
-        at = [[row[j] for row in a] for j in range(c)]
+        at = _transpose(a, c)
         _echelon(at, log[-1])
-        a = [[col[i] for col in at] for i in range(r)]
-        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = _transpose(at, r)
+        if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a)):
             continue
         # add column t + 1 to column t where d_t does not divide d_t+1: this
         # keeps d_0 .. d_t-1 and lowers d_t to at most gcd(d_t, d_t+1)
@@ -187,41 +192,42 @@ def _replay(M: IntMatrix, log: list[list[tuple]], D: IntMatrix) -> None:
     def fail(why: str) -> None:
         raise InternalCheckError(f"SNF certificate failed: {why}")
 
-    a, rows, m = M.rows(), range(M.nrows), M.ncols
+    a, nrows, m = M.rows(), M.nrows, M.ncols
     for steps in log:
-        for kind, t, *args in steps:
-            if t not in rows or kind in ("swap", "comb") and args[0] not in rows:
+        for op in steps:
+            kind, t = op[0], op[1]
+            if not 0 <= t < nrows or kind in ("swap", "comb") and not 0 <= op[2] < nrows:
                 fail("row index out of range")
             if kind == "swap":
-                a[t], a[args[0]] = a[args[0]], a[t]
+                a[t], a[op[2]] = a[op[2]], a[t]
             elif kind == "neg":
                 a[t] = [-x for x in a[t]]
             elif kind == "comb":
-                i, j, s, u, v, w = args
+                i, j, s, u, v, w = op[2:]
                 if i == t:
                     fail("row combined with itself")
                 if abs(s * w - u * v) != 1:
                     fail("2 x 2 step not unimodular")
-                if j not in range(m) or any(a[t][:j]) or any(a[i][:j]):
+                if not 0 <= j < m or any(a[t][:j]) or any(a[i][:j]):
                     fail("pivot column out of range or row nonzero left of it")
                 a[t][j:], a[i][j:] = ([s * p + u * q for p, q in zip(a[t][j:], a[i][j:])],
                                       [v * p + w * q for p, q in zip(a[t][j:], a[i][j:])])
             else:
-                j, subs = args
-                if j not in range(m) or any(a[t][:j]):
+                j, subs = op[2:]
+                if not 0 <= j < m or any(a[t][:j]):
                     fail("pivot column out of range or row nonzero left of it")
                 pivot = a[t][j:]
                 for i, q in subs:
-                    if i == t or i not in rows:
+                    if i == t or not 0 <= i < nrows:
                         fail("row reduced by itself or out of range")
                     a[i][j:] = [x - q * y for x, y in zip(a[i][j:], pivot)]
-        a, rows, m = [[row[j] for row in a] for j in range(m)], range(m), len(rows)
+        a, nrows, m = _transpose(a, m), m, nrows
     if len(log) % 2:
-        a = [[row[j] for row in a] for j in range(m)]
+        a = _transpose(a, m)
     if a != D.rows():
         fail("U M V != D")
     diag = [D.entry(i, i) for i in range(min(D.nrows, D.ncols))]
-    if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a)):
         fail("not diagonal")
     if any(x < 0 or y < 0 or (y % x if x else y) for x, y in zip(diag, diag[1:])):
         fail("divisibility chain broken")

@@ -12,7 +12,9 @@ only when no deduction is left (Holt, Eick & O'Brien, *Handbook of
 Computational Group Theory*, 5.2).  On ``p^n, c^(n-1), c^-1 p c p^-2`` that
 is fewer than 1.6 n(n-1) definitions where HLT made about 21 n^2.
 Coincidences are processed immediately with a union-find; the table is
-standardized, so it does not depend on the order of definitions.
+standardized, so it does not depend on the order of definitions.  The
+closed table is verified relator by relator, one syllable g^e at a time
+through the |e|-th power of the column of g or of its inverse.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ def enumerate_cosets(
     Returns a closed ``CosetTable``, or raises ``BudgetExhausted`` after
     ``max_cosets`` definitions.  The closed table passes a full
     verification sweep (all relators trace the identity at every coset,
-    subgroup words fix coset 0) before it is returned.
+    subgroup words fix coset 0, each syllable applied as a power of its
+    column) before it is returned.
     """
     gens = P.generators
     for w in subgroup:
@@ -217,61 +220,62 @@ def enumerate_cosets(
         alpha += 1
 
     table = _standardize(enum)
-    _verify(table, list(zip(P.relators, rel_cols)), list(zip(subgroup, sub_cols)))
+    _verify(table, P.relators, subgroup)
     return table
 
 
 def _standardize(enum: _Enumerator) -> CosetTable:
     """Renumber live cosets breadth-first from the subgroup coset."""
-    live: dict[int, int] = {}
-    order: list[int] = []
-    root = enum.find(0)
-    live[root] = 0
-    order.append(root)
-    head = 0
-    while head < len(order):
-        c = order[head]
-        head += 1
-        for col in range(enum.ncols):
-            t = enum.table[c][col]
-            if t is None:
-                raise InternalCheckError("closed table has an undefined entry")
-            t = enum.find(t)
+    rep = [enum.find(c) for c in range(len(enum.table))]
+    live = {rep[0]: 0}
+    order = [rep[0]]
+    rows = []
+    for c in order:  # order grows as the search numbers new cosets
+        row = enum.table[c]
+        if None in row:
+            raise InternalCheckError("closed table has an undefined entry")
+        numbers = []
+        for t in map(rep.__getitem__, row):
             if t not in live:
                 live[t] = len(order)
                 order.append(t)
-    rows = tuple(
-        tuple(live[enum.find(enum.table[c][col])] for col in range(enum.ncols))
-        for c in order
-    )
-    return CosetTable(enum.gens, rows)
+            numbers.append(live[t])
+        rows.append(tuple(numbers))
+    return CosetTable(enum.gens, tuple(rows))
 
 
-def _verify(
-    table: CosetTable,
-    relators: Sequence[tuple[Word, list[int]]],
-    subgroup: Sequence[tuple[Word, list[int]]],
-) -> None:
-    """Check the closed table; each word comes with its ``_word_cols`` columns."""
-    n = table.count
+def _power(perm: Sequence[int], e: int) -> Sequence[int]:
+    """The e-th power (e >= 1) of a permutation given by its images, by repeated squaring."""
+    out = perm
+    for digit in bin(e)[3:]:
+        out = list(map(out.__getitem__, out))
+        if digit == "1":
+            out = list(map(perm.__getitem__, out))
+    return out
+
+
+def _verify(table: CosetTable, relators: Sequence[Word], subgroup: Sequence[Word]) -> None:
+    """Check the closed table, one syllable g^e at a time by a power of a column of g."""
+    identity = list(range(table.count))
     # one list per column: images[col][c] is the image of coset c
     images = list(zip(*table.rows))
     for col in range(0, len(images), 2):
-        back = images[col + 1]
-        if any(back[fwd] != c for c, fwd in enumerate(images[col])):
+        if list(map(images[col + 1].__getitem__, images[col])) != identity:
             raise InternalCheckError("verification failed: actions are not mutually inverse")
-    for r, cols in relators:
-        ends = range(n)
-        for col in cols:
-            ends = list(map(images[col].__getitem__, ends))
-        moved = next((c for c, e in enumerate(ends) if e != c), None)
-        if moved is not None:
+
+    def act(w: Word, ends: list[int]) -> list[int]:
+        """The coset reached by w from each coset in ends."""
+        for g, e in w.syllables:
+            col = 2 * table.generators.index(g) + (e < 0)
+            ends = list(map(_power(images[col], abs(e)).__getitem__, ends))
+        return ends
+
+    for r in relators:
+        if (ends := act(r, identity)) != identity:
+            moved = next(c for c, e in enumerate(ends) if e != c)
             raise InternalCheckError(f"verification failed: relator {r} does not fix coset {moved}")
-    for w, cols in subgroup:
-        end = 0
-        for col in cols:
-            end = images[col][end]
-        if end != 0:
+    for w in subgroup:
+        if act(w, [0]) != [0]:
             raise InternalCheckError(f"verification failed: subgroup word {w} moves coset 0")
 
 

@@ -366,6 +366,24 @@ def test_snf_replay_rejects_indices_out_of_range(op):
 
 
 @pytest.mark.parametrize(
+    "log, why",
+    [
+        # M has 2 rows and 3 columns, its transpose 3 rows and 2 columns
+        ([[("swap", 0, 2)], []], "row index out of range"),
+        ([[], [("sub", 0, 2, [(1, 1)])]], "pivot column out of range or row nonzero left of it"),
+        ([[], [("comb", 2, 0, 2, 1, 0, 0, 1)]], "pivot column out of range or row nonzero left of it"),
+        ([[], [], [("neg", 2)]], "row index out of range"),
+    ],
+)
+def test_snf_replay_bounds_follow_the_pass_on_a_non_square_matrix(log, why):
+    m, d = IntMatrix.from_rows([[0, 0, 1], [0, 2, 0]]), IntMatrix.from_rows([[1, 0, 0], [0, 2, 0]])
+    # the swap of columns 0 and 2 is valid in the column pass
+    abelian._replay(m, [[], [("swap", 0, 2)]], d)
+    with pytest.raises(InternalCheckError, match=f"^SNF certificate failed: {why}$"):
+        abelian._replay(m, log, d)
+
+
+@pytest.mark.parametrize(
     "rows, why", [([[1, 1], [0, 1]], "not diagonal"), ([[2, 0], [0, 3]], "divisibility chain broken")]
 )
 def test_snf_replay_rejects_a_d_that_is_no_smith_form(rows, why):

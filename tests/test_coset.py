@@ -103,11 +103,41 @@ def test_verification_rejects_broken_tables(monkeypatch):
         ("gens: a; rels: a^3", (), ((1, 2), (2, 2), (0, 1)), "actions are not mutually inverse"),
         ("gens: a; rels: a^3", (), ((1, 1), (0, 0)), "relator a^3 does not fix coset 0"),
         ("gens: a; rels: a^3", ("a",), ((1, 2), (2, 0), (0, 1)), "subgroup word a moves coset 0"),
+        # a power taken wrongly passes these: a^6 is a^2 on a 4-cycle, a^-4
+        # is a^-1 on a 3-cycle (through the inverse column), and a^4 is a
+        ("gens: a; rels: a^6", (), ((1, 3), (2, 0), (3, 1), (0, 2)), "relator a^6 does not fix coset 0"),
+        ("gens: a; rels: a^-4", (), ((1, 2), (2, 0), (0, 1)), "relator a^-4 does not fix coset 0"),
+        ("gens: a; rels: a^3", ("a^4",), ((1, 2), (2, 0), (0, 1)), "subgroup word a^4 moves coset 0"),
     ]
     for text, subgroup, rows, message in cases:
         monkeypatch.setattr(coset, "_standardize", lambda enum: CosetTable(("a",), rows))
         with pytest.raises(InternalCheckError, match=re.escape(f"verification failed: {message}")):
             enumerate_cosets(parse_presentation(text), tuple(map(parse_word, subgroup)))
+
+
+def test_power_matches_repeated_composition():
+    rng = random.Random(37)
+    for _ in range(100):
+        perm = list(range(rng.randint(1, 30)))
+        rng.shuffle(perm)
+        for e in range(1, 71):
+            expected = perm
+            for _ in range(e - 1):
+                expected = [perm[x] for x in expected]
+            assert list(coset._power(tuple(perm), e)) == expected
+
+
+def test_verification_takes_syllable_powers_without_expanding_letters(monkeypatch):
+    def expand(w):
+        raise AssertionError(f"{w} expanded into letters")
+
+    monkeypatch.setattr(Word, "letters", expand)
+    cycle = CosetTable(("a",), tuple(((c + 1) % 8, (c - 1) % 8) for c in range(8)))
+    coset._verify(cycle, (Word.gen("a", 1_000_000), Word.gen("a", -1_000_000)), (Word.gen("a", 8_000_000),))
+    with pytest.raises(InternalCheckError, match=r"^verification failed: relator a\^999999 does not fix coset 0$"):
+        coset._verify(cycle, (Word.gen("a", 999_999),), ())
+    with pytest.raises(InternalCheckError, match=r"^verification failed: subgroup word a\^-999999 moves coset 0$"):
+        coset._verify(cycle, (), (Word.gen("a", -999_999),))
 
 
 def metacyclic_family(n):
