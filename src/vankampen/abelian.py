@@ -60,9 +60,8 @@ class IntMatrix:
 
 def relator_matrix(P: Presentation) -> IntMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    return IntMatrix.from_rows(
-        [[r.exponent_sum(g) for g in P.generators] for r in P.relators]
-    ) if P.relators else IntMatrix(0, len(P.generators), ())
+    gens = P.generators
+    return IntMatrix(len(P.relators), len(gens), tuple(r.exponent_sum(g) for r in P.relators for g in gens))
 
 
 def _nearest(x: int, p: int) -> int:
@@ -180,7 +179,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, list[list[tuple]]]:
             row[t] += row[t + 1]
         log[-1].append(("fix", t + 1, t + 1, [(t, -1)]))
 
-    D = IntMatrix.from_rows(a) if a else IntMatrix(0, c, ())
+    D = IntMatrix(r, c, tuple(x for row in a for x in row))
     _replay(M, log, D)
     return D, log
 

@@ -161,11 +161,10 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
         return LaurentPoly({0: 1})
     size = n - 1
     gen_weights = [wp.weights[g] for g in P.generators]
-    zero: dict[tuple[int], int] = {}  # one object, so ``zpoly_det`` measures a zero entry once
     shifted, defect = [], False
     for r, fox_row in zip(P.relators, alexander_matrix(wp)):
         low = min((e for p in fox_row for e in p.coeffs), default=0)
-        row = [{(e - low,): c for e, c in p.coeffs.items()} if p else zero for p in fox_row]
+        row = [{(e - low,): c for e, c in p.coeffs.items()} for p in fox_row]
         weight = sum(e * wp.weights[g] for g, e in r.syllables)
         defect = defect or weight != 0
         # sum_j row_j (t^w_j - 1) - t^(weight - low) + t^-low must vanish

@@ -19,7 +19,7 @@ One implementation per algorithm:
   *Modern Computer Algebra*, 8.4) with per-variable degree bounds from the
   rows and columns (Collins 1971) and a Hadamard-type coefficient bound
   from the entries' 1-norms (Goldstein & Graham, SIAM Rev. 16, 1974),
-  each distinct entry object measured (``_kronecker``) and packed once.
+  every position measured and packed in row order (``_kronecker``).
   The step from those bounds to the point, with the packing (``_pack``),
   and the read-back (``_read_back``) exist once; ``zpoly_resultant``
   shares them.
@@ -27,8 +27,8 @@ One implementation per algorithm:
   subresultant remainder sequence (Brown & Traub 1971), O(df dg) ring
   operations where Bareiss takes O((df + dg)^3).  ``zpoly_resultant`` runs
   it on the coefficients packed at that matrix's Kronecker point, read off
-  the two coefficient lists without building the matrix, and ``curves``
-  on polynomials over Q(eps).
+  the two coefficient lists without building the matrix, with no case
+  for a constant side, and ``curves`` on polynomials over Q(eps).
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ def bareiss_det(m: list[list[int]]) -> int:
     return det if sign == 1 else -det
 
 
-def _kronecker(m: list[list[dict[tuple[int, ...], int]]]) -> tuple[dict[int, int], tuple[int, list[int]]] | None:
+def _kronecker(m: list[list[dict[tuple[int, ...], int]]]) -> tuple[list[int], tuple[int, list[int]]] | None:
     """The Kronecker point of a nonempty square matrix over Z[t_1..t_k]:
-    each distinct entry object packed once, by ``id``, and the (bits,
-    radices) that ``_read_back`` takes; None for a zero row or column.
+    its entries packed there in row order, and the (bits, radices) that
+    ``_read_back`` takes; None for a zero row or column.
 
     Each term of a minor takes at most one entry from every row and every
     column, so its degree in t_j is at most D_j, the smaller of the sums over
@@ -89,20 +89,15 @@ def _kronecker(m: list[list[dict[tuple[int, ...], int]]]) -> tuple[dict[int, int
     So at t_j = B^((D_1 + 1) ... (D_(j-1) + 1)), with B = 2^bits > 2H,
     every coefficient of every minor is one balanced base-B digit.
     """
-    ids = [[*map(id, row)] for row in m]
-    entries = {id(p): p for row in m for p in row}
-    square = {i: sum(map(abs, p.values())) ** 2 for i, p in entries.items()}
-    squares = [[square[i] for i in row] for row in ids]
+    squares = [[sum(map(abs, p.values())) ** 2 for p in row] for row in m]
     x = min(prod(map(sum, squares)), prod(map(sum, zip(*squares))))
     if not x:
         return None
-    zeros = (0,) * len(next(e for p in entries.values() for e in p))
-    top = {i: tuple(map(max, zip(*p))) or zeros for i, p in entries.items()}
-    tops = [[top[i] for i in row] for row in ids]
+    zeros = (0,) * len(next(e for row in m for p in row for e in p))
+    tops = [[tuple(map(max, zip(*p))) or zeros for p in row] for row in m]
     by_rows, by_columns = ([tuple(map(max, zip(*line))) for line in lines] for lines in (tops, zip(*tops)))
     degrees = [min(r, c) for r, c in zip(map(sum, zip(*by_rows)), map(sum, zip(*by_columns)))]
-    packed, read = _pack(x, degrees, entries.values())
-    return dict(zip(entries, packed)), read
+    return _pack(x, degrees, [p for row in m for p in row])
 
 
 def _pack(x: int, degrees: list[int], polys: Iterable[dict[tuple[int, ...], int]]) -> tuple[list[int], tuple[int, list[int]]]:
@@ -132,16 +127,13 @@ def zpoly_det(m: list[list[dict[tuple[int, ...], int]]]) -> dict[tuple[int, ...]
     """Determinant of a nonempty square matrix over Z[t_1..t_k] by one
     integer ``bareiss_det`` at the matrix's ``_kronecker`` point.  Entries
     and result map exponent tuples to ints.
-
-    Each distinct entry object is measured and packed once per call, so a
-    caller that passes one zero object for all its zero entries (as the
-    Alexander minors do) measures and packs it once.
     """
     point = _kronecker(m)
     if point is None:
         return {}
     packed, read = point
-    return _read_back(bareiss_det([[packed[id(p)] for p in row] for row in m]), *read)
+    n = len(m)
+    return _read_back(bareiss_det([packed[i:i + n] for i in range(0, n * n, n)]), *read)
 
 
 def subresultant(a: list[Any], b: list[Any]) -> Any:
@@ -196,7 +188,8 @@ def zpoly_resultant(fc: list[dict[tuple[int, ...], int]], gc: list[dict[tuple[in
     max(df, dg) holds one too, and every later column holds fc[0] and
     gc[0], the last nothing else.  So a zero column, where ``_kronecker``
     finds no point, is there exactly when fc[0] and gc[0] are both zero,
-    and then the resultant is 0.
+    and then the resultant is 0.  A constant side takes the same path, with
+    no separate branch: ``subresultant``'s last step computes its power.
 
     Soundness rests on one rule.  Evaluation at the Kronecker point is a
     ring map, so every division that is exact in Z[t_1..t_k] (a
@@ -219,10 +212,6 @@ def zpoly_resultant(fc: list[dict[tuple[int, ...], int]], gc: list[dict[tuple[in
     tf, tg = ([tuple(map(max, zip(*p))) or zeros for p in h] for h in (fc, gc))
     degrees = [min(dg * max(f) + df * max(g), sum(max(f[a:b] + g[u:v]) for a, b, u, v in runs))
                for f, g in zip(zip(*tf), zip(*tg))]
-    if df == 0 or dg == 0:  # a diagonal matrix of the constant alone
-        const, power = (fc[0], dg) if df == 0 else (gc[0], df)
-        (packed,), read = _pack(x, degrees, [const])
-        return _read_back(packed ** power, *read)
     packed, read = _pack(x, degrees, fc + gc)
     return _read_back(subresultant(packed[:df + 1], packed[df + 1:]) or 0, *read)
 
@@ -239,14 +228,15 @@ def zpoly_primitive(f: list[int]) -> list[int]:
 
 
 def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """lc(g)^(df - dg + 1) f mod g over Z, g of degree dg with a nonzero
+    """lc(g)^(df - dg + 1) f mod g, g of degree dg with a nonzero
     leading coefficient: df - dg + 1 steps with no zero test inside, the
     result untrimmed (dg coefficients when df >= dg); f is left as it is."""
     dg, lg = len(g) - 1, g[-1]
+    monic = lg == lg ** 0  # the ring's own one, so a monic MultiPoly divisor counts too
     f = f[:]
     for top in range(len(f) - 1, dg - 1, -1):
         lead = f.pop()
-        if lg != 1:  # a monic divisor would rescale all of f per step for nothing
+        if not monic:  # a monic divisor would rescale all of f per step for nothing
             f = [lg * c for c in f]
         for i in range(dg):
             f[top - dg + i] -= lead * g[i]

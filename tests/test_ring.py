@@ -199,8 +199,8 @@ def test_zpoly_det_of_one_object_everywhere_and_of_mixed_zeros(sylvester):
 
 def test_zpoly_resultant_reads_the_kronecker_point_of_its_sylvester_matrix(monkeypatch, sylvester):
     # the point is read off the two coefficient lists: the same (bits, radices) and the
-    # same packed value per coefficient as ``_kronecker`` measures on the built matrix,
-    # and {} before any packing exactly where that matrix has a zero column
+    # same packed value at every matrix position as ``_kronecker`` measures on the built
+    # matrix, and {} before any packing exactly where that matrix has a zero column
     rng = random.Random("zpoly/sylvester-point")
     pack, packs = ring._pack, []
 
@@ -232,8 +232,8 @@ def test_zpoly_resultant_reads_the_kronecker_point_of_its_sylvester_matrix(monke
             assert res == {} and taken == []
         else:
             ((polys, packed, read),) = taken
-            assert read == point[1]
-            assert packed == [point[0][id(p)] for p in polys]
+            assert polys == fc + gc and read == point[1]
+            assert point[0] == [v for row in sylvester(packed[:df + 1], packed[df + 1:], 0) for v in row]
         assert list(res.items()) == list(zpoly_det(m).items())
         shapes["no variable"] += k == 0
         shapes["zero middle"] += any(not p for h in (fc, gc) for p in h[1:-1])
@@ -352,6 +352,30 @@ def test_primitive_gcd_examples():
     assert zpoly_primitive([0, 2, -4, 0]) == [0, -1, 2]
     assert zpoly_primitive([6, -4]) == [-3, 2]
     assert zpoly_primitive([0, 0]) == [] == zpoly_primitive([])
+
+
+def test_pseudo_rem_by_a_monic_multipoly_divisor_multiplies_no_coefficient(monkeypatch):
+    # the monic test compares lc(g) with its own ring's one, which a MultiPoly never
+    # equals as the int 1: a monic Q(eps) divisor leaves f unscaled, one led by 2 still
+    # rescales the rest of f at each of the 3 steps, and both agree with the remainder over Z
+    times, by_lead = MultiPoly.__mul__, []
+
+    def counted(self, other):
+        by_lead.append(self is lead)
+        return times(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+
+    def lift(cs):
+        return [MultiPoly(("y",), {(0,): c}, curves.FIELD_QEPS) for c in cs]
+
+    f = [3, -1, 4, 1, -5]
+    for g, rescaled in (([2, -7, 1], 0), ([2, -7, 2], 4 + 3 + 2)):
+        lifted = lift(g)
+        lead = lifted[-1]
+        del by_lead[:]
+        assert ring._pseudo_rem(lift(f), lifted) == lift(ring._pseudo_rem(f, g))
+        assert sum(by_lead) == rescaled
 
 
 # -- structure -----------------------------------------------------------------
