@@ -181,14 +181,6 @@ def _canonicalize(generators: tuple[str, ...], relators: Iterable[Word], kept: I
 # Tietze simplification
 
 
-def _defining_occurrence(r: Word, name: str) -> int:
-    """Exponent (+1/-1) if ``name`` occurs exactly once in ``r``, else 0."""
-    hits = [e for g, e in r.syllables if g == name]
-    if len(hits) == 1 and hits[0] in (1, -1):
-        return hits[0]
-    return 0
-
-
 def _eliminate(P: _Canonical, relator: Word, name: str) -> _Canonical:
     """Remove ``name`` from canonical P using ``relator``, which defines it; the result is canonical.
 
@@ -299,20 +291,18 @@ def tietze_simplify(P: Presentation) -> Presentation:
     """
     current = canonicalize(P)
     while True:
-        chosen: tuple[Word, str] | None = None
         for r in current.relators:  # sorted shortest-first by canonicalize
-            candidates = [g for g in current.generators if _defining_occurrence(r, g)]
-            if candidates:
-                chosen = (r, candidates[-1])
+            once: dict[str, int] = {}  # generator -> exponent of its one syllable, 0 if it has more
+            for g, e in r.syllables:
+                once[g] = 0 if g in once else e
+            defined = [g for g in current.generators if once.get(g) in (1, -1)]
+            if defined:
+                current = _eliminate(current, r, defined[-1])
                 break
-        if chosen is not None:
-            current = _eliminate(current, *chosen)
-            continue
-        dropped = _drop_metacyclic_consequences(current)
-        if dropped is not None:
+        else:
+            if (dropped := _drop_metacyclic_consequences(current)) is None:
+                return current
             current = dropped
-            continue
-        return current
 
 
 def patch_fiber(P: Presentation, g1: str, g2: str, k: int) -> Presentation:

@@ -5,10 +5,11 @@ run-length syllable sequences ``(name, exponent)`` with nonzero exponents
 and no two adjacent syllables sharing a name; the empty sequence is the
 identity.  Every ``Word`` in circulation is freely reduced.
 
-``Word(...)`` reduces outside input in one pass.  Products are joined from
-reduced parts, which cancel or merge only where two meet: a power joins
-copies of its base, and ``substitute`` (which Tietze elimination and the
-cover expansion share, and which applies a ``FreeEndo`` through its
+One routine, ``_join``, freely reduces: it joins reduced parts, which
+cancel or merge only where two meet.  ``Word(...)`` joins outside input
+as one-syllable parts, zero exponents dropped; a power joins copies of
+its base, and ``substitute`` (which Tietze elimination and the cover
+expansion share, and which applies a ``FreeEndo`` through its
 ``images``) joins the powers of the images.
 
 Braid words on n strands act on the free group of rank n by the Artin
@@ -43,23 +44,6 @@ _WORD_TOKEN_RE = re.compile(
 )
 
 
-def _merge(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    """Freely reduce a syllable stream in one pass, keeping a reduced stack."""
-    out: list[Syllable] = []
-    for gen, exp in syllables:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            folded = out[-1][1] + exp
-            if folded == 0:
-                out.pop()
-            else:
-                out[-1] = (gen, folded)
-        else:
-            out.append((gen, exp))
-    return tuple(out)
-
-
 def _join(parts: Iterable[tuple[Syllable, ...]]) -> tuple[Syllable, ...]:
     """The reduced product of reduced syllable tuples: a part cancels or merges only against the
     end of the stack built so far, and once a syllable of it survives, the rest is copied whole."""
@@ -82,7 +66,7 @@ class Word:
     __slots__ = ("syllables",)
 
     def __init__(self, syllables: Iterable[Syllable] = ()):
-        self.syllables: tuple[Syllable, ...] = _merge(syllables)
+        self.syllables: tuple[Syllable, ...] = _join(((g, e),) for g, e in syllables if e)
 
     @classmethod
     def _new(cls, syllables: tuple[Syllable, ...]) -> Word:

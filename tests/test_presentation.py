@@ -290,6 +290,44 @@ def test_simplify_deterministic():
     assert tietze_simplify(pres) == tietze_simplify(parse_presentation(RAW_G1))
 
 
+def selection_rule(P):
+    """Havas et al.'s choice, read off P: the first relator in which some generator occurs as
+    exactly one letter, and the last such generator in generator order; None if no relator has one."""
+    for r in P.relators:
+        once = [g for g in P.generators if sum(abs(e) for h, e in r.syllables if h == g) == 1]
+        if once:
+            return r, once[-1]
+    return None
+
+
+def test_simplify_eliminates_by_the_selection_rule(monkeypatch):
+    records = []
+    eliminate = presentation._eliminate
+
+    def recording(P, relator, name):
+        records.append((P, relator, name))
+        return eliminate(P, relator, name)
+
+    monkeypatch.setattr(presentation, "_eliminate", recording)
+    rng = random.Random("presentation/selection")
+    gens = ("a", "b", "c", "d")
+    inputs = [Replay().assembled]
+    for _ in range(200):
+        relators = (Word((rng.choice(gens), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 6)))
+                    for _ in range(rng.randint(1, 5)))
+        inputs.append(Presentation(gens, tuple(relators)))
+    eliminations = []
+    for pres in inputs:
+        del records[:]
+        simplified = tietze_simplify(pres)
+        for P, relator, name in records:
+            assert any(r is relator for r in P.relators)
+            assert selection_rule(P) == (relator, name)
+        assert selection_rule(simplified) is None
+        eliminations.append(len(records))
+    assert eliminations[0] == 1 and sum(eliminations) == 297
+
+
 def test_simplify_preserves_abelian_invariants():
     rng = random.Random(77)
     gens = ("a", "b", "c")

@@ -138,9 +138,14 @@ def invert_letters(letters):
     return [(g, -e) for g, e in reversed(letters)]
 
 
+def well_formed(syllables):
+    """Every exponent is nonzero and no two adjacent syllables share a generator."""
+    return all(e for _, e in syllables) and all(a[0] != b[0] for a, b in zip(syllables, syllables[1:]))
+
+
 def assert_reduced_as(w, letters):
     """``w`` has well-formed syllables (nonzero, no two adjacent alike) and reads ``letters``."""
-    assert isinstance(w.syllables, tuple) and words._merge(w.syllables) == w.syllables
+    assert isinstance(w.syllables, tuple) and well_formed(w.syllables)
     assert list(w.letters()) == letters
 
 
@@ -167,6 +172,35 @@ def test_trusted_constructions_match_letter_level_reference():
         if rng.random() < 0.5:
             images[rng.choice(gens)] = Word.gen(rng.choice(gens), rng.choice((-2, -1, 1, 3)))
         assert_reduced_as(substitute(u, images), list(substitute_by_letters(u, images).letters()))
+
+
+def raw_stream(gens, rng):
+    """An unreduced syllable list: zero exponents, runs of one generator, and cancelling blocks."""
+    stream = []
+    for _ in range(rng.randint(0, 6)):
+        move = rng.randrange(3)
+        if move == 0:
+            stream.append((rng.choice(gens), rng.randint(-3, 3)))
+        elif move == 1:  # a run of one generator, which merges or cancels syllable by syllable
+            g = rng.choice(gens)
+            stream += [(g, rng.randint(-2, 2)) for _ in range(rng.randint(2, 4))]
+        else:  # c x c^-1 with x possibly empty: cancels in a cascade back into c, as p q q^-1 p^-1 does
+            c = [(rng.choice(gens), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 3))]
+            stream += c + [(rng.choice(gens), rng.randint(-1, 1))] * rng.randint(0, 1)
+            stream += [(g, -e) for g, e in reversed(c)]
+    return [list(s) if rng.random() < 0.3 else s for s in stream]
+
+
+def test_word_reduces_raw_syllable_streams_as_letters_do():
+    assert Word([("p", 1), ("q", 1), ("q", -1), ("p", -1), ("p", 2)]) == Word.gen("p", 2)
+    assert Word((("p", 4), ("g+", 0))) == Word.gen("p", 4)  # the replay's commutator p^a c^b at b = 0
+    rng = random.Random("words/raw-streams")
+    gens = ("p", "q", "r")
+    for _ in range(600):
+        stream = raw_stream(gens, rng)
+        letters = reduce_letters([(g, 1 if e > 0 else -1) for g, e in stream for _ in range(abs(e))])
+        for given in (stream, tuple(stream), (s for s in stream)):
+            assert_reduced_as(Word(given), letters)
 
 
 def artin_images_by_letters(images, braid):
@@ -521,6 +555,6 @@ def test_every_word_built_without_reduction_is_reduced(monkeypatch):
         results.append(presentation.tietze_simplify(presentation.Presentation(gens, tuple(relators))).relators)
     assert results[0] and len(built) > 1000
     for syllables in built:
-        assert isinstance(syllables, tuple) and words._merge(syllables) == syllables
+        assert isinstance(syllables, tuple) and well_formed(syllables)
     for w in (w for r in results[1:] for w in (r.values() if isinstance(r, dict) else r)):
-        assert words._merge(w.syllables) == w.syllables
+        assert well_formed(w.syllables)
