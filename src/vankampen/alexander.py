@@ -157,8 +157,6 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
     """
     P = wp.presentation
     n = len(P.generators)
-    if n == 1:
-        return LaurentPoly({0: 1})
     size = n - 1
     gen_weights = [wp.weights[g] for g in P.generators]
     shifted, defect = [], False
@@ -177,6 +175,8 @@ def alexander_polynomial(wp: WeightedPresentation) -> LaurentPoly:
         if any(total.values()):
             raise InternalCheckError(f"Fox row of relator {r} fails the fundamental formula")
         shifted.append(row)
+    if n == 1:
+        return LaurentPoly({0: 1})
     units = [k for k, w in enumerate(gen_weights) if abs(w) == 1]
     if units and not defect:
         column_sets = [tuple(j for j in range(n) if j != units[0])]

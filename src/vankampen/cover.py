@@ -7,8 +7,7 @@ p = a1 a2 and q = a3 a2, by the Reidemeister-Schreier rewriting process with
 transversal {1, a2} (Magnus, Karrass & Solitar, *Combinatorial Group
 Theory*, section 2.3), so E: F(p, q) -> W is injective.  A monodromy m whose
 images are involutions in W descends to m_W on W; ``lift_monodromy``
-computes its lift L = E^-1 m_W E and certifies the lift of a verified
-inverse with one pass over each image.
+computes its lift L = E^-1 m_W E with one pass over each image.
 """
 
 from __future__ import annotations
@@ -72,14 +71,21 @@ def rewrite_to_pq(letters: tuple[str, ...]) -> Word:
     return out
 
 
-def _lift_images(m: FreeEndo) -> dict[str, Word]:
-    """Lift images of p and q; raises ``CoverError`` unless ``m`` descends to W.
+def lift_monodromy(m: FreeEndo) -> FreeEndo:
+    """Descend a fiber monodromy to the kernel basis p, q.
 
-    Each ``m(ai)`` must reduce to a nonempty palindrome, an involution of W;
-    its odd length keeps even words even.  Kernel generators x y map to
-    m_W(x) m_W(y), multiplied in W: equal letters cancel where the two
-    images meet.  ``rewrite_to_pq`` proves E L = m_W E.
+    ``m`` must be an endomorphism of F(a1, a2, a3) whose images are
+    involutions in W, as braid actions' are: each ``m(ai)`` must reduce to
+    a nonempty palindrome, whose odd length keeps even words even, or
+    ``CoverError`` is raised.  Kernel generators x y map to m_W(x) m_W(y),
+    multiplied in W: equal letters cancel where the two images meet.
+    ``rewrite_to_pq`` proves E L = m_W E on p and q, hence on every word.
+    A caller that lifts a verified inverse m^-1 the same way gets K with
+    E K = n_W E, where m_W n_W = id = n_W m_W; so E L K = E = E K L, and
+    since E is injective, K is the inverse of L.
     """
+    if m.domain != FIBER_GENS:
+        raise ValueError(f"monodromy domain must be {FIBER_GENS}")
     w = {g: involution_reduce(m.images[g]) for g in FIBER_GENS}
     for g, image in w.items():
         if not image or image != image[::-1]:
@@ -89,22 +95,4 @@ def _lift_images(m: FreeEndo) -> dict[str, Word]:
         u, v = w[rep.syllables[0][0]], w[rep.syllables[1][0]]
         k = next((k for k, (x, y) in enumerate(zip(reversed(u), v)) if x != y), min(len(u), len(v)))
         lifts[name] = rewrite_to_pq(u[:len(u) - k] + v[k:])
-    return lifts
-
-
-def lift_monodromy(m: FreeEndo) -> FreeEndo:
-    """Descend a fiber monodromy to the kernel basis p, q.
-
-    ``m`` must be an endomorphism of F(a1, a2, a3) whose images are
-    involutions in W, as braid actions' are.  When ``m`` carries a verified
-    inverse, its lift L carries the lift K of that inverse: m and m^-1
-    descend to m_W and n_W with m_W n_W = id = n_W m_W; the round trips give
-    E L = m_W E and E K = n_W E on p and q, hence on every word; so
-    E L K = E = E K L, and E is injective.
-    """
-    if m.domain != FIBER_GENS:
-        raise ValueError(f"monodromy domain must be {FIBER_GENS}")
-    lifted = FreeEndo(KERNEL_GENS, _lift_images(m))
-    if m.inverse is not None:
-        lifted.inverse = FreeEndo(KERNEL_GENS, _lift_images(m.inverse))
-    return lifted
+    return FreeEndo(KERNEL_GENS, lifts)

@@ -251,8 +251,6 @@ def zpoly_gcd(f: list[int], g: list[int]) -> list[int]:
     """
     cont = gcd(*f, *g)
     a, b = zpoly_primitive(f), zpoly_primitive(g)
-    if len(a) < len(b):
-        a, b = b, a
     while b:
         a, b = b, zpoly_primitive(_pseudo_rem(a, b))
     return [cont * c for c in a]

@@ -187,9 +187,9 @@ class FreeEndo:
 
     The ``inverse`` attribute, when set, is a verified two-sided inverse,
     so the endomorphism is then a genuine automorphism.  Only
-    ``braid_action`` and ``cover.lift_monodromy`` set it, each with a
-    certificate built together with the images.  Both link one way: the
-    inverse they attach carries none, so no reference cycle outlives a call.
+    ``braid_action`` sets it, with a certificate built together with the
+    images.  The link is one way: the inverse it attaches carries none, so
+    no reference cycle outlives a call.
     """
 
     __slots__ = ("domain", "images", "inverse")

@@ -54,6 +54,8 @@ INVOCATIONS = [
     ["alexander", "gens: a, b; rels: a b^-1", "--weights", "a=1"],
     ["coset-enum", LEMMA, "--subgroup", "x"],
     ["simplify", "gens: a; rels: a^0"],
+    # a Smith form that takes a Bezout step, a row insertion and a divisibility fix
+    ["abelianize", "gens: a, b, c; rels: b^4 c^6, a^2, a^3 b^2"],
 ]
 
 

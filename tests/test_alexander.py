@@ -247,7 +247,9 @@ def test_weight_six_relator_keeps_every_column(monkeypatch):
     assert len(minors) == 4
 
 
-@pytest.mark.parametrize("text", [BRAID_QUOTIENT, "gens: a, b, c; rels: a b a^-1 c^-1, b c b^-1 a^-1"])
+@pytest.mark.parametrize(
+    "text", [BRAID_QUOTIENT, "gens: a, b, c; rels: a b a^-1 c^-1, b c b^-1 a^-1", "gens: a; rels: a^6"]
+)
 def test_corrupted_fox_entry_is_rejected(monkeypatch, laurent_sum, text):
     pres = parse_presentation(text)
     wp = WeightedPresentation(pres, {g: 1 for g in pres.generators})

@@ -161,12 +161,12 @@ def test_lift_functoriality_on_random_braids(compose):
             assert substitute(w, lhs.images) == substitute(w, rhs.images)
 
 
-def test_lift_attaches_verified_inverse():
-    lifted = lift_monodromy(braid_action(parse_braid("s1^-3 s2 s1^3", 3)))
-    assert lifted.inverse is not None
-    assert lifted.inverse.inverse is None  # one-way link, no reference cycle
+def test_lift_of_the_verified_inverse_inverts_the_lift():
+    action = braid_action(parse_braid("s1^-3 s2 s1^3", 3))
+    lifted, back = lift_monodromy(action), lift_monodromy(action.inverse)
+    assert lifted.inverse is None and back.inverse is None  # a lift carries no inverse
     w = parse_word("p q^-1 p^2")
-    assert substitute(substitute(w, lifted.images), lifted.inverse.images) == w
+    assert substitute(substitute(w, lifted.images), back.images) == w
 
 
 def test_round_trip_failure_is_an_internal_check(monkeypatch, capsys):
@@ -184,12 +184,12 @@ def rand_braid(rng, max_len):
 
 
 def test_lifted_inverse_substitutes_back_to_the_basis():
-    # the two-sided substitution check the lift no longer runs, kept as an oracle
+    # L K = id = K L for K the lift of the action's verified inverse
     rng = random.Random(1414)
     basis = {g: Word.gen(g) for g in KERNEL_GENS}
     for _ in range(200):
-        lifted = lift_monodromy(braid_action(rand_braid(rng, 10)))
-        back = lifted.inverse
+        action = braid_action(rand_braid(rng, 10))
+        lifted, back = lift_monodromy(action), lift_monodromy(action.inverse)
         for g in KERNEL_GENS:
             assert substitute(back.images[g], lifted.images) == basis[g]
             assert substitute(lifted.images[g], back.images) == basis[g]
@@ -208,7 +208,9 @@ def test_lift_never_substitutes_into_a_lift(monkeypatch):
     monkeypatch.setattr(cover, "substitute", counting)
     rng = random.Random(88)
     for braid in [parse_braid("s1^-1 s2^2 s1 s2^-2 s1", 3)] + [rand_braid(rng, 10) for _ in range(20)]:
-        assert lift_monodromy(braid_action(braid)).inverse is not None
+        action = braid_action(braid)
+        lift_monodromy(action)
+        lift_monodromy(action.inverse)
     assert images_used and all(images is cover.KERNEL_BASIS for images in images_used)
 
 
@@ -216,11 +218,15 @@ def test_non_descending_monodromy_is_rejected():
     images = {"a1": parse_word("a1 a2 a3"), "a2": parse_word("a2"), "a3": parse_word("a3")}
     with pytest.raises(CoverError, match="image of a1 is not an involution in W; the monodromy does not descend"):
         lift_monodromy(FreeEndo(FIBER_GENS, images))
-    # the inverse is checked the same way
+
+
+def test_lift_reads_no_attached_inverse():
+    # an attached inverse that does not descend neither raises nor changes the lift
     action = braid_action(parse_braid("s2", 3))
-    action.inverse = FreeEndo(FIBER_GENS, {**images, "a1": parse_word("a1^2")})
-    with pytest.raises(CoverError, match="image of a1 is not an involution"):
-        lift_monodromy(action)
+    plain = lift_monodromy(FreeEndo(FIBER_GENS, action.images))
+    action.inverse = FreeEndo(FIBER_GENS, {"a1": parse_word("a1^2"), "a2": parse_word("a2"), "a3": parse_word("a3")})
+    lifted = lift_monodromy(action)
+    assert lifted.images == plain.images and lifted.inverse is None
 
 
 def test_lift_images_equal_the_substituted_images():
@@ -228,7 +234,7 @@ def test_lift_images_equal_the_substituted_images():
     rng = random.Random(300)
     for _ in range(300):
         action = braid_action(rand_braid(rng, 14))
-        lifted = lift_monodromy(action)
-        for m, lift in ((action, lifted), (action.inverse, lifted.inverse)):
+        for m in (action, action.inverse):
+            lift = lift_monodromy(m)
             for name, rep in cover.KERNEL_BASIS.items():
                 assert lift.images[name] == rewrite_to_pq(involution_reduce(substitute(rep, m.images)))

@@ -546,8 +546,8 @@ def test_every_word_built_without_reduction_is_reduced(monkeypatch):
     rng = random.Random("words/guard")
     for _ in range(40):
         act = braid_action(rand_braid(rng, 3, 8))
-        lift = cover.lift_monodromy(act)
-        results += [act.images, act.inverse.images, lift.images, lift.inverse.images]
+        lift, back = cover.lift_monodromy(act), cover.lift_monodromy(act.inverse)
+        results += [act.images, act.inverse.images, lift.images, back.images]
     for _ in range(60):
         gens = ("a", "b", "c")
         defining = Word.gen("c", -1) * rand_power_word(("a", "b"), rng, 5)
