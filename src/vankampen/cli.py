@@ -119,6 +119,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_parse_k, default=None, help="patch exponent 0..8 or 'all' (default)")
     p.add_argument("--out", default=None, help="also write the report to this file")
 
+    # A given usage prints verbatim, where argparse's own wrapping of the choices line differs
+    # across Python versions; it is set last, as each subcommand's prog is built from it.
+    indent = " " * len("usage: vankampen ")
+    parser.usage = f"%(prog)s [-h]\n{indent}{{{','.join(sub.choices)}}}\n{indent}..."
     return parser
 
 

@@ -10,8 +10,9 @@ is compared against the expected text stored in
 report, never skipped; the report serializes deterministically so golden
 tests can pin it byte for byte.
 
-``k`` restricts the patch sweep to a single exponent, whose result must
-not depend on k.
+The patch sweep is one ``patch_fiber`` call over k = 0..8: it eliminates
+g- once per k and simplifies each distinct elimination once, and the
+result must not depend on k.  ``k`` restricts the sweep to one exponent.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class Replay:
     """One run of the chain, each intermediate computed on first use and then kept.
 
     ``k=None`` sweeps the patch exponent over 0..8; a single value
-    restricts the sweep (the outcome must be identical either way).
+    makes a one-element sweep (the outcome must be identical either way).
     """
 
     def __init__(self, k: int | None = None, max_cosets: int = 10_000):
@@ -158,12 +159,7 @@ class Replay:
 
     @cached_property
     def patched(self) -> Presentation:
-        results = {patch_fiber(self.simplified, "g+", "g-", k) for k in self.k_values}
-        if len(results) != 1:
-            raise InternalCheckError(
-                f"patch results disagree across k: {sorted(map(format_presentation, results))}"
-            )
-        return results.pop()
+        return patch_fiber(self.simplified, "g+", "g-", self.k_values)
 
     @cached_property
     def braid_quotient(self) -> Presentation:

@@ -305,19 +305,28 @@ def tietze_simplify(P: Presentation) -> Presentation:
             current = dropped
 
 
-def patch_fiber(P: Presentation, g1: str, g2: str, k: int) -> Presentation:
-    """Impose the section relation g2 g1 = p^k and eliminate g2.
+def patch_fiber(P: Presentation, g1: str, g2: str, ks: Iterable[int]) -> Presentation:
+    """Impose the section relation g2 g1 = p^k for each k in ``ks``, eliminate g2, and simplify.
 
     The simplified result must not depend on k when the conjugation
-    relators already force it; callers sweep k to check that.
+    relators already force it, and the sweep checks that: g2 is
+    eliminated once per k, ``tietze_simplify`` runs once per distinct
+    eliminated presentation, and exactly one result may remain
+    (``InternalCheckError`` otherwise).  An empty ``ks`` is a ``ValueError``.
     """
     for name in (g1, g2, "p"):
         if name not in P.generators:
             raise ValueError(f"unknown generator {name!r}")
     if g1 == g2:
         raise ValueError("g1 and g2 must differ")
-    relator = Word.gen(g2) * Word.gen(g1) * Word.gen("p", -k)
-    return tietze_simplify(_eliminate(canonicalize(P), relator, g2))
+    canonical = canonicalize(P)
+    eliminated = {_eliminate(canonical, Word.gen(g2) * Word.gen(g1) * Word.gen("p", -k), g2) for k in ks}
+    if not eliminated:
+        raise ValueError("empty sweep of k")
+    results = set(map(tietze_simplify, eliminated))
+    if len(results) != 1:
+        raise InternalCheckError(f"patch results disagree across k: {sorted(map(format_presentation, results))}")
+    return results.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ INVOCATIONS = [
     ["simplify", "gens: a; rels: a^0"],
     # a Smith form that takes a Bezout step, a row insertion and a divisibility fix
     ["abelianize", "gens: a, b, c; rels: b^4 c^6, a^2, a^3 b^2"],
+    # a spent coset budget exits 3, a budget below 1 is a bad input
+    ["coset-enum", "gens: a; rels: a^50", "--max-cosets", "10"],
+    ["reproduce-paper", "--max-cosets", "20"],
+    ["coset-enum", "gens: a; rels: a^5", "--max-cosets", "0"],
 ]
 
 

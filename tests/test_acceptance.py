@@ -100,7 +100,7 @@ def test_presentation_pipeline_and_patch_sweep():
     assert canonicalize(simplified) == canonicalize(target)
     lemma = parse_presentation(LEMMA_TEXT)
     for k in range(9):
-        assert patch_fiber(simplified, "g+", "g-", k) == lemma
+        assert patch_fiber(simplified, "g+", "g-", (k,)) == lemma
 
 
 @criterion("commutant: p^3 central of order 3")

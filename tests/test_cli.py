@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vankampen import abelian, cli, curves, pipeline
+from vankampen import abelian, cli, curves, pipeline, presentation
 from vankampen.cli import main
 from vankampen.errors import InternalCheckError
 from vankampen.pipeline import STAGE_NAMES, Replay, expected_stage_texts, reproduce_paper
@@ -121,12 +121,13 @@ def test_replay_computes_each_intermediate_once(monkeypatch):
         "braid_action": 3,
         "lift_monodromy": 3,
         "zvk_assemble": 1,
-        "tietze_simplify": 1,
-        "patch_fiber": 9,
+        "tietze_simplify": 2,  # the assembled presentation, then the one distinct patch elimination
+        "patch_fiber": 1,
         "singular_parameters": 1,
     }
     for name in want:
         monkeypatch.setattr(pipeline, name, _counting(calls, name, getattr(pipeline, name)))
+    monkeypatch.setattr(presentation, "tietze_simplify", _counting(calls, "tietze_simplify", presentation.tietze_simplify))
     for _ in range(2):  # nothing is cached from one call to the next
         calls.clear()
         assert reproduce_paper().overall
@@ -196,9 +197,9 @@ def test_cli_patch_recovers_two_generator_presentation(capsys):
 
 
 def test_cli_patch_disagreement_is_an_internal_error(monkeypatch, capsys):
-    monkeypatch.setattr(
-        pipeline, "patch_fiber", lambda P, g1, g2, k: parse_presentation(f"gens: p; rels: p^{k + 1}")
-    )
+    # g- = p^k g+^-1 turns g-^2 into a different relator for each k
+    unpatchable = parse_presentation("gens: p, g+, g-; rels: g-^2")
+    monkeypatch.setattr(Replay, "simplified", property(lambda self: unpatchable))
     rc, out, err = run(capsys, "patch")
     assert rc == 1
     assert not out

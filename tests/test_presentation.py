@@ -346,21 +346,55 @@ def test_simplify_preserves_abelian_invariants():
 
 def test_patch_sweep_is_k_independent():
     eq = parse_presentation(EQ_G1)
-    results = {format_presentation(patch_fiber(eq, "g+", "g-", k)) for k in range(9)}
-    assert results == {LEMMA}
+    assert format_presentation(patch_fiber(eq, "g+", "g-", range(9))) == LEMMA
+
+
+def test_patch_sweep_simplifies_each_distinct_elimination_once(monkeypatch):
+    # p^k cancels inside p^7 g-^-1 p^-1 g-, so all nine eliminations are one presentation
+    calls = {"_eliminate": 0, "tietze_simplify": 0}
+    eliminate, simplify = presentation._eliminate, presentation.tietze_simplify
+
+    def counted_eliminate(P, relator, name):
+        calls["_eliminate"] += 1
+        return eliminate(P, relator, name)
+
+    def counted_simplify(P):
+        calls["tietze_simplify"] += 1
+        return simplify(P)
+
+    monkeypatch.setattr(presentation, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(presentation, "tietze_simplify", counted_simplify)
+    assert format_presentation(patch_fiber(parse_presentation(EQ_G1), "g+", "g-", range(9))) == LEMMA
+    assert calls == {"_eliminate": 9, "tietze_simplify": 1}
+
+
+def test_patch_sweep_disagreement_is_an_internal_error():
+    # g- = p^k g+^-1 turns g-^2 into a different relator for each k
+    pres = parse_presentation("gens: p, g+, g-; rels: g-^2")
+    with pytest.raises(InternalCheckError) as info:
+        patch_fiber(pres, "g+", "g-", range(3))
+    assert str(info.value) == (
+        "patch results disagree across k: ['gens: p, g+; rels: g+^2', "
+        "'gens: p, g+; rels: p g+^-1 p g+^-1', 'gens: p, g+; rels: p^2 g+^-1 p^2 g+^-1']"
+    )
 
 
 def test_patch_trivial_example():
     pres = Presentation(("p", "a", "b"), ())
-    assert format_presentation(patch_fiber(pres, "a", "b", 0)) == "gens: p, a; rels:"
+    assert format_presentation(patch_fiber(pres, "a", "b", (0,))) == "gens: p, a; rels:"
 
 
 def test_patch_rejects_unknown_symbols():
     eq = parse_presentation(EQ_G1)
     with pytest.raises(ValueError):
-        patch_fiber(eq, "g+", "nope", 0)
+        patch_fiber(eq, "g+", "nope", (0,))
     with pytest.raises(ValueError):
-        patch_fiber(eq, "nope", "g-", 0)
+        patch_fiber(eq, "nope", "g-", (0,))
+
+
+def test_patch_rejects_an_empty_sweep():
+    with pytest.raises(ValueError, match="empty sweep"):
+        patch_fiber(parse_presentation(EQ_G1), "g+", "g-", ())
 
 
 def test_patch_consistency_seven_is_inverse_of_four():
