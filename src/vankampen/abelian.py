@@ -7,10 +7,11 @@ unimodular 2 x 2 Bezout step where a pivot does not divide an entry
 (Kannan & Bachem 1979; Cohen, *A Course in Computational Algebraic Number
 Theory*, 2.4).  It runs on rows and columns in turn until the matrix is
 diagonal; where a diagonal entry does not divide the next, one column
-addition folds the next into it.  Every operation is logged, and
-``_replay`` certifies D = U M V by applying the log to a copy of M: each
-operation must be unimodular, so U and V are, and the copy must end at D,
-a diagonal divisibility chain.
+addition folds the next into it.  Every operation is logged as a kind and
+its ints, in one of the five layouts that ``smith_normal_form`` tabulates,
+and ``_replay`` certifies D = U M V by applying the log to a copy of M,
+failing on any other kind: each operation must be unimodular, so U and V
+are, and the copy must end at D, a diagonal divisibility chain.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _reduce_by_later_pivots(a: list[list[int]], k: int, cols: list[int], log: li
         j = cols[l]
         if a[k][j] and (q := _nearest(a[k][j], a[l][j])):
             a[k][j:] = [x - q * y for x, y in zip(a[k][j:], a[l][j:])]
-            log.append(("sub", l, j, [(k, q)]))
+            log.append(("sub", l, k, j, q))
 
 
 def _echelon(a: list[list[int]], log: list[tuple]) -> None:
@@ -126,7 +127,7 @@ def _echelon(a: list[list[int]], log: list[tuple]) -> None:
             else:
                 q = y // pivot[j]
                 row[j:] = [e - q * f for e, f in zip(row[j:], pivot[j:])]
-                log.append(("sub", k, j, [(i, q)]))
+                log.append(("sub", k, i, j, q))
         if j == c:
             continue
         # rows len(cols) .. i - 1 are zero: move row i up to position k
@@ -149,12 +150,14 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, list[list[tuple]]]:
     D is diagonal with nonnegative entries satisfying d1 | d2 | ....  The
     log's passes act on the rows of M at even positions and on its columns
     (rows of the transpose) at odd ones; U and V are their products.  A
-    pass lists unimodular row operations: ("swap", i, p), ("neg", i),
-    ("sub", t, j, [(i, q), ...]): row i -= q row t for each pair, row t
-    zero left of column j, and ("comb", t, i, j, s, u, v, w): rows t and i,
-    both zero left of column j, become s row t + u row i and v row t +
-    w row i, with s w - u v = 1.  A "fix" is a "sub" that mends the
-    divisibility chain.
+    pass lists unimodular operations on rows t != i, a kind then ints:
+
+        ("swap", t, i)                 swap rows t and i
+        ("neg", t)                     negate row t
+        ("sub", t, i, j, q)            row i -= q row t, row t zero left of column j
+        ("fix", t, i, j, q)            a "sub" that mends the divisibility chain
+        ("comb", t, i, j, s, u, v, w)  rows t and i, both zero left of column j, become
+                                       s row t + u row i and v row t + w row i; s w - u v = 1
     """
     r, c = M.nrows, M.ncols
     a = M.rows()
@@ -177,7 +180,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, list[list[tuple]]]:
         t = bad[0]
         for row in a:
             row[t] += row[t + 1]
-        log[-1].append(("fix", t + 1, t + 1, [(t, -1)]))
+        log[-1].append(("fix", t + 1, t, t + 1, -1))
 
     D = IntMatrix(r, c, tuple(x for row in a for x in row))
     _replay(M, log, D)
@@ -192,34 +195,32 @@ def _replay(M: IntMatrix, log: list[list[tuple]], D: IntMatrix) -> None:
         raise InternalCheckError(f"SNF certificate failed: {why}")
 
     a, nrows, m = M.rows(), M.nrows, M.ncols
+    lengths = {"swap": 3, "neg": 2, "sub": 5, "fix": 5, "comb": 8}
     for steps in log:
         for op in steps:
-            kind, t = op[0], op[1]
-            if not 0 <= t < nrows or kind in ("swap", "comb") and not 0 <= op[2] < nrows:
+            kind, t, *rest = op
+            if len(op) != lengths.get(kind):
+                fail(f"malformed operation {op}")
+            i = rest[0] if rest else t  # a "neg" has row t only
+            if not (0 <= t < nrows and 0 <= i < nrows):
                 fail("row index out of range")
-            if kind == "swap":
-                a[t], a[op[2]] = a[op[2]], a[t]
-            elif kind == "neg":
+            if kind == "neg":
                 a[t] = [-x for x in a[t]]
+            elif i == t:
+                fail("row combined with itself")
+            elif kind == "swap":
+                a[t], a[i] = a[i], a[t]
+            elif not 0 <= (j := rest[1]) < m or any(a[t][:j]) or kind == "comb" and any(a[i][:j]):
+                fail("pivot column out of range or row nonzero left of it")
             elif kind == "comb":
-                i, j, s, u, v, w = op[2:]
-                if i == t:
-                    fail("row combined with itself")
+                s, u, v, w = rest[2:]
                 if abs(s * w - u * v) != 1:
                     fail("2 x 2 step not unimodular")
-                if not 0 <= j < m or any(a[t][:j]) or any(a[i][:j]):
-                    fail("pivot column out of range or row nonzero left of it")
                 a[t][j:], a[i][j:] = ([s * p + u * q for p, q in zip(a[t][j:], a[i][j:])],
                                       [v * p + w * q for p, q in zip(a[t][j:], a[i][j:])])
             else:
-                j, subs = op[2:]
-                if not 0 <= j < m or any(a[t][:j]):
-                    fail("pivot column out of range or row nonzero left of it")
-                pivot = a[t][j:]
-                for i, q in subs:
-                    if i == t or not 0 <= i < nrows:
-                        fail("row reduced by itself or out of range")
-                    a[i][j:] = [x - q * y for x, y in zip(a[i][j:], pivot)]
+                q = rest[2]
+                a[i][j:] = [x - q * y for x, y in zip(a[i][j:], a[t][j:])]
         a, nrows, m = _transpose(a, m), m, nrows
     if len(log) % 2:
         a = _transpose(a, m)

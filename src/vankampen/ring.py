@@ -232,12 +232,10 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     leading coefficient: df - dg + 1 steps with no zero test inside, the
     result untrimmed (dg coefficients when df >= dg); f is left as it is."""
     dg, lg = len(g) - 1, g[-1]
-    monic = lg == lg ** 0  # the ring's own one, so a monic MultiPoly divisor counts too
     f = f[:]
     for top in range(len(f) - 1, dg - 1, -1):
         lead = f.pop()
-        if not monic:  # a monic divisor would rescale all of f per step for nothing
-            f = [lg * c for c in f]
+        f = [lg * c for c in f]
         for i in range(dg):
             f[top - dg + i] -= lead * g[i]
     return f

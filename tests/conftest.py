@@ -33,7 +33,8 @@ def snf_transforms():
     from the library's replay, by applying the logged passes to identity
     matrices, rows at even positions and columns at odd ones (V as its
     transpose, whose rows are V's columns); a ("comb", t, i, j, p, q, r, s)
-    replaces rows t and i by p row t + q row i and r row t + s row i."""
+    replaces rows t and i by p row t + q row i and r row t + s row i, and a
+    "sub" or "fix" (kind, t, i, j, q) subtracts q row t from row i."""
 
     def run(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         d, log = smith_normal_form(m)
@@ -50,8 +51,8 @@ def snf_transforms():
                     x[t], x[i] = ([p * e + q * f for e, f in zip(x[t], x[i])],
                                   [r * e + s * f for e, f in zip(x[t], x[i])])
                 else:
-                    for i, q in args[1]:
-                        x[i] = [e - q * f for e, f in zip(x[i], x[t])]
+                    i, _, q = args
+                    x[i] = [e - q * f for e, f in zip(x[i], x[t])]
         return d, IntMatrix.from_rows(u), IntMatrix.from_rows([list(col) for col in zip(*vt)])
 
     return run

@@ -214,11 +214,11 @@ def _branches(m, log):
                               [r * x + s * y for x, y in zip(a[t], a[i])])
                 hit |= {"bezout", "zero"} if not any(a[i]) else {"bezout"}
             else:
-                for i, q in args[1]:
-                    nonzero = any(a[i])
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if nonzero and not any(a[i]):
-                        hit.add("zero")
+                i, _, q = args
+                nonzero = any(a[i])
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                if nonzero and not any(a[i]):
+                    hit.add("zero")
         a = [list(col) for col in zip(*a)]
     return hit
 
@@ -316,9 +316,9 @@ def test_snf_replay_rejects_every_dropped_operation():
 def test_snf_replay_rejects_a_row_reduced_by_itself():
     m, d, log = _nonsingular_log()
     k, n = next((k, n) for k, steps in enumerate(log) for n, op in enumerate(steps) if op[0] == "sub")
-    _, t, j, subs = log[k][n]
-    op = ("sub", t, j, [(t, subs[0][1])] + subs[1:])
-    with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: row reduced by itself"):
+    _, t, _, j, q = log[k][n]
+    op = ("sub", t, t, j, q)
+    with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: row combined with itself$"):
         abelian._replay(m, _corrupt(log, k, n, op), d)
 
 
@@ -349,15 +349,42 @@ def test_snf_replay_rejects_a_bezout_step_on_a_row_nonzero_left_of_its_column():
 def test_snf_replay_rejects_a_pivot_row_nonzero_left_of_its_column():
     m, d, log = _nonsingular_log()
     k, n = next((k, n) for k, steps in enumerate(log) for n, op in enumerate(steps) if op[0] == "sub")
-    _, t, j, subs = log[k][n]
+    _, t, i, j, q = log[k][n]
     # row t holds its pivot at column j, so it is nonzero left of j + 1
-    op = ("sub", t, j + 1, subs)
+    op = ("sub", t, i, j + 1, q)
     with pytest.raises(InternalCheckError, match=r"^SNF certificate failed: pivot column .* nonzero left"):
         abelian._replay(m, _corrupt(log, k, n, op), d)
 
 
 @pytest.mark.parametrize(
-    "op", [("swap", 0, 5), ("neg", -1), ("sub", 0, 5, [(1, 1)]), ("sub", 0, 0, [(7, 1)]), ("comb", 0, 7, 0, 1, 0, 0, 1)]
+    "corrupt", [lambda op: ("mystery",) + op[1:], lambda op: op + (0,)], ids=["unknown kind", "extra int"]
+)
+def test_snf_replay_rejects_a_sub_of_another_layout(corrupt):
+    # the corrupted operation still does what the "sub" did, so only its layout is wrong
+    m, d, log = _nonsingular_log()
+    k, n = next((k, n) for k, steps in enumerate(log) for n, op in enumerate(steps) if op[0] == "sub")
+    op = corrupt(log[k][n])
+    with pytest.raises(InternalCheckError, match=rf"^SNF certificate failed: malformed operation \({op[0]!r}, "):
+        abelian._replay(m, _corrupt(log, k, n, op), d)
+
+
+def test_snf_log_operations_are_a_kind_then_ints():
+    lengths = {"swap": 3, "neg": 2, "sub": 5, "fix": 5, "comb": 8}
+    rng = random.Random("snf/layouts")
+    shapes = [(3, 5), (5, 3), (6, 6), (9, 9)] * 5
+    matrices = [[[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)] for r, c in shapes]
+    kinds = set()
+    # diag(2, 3) takes the divisibility fix
+    for rows in matrices + [[[2, 0], [0, 3]]]:
+        for steps in smith_normal_form(IntMatrix.from_rows(rows))[1]:
+            for kind, *ints in steps:
+                assert 1 + len(ints) == lengths[kind] and all(type(x) is int for x in ints)
+                kinds.add(kind)
+    assert kinds == set(lengths)
+
+
+@pytest.mark.parametrize(
+    "op", [("swap", 0, 5), ("neg", -1), ("sub", 0, 1, 5, 1), ("sub", 0, 7, 0, 1), ("comb", 0, 7, 0, 1, 0, 0, 1)]
 )
 def test_snf_replay_rejects_indices_out_of_range(op):
     m, d, log = _nonsingular_log()
@@ -370,7 +397,7 @@ def test_snf_replay_rejects_indices_out_of_range(op):
     [
         # M has 2 rows and 3 columns, its transpose 3 rows and 2 columns
         ([[("swap", 0, 2)], []], "row index out of range"),
-        ([[], [("sub", 0, 2, [(1, 1)])]], "pivot column out of range or row nonzero left of it"),
+        ([[], [("sub", 0, 1, 2, 1)]], "pivot column out of range or row nonzero left of it"),
         ([[], [("comb", 2, 0, 2, 1, 0, 0, 1)]], "pivot column out of range or row nonzero left of it"),
         ([[], [], [("neg", 2)]], "row index out of range"),
     ],
@@ -406,8 +433,7 @@ def test_snf_work_is_pinned():
     def work(m):
         _, log = smith_normal_form(m)
         ops = [op for steps in log for op in steps]
-        count = sum(len(op[3]) for op in ops if op[0] == "sub")
-        return len(log), count, sum(op[0] == "fix" for op in ops), sum(op[0] == "comb" for op in ops)
+        return len(log), *(sum(op[0] == kind for op in ops) for kind in ("sub", "fix", "comb"))
 
     for k, expected in ((24, (2, 551, 0, 34)), (40, (4, 1614, 0, 50))):
         rng = random.Random(f"snf/{k}")

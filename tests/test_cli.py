@@ -328,13 +328,13 @@ def test_cli_certificate_failure_exits_one(monkeypatch, capsys):
 def test_cli_internal_value_error_exits_one_without_traceback(monkeypatch, capsys):
     replay = abelian._replay
 
-    def malformed(M, log, D):  # a row update that lost its column and subtrahends
-        replay(M, [[("sub", 0)] + log[0]] + log[1:], D)
+    def malformed(M, log, D):  # a row update that lost all but its kind
+        replay(M, [[("sub",)] + log[0]] + log[1:], D)
 
     monkeypatch.setattr(abelian, "_replay", malformed)
     rc, out, err = run(capsys, "abelianize", "gens: a, b; rels: a^2, b^3")
     assert (rc, out) == (1, "")
-    assert err == "error: ValueError: not enough values to unpack (expected 2, got 0)\n"
+    assert err == "error: ValueError: not enough values to unpack (expected at least 2, got 1)\n"
 
 
 def test_cli_verify_curves_reports_a_wrong_expected_line(monkeypatch, capsys):
